@@ -33,7 +33,7 @@ func main() {
 func run(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_solver.json", "output path for the JSON report (empty = stdout only)")
-	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency regresses more than 2x (with a 0.5ms absolute floor)")
+	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency or cold DP solve time regresses more than 2x (with a 0.5ms absolute floor)")
 	quick := fs.Bool("quick", false, "reduced-size run for CI (fewer data sets and repetitions)")
 	runs := fs.Int("runs", 0, "timing repetitions per solver (0 = default)")
 	datasets := fs.Int("datasets", 0, "data sets streamed through the runtime (0 = default)")
@@ -85,13 +85,23 @@ func run(argv []string, stdout io.Writer) error {
 }
 
 // gateFloorSeconds is the absolute regression floor: sub-half-millisecond
-// decision latencies are within scheduler noise of each other, so a 2x
-// move below the floor is not a regression.
+// latencies are within scheduler noise of each other, so a 2x move below
+// the floor is not a regression.
 const gateFloorSeconds = 0.0005
 
-// gateAgainst compares the fresh report's adapt decision latencies to the
-// committed baseline and fails on a >2x regression above the floor. Specs
-// absent from the baseline pass (they are new).
+// gatedMetrics are the per-spec latencies the gate checks, each by the
+// same rule: fail above 2x the baseline and above the floor.
+var gatedMetrics = []struct {
+	name string
+	get  func(bench.SpecPerf) float64
+}{
+	{"adapt decision", func(sp bench.SpecPerf) float64 { return sp.AdaptDecisionSeconds }},
+	{"dp solve", func(sp bench.SpecPerf) float64 { return sp.DPSolveSeconds }},
+}
+
+// gateAgainst compares the fresh report's gated latencies to the committed
+// baseline and fails on a >2x regression above the floor. Specs absent
+// from the baseline, and metrics it does not record, pass (they are new).
 func gateAgainst(baselinePath string, rep bench.PerfReport, stdout io.Writer) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -101,27 +111,33 @@ func gateAgainst(baselinePath string, rep bench.PerfReport, stdout io.Writer) er
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("gate baseline %s: %w", baselinePath, err)
 	}
-	baseline := make(map[string]float64, len(base.Specs))
+	baseline := make(map[string]bench.SpecPerf, len(base.Specs))
 	for _, sp := range base.Specs {
-		baseline[sp.Spec] = sp.AdaptDecisionSeconds
+		baseline[sp.Spec] = sp
 	}
 	var failures []string
 	for _, sp := range rep.Specs {
-		old, ok := baseline[sp.Spec]
-		if !ok || old <= 0 {
+		oldSp, ok := baseline[sp.Spec]
+		if !ok {
 			continue
 		}
-		verdict := "ok"
-		if sp.AdaptDecisionSeconds > 2*old && sp.AdaptDecisionSeconds > gateFloorSeconds {
-			verdict = "REGRESSED"
-			failures = append(failures, fmt.Sprintf("%s: adapt decision %.3fms vs baseline %.3fms (>2x)",
-				sp.Spec, sp.AdaptDecisionSeconds*1e3, old*1e3))
+		for _, m := range gatedMetrics {
+			now, old := m.get(sp), m.get(oldSp)
+			if old <= 0 {
+				continue
+			}
+			verdict := "ok"
+			if now > 2*old && now > gateFloorSeconds {
+				verdict = "REGRESSED"
+				failures = append(failures, fmt.Sprintf("%s: %s %.3fms vs baseline %.3fms (>2x)",
+					sp.Spec, m.name, now*1e3, old*1e3))
+			}
+			fmt.Fprintf(stdout, "gate %-28s %-14s %8.3fms baseline %8.3fms  %s\n",
+				sp.Spec, m.name, now*1e3, old*1e3, verdict)
 		}
-		fmt.Fprintf(stdout, "gate %-28s adapt %8.3fms baseline %8.3fms  %s\n",
-			sp.Spec, sp.AdaptDecisionSeconds*1e3, old*1e3, verdict)
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("adapt decision latency gate failed:\n  %s", strings.Join(failures, "\n  "))
+		return fmt.Errorf("latency gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pipemap/internal/bench"
 )
 
 func TestRunWritesReport(t *testing.T) {
@@ -43,5 +45,47 @@ func TestRunWritesReport(t *testing.T) {
 func TestRunBadSpec(t *testing.T) {
 	if err := run([]string{"-out", "", "no-such.json"}, &bytes.Buffer{}); err == nil {
 		t.Error("missing spec accepted")
+	}
+}
+
+// TestGateChecksDPSolve pins the gate's rule on both gated latencies:
+// fail above 2x the baseline unless still under the 0.5 ms floor.
+func TestGateChecksDPSolve(t *testing.T) {
+	base := bench.PerfReport{Specs: []bench.SpecPerf{
+		{Spec: "big", DPSolveSeconds: 0.002, AdaptDecisionSeconds: 0.002},
+		{Spec: "tiny", DPSolveSeconds: 0.0001, AdaptDecisionSeconds: 0.0001},
+	}}
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		dp, adapt   float64
+		tinyDP      float64
+		wantFailure string
+	}{
+		{name: "within 2x", dp: 0.0039, adapt: 0.0039, tinyDP: 0.0001},
+		{name: "dp regressed", dp: 0.0041, adapt: 0.002, tinyDP: 0.0001, wantFailure: "big: dp solve"},
+		{name: "adapt regressed", dp: 0.002, adapt: 0.0041, tinyDP: 0.0001, wantFailure: "big: adapt decision"},
+		{name: "under the floor", dp: 0.002, adapt: 0.002, tinyDP: 0.0004},
+		{name: "tiny dp above the floor", dp: 0.002, adapt: 0.002, tinyDP: 0.0006, wantFailure: "tiny: dp solve"},
+	} {
+		rep := bench.PerfReport{Specs: []bench.SpecPerf{
+			{Spec: "big", DPSolveSeconds: tc.dp, AdaptDecisionSeconds: tc.adapt},
+			{Spec: "tiny", DPSolveSeconds: tc.tinyDP, AdaptDecisionSeconds: 0.0001},
+			{Spec: "new", DPSolveSeconds: 1, AdaptDecisionSeconds: 1},
+		}}
+		err := gateAgainst(path, rep, &bytes.Buffer{})
+		switch {
+		case tc.wantFailure == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		case tc.wantFailure != "" && (err == nil || !strings.Contains(err.Error(), tc.wantFailure)):
+			t.Errorf("%s: gate error %v, want one naming %q", tc.name, err, tc.wantFailure)
+		}
 	}
 }

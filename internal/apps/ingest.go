@@ -53,7 +53,7 @@ func (c FFTHistCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
 		if len(req.Data) != n*n {
 			return nil, fmt.Errorf("ffthist input: data length %d, want %d (N=%d)", len(req.Data), n*n, n)
 		}
-		mat := kernels.NewMatrix(n, n)
+		mat := getMatrix(n, n)
 		for i, v := range req.Data {
 			mat.Data[i] = complex(v, 0)
 		}
@@ -120,12 +120,14 @@ func (c RadarCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
 }
 
 // Encode implements ingest.Codec: the detection count and the strongest
-// detections (up to 5, by power).
+// detections (up to 5, by power). Encode is the data set's last reader on
+// the serving path: it recycles the data set's cubes.
 func (c RadarCodec) Encode(out fxrt.DataSet) (any, error) {
 	rd, ok := out.(*RadarData)
 	if !ok {
 		return nil, fmt.Errorf("radar output: got %T, want radar data", out)
 	}
+	defer rd.release()
 	dets := append([]kernels.Detection(nil), rd.Dets...)
 	sort.Slice(dets, func(i, j int) bool { return dets[i].Power > dets[j].Power })
 	if len(dets) > 5 {

@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pipemap/internal/estimate"
 	"pipemap/internal/fxrt"
@@ -38,7 +39,9 @@ const (
 // chain (colffts, rowffts, hist). When the colffts/rowffts boundary
 // crosses modules, the transpose runs as a true edge transfer — the
 // sending instance blocks while the receiving instance redistributes, the
-// paper's rendezvous communication model.
+// paper's rendezvous communication model. The pipeline must run with the
+// returned edges: a module starting at rowffts recycles the transposed
+// matrix each attempt receives from its edge.
 func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, error) {
 	if r.N < 2 || r.N&(r.N-1) != 0 {
 		return nil, nil, fmt.Errorf("apps: FFT-Hist size %d must be a power of two", r.N)
@@ -72,11 +75,16 @@ func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, e
 					if !ok {
 						return nil, fmt.Errorf("apps: transpose edge expects a matrix")
 					}
-					out := kernels.NewMatrix(mat.Cols, mat.Rows)
+					out := getMatrix(mat.Cols, mat.Rows)
 					err := recv.Group.ParallelFor(out.Rows, func(r0, r1 int) error {
 						return kernels.Transpose(mat, out, r0, r1)
 					})
 					return out, err
+				},
+				Release: func(in fxrt.DataSet) {
+					if mat, ok := in.(kernels.Matrix); ok {
+						putMatrix(mat)
+					}
 				},
 			})
 		} else {
@@ -92,6 +100,11 @@ func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, e
 // histogram partial merge, folded into the hist task.
 func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet) (fxrt.DataSet, error) {
 	ds := in
+	// owned is set while ds is a transpose destination made for this
+	// attempt alone — by the incoming transpose edge (a module starting at
+	// rowffts) or by the internal transpose below — so no retry or other
+	// attempt can read it, and hist may recycle it.
+	owned := lo == 1
 	for t := lo; t < hi; t++ {
 		switch t {
 		case 0:
@@ -117,7 +130,8 @@ func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet)
 			if lo == 0 {
 				// Edge 0 is internal to this module: redistribute from
 				// column-major to row-major blocks here.
-				out = kernels.NewMatrix(mat.Cols, mat.Rows)
+				out = getMatrix(mat.Cols, mat.Rows)
+				owned = true
 				err := ctx.Rec.Time(opTranspose, func() error {
 					return ctx.Group.ParallelFor(out.Rows, func(r0, r1 int) error {
 						return kernels.Transpose(mat, out, r0, r1)
@@ -171,6 +185,9 @@ func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet)
 			if err != nil {
 				return nil, err
 			}
+			if owned {
+				putMatrix(mat)
+			}
 			ds = total
 		}
 	}
@@ -187,13 +204,7 @@ func (r FFTHistRunner) Run(m model.Mapping) (fxrt.Stats, error) {
 	if n <= 0 {
 		n = 12
 	}
-	template := r.template()
-	return p.RunWithEdges(func(i int) fxrt.DataSet {
-		mat := kernels.NewMatrix(r.N, r.N)
-		copy(mat.Data, template.Data)
-		perturb(mat, i)
-		return mat
-	}, n, 0, edges)
+	return p.RunWithEdges(func(i int) fxrt.DataSet { return r.Input(i) }, n, 0, edges)
 }
 
 // perturb varies the stream slightly so runs are not trivially cacheable.
@@ -202,25 +213,33 @@ func perturb(mat kernels.Matrix, i int) {
 }
 
 // Input synthesizes the i-th stream data set: the tone template with a
-// per-index perturbation. Run amortizes the template across the stream;
-// this builds one standalone data set, for ingestion.
+// per-index perturbation, in a recycled matrix when one is pooled.
 func (r FFTHistRunner) Input(i int) kernels.Matrix {
-	mat := r.template()
+	mat := getMatrix(r.N, r.N)
+	copy(mat.Data, fftHistTemplate(r.N).Data)
 	perturb(mat, i)
 	return mat
 }
 
-// template synthesizes the input data set: a sum of tones plus structure.
-func (r FFTHistRunner) template() kernels.Matrix {
-	mat := kernels.NewMatrix(r.N, r.N)
-	for row := 0; row < r.N; row++ {
-		for col := 0; col < r.N; col++ {
-			v := math.Sin(2*math.Pi*3*float64(row)/float64(r.N)) +
-				0.5*math.Cos(2*math.Pi*7*float64(col)/float64(r.N))
+// templates caches the read-only tone template per matrix size.
+var templates sync.Map // int -> kernels.Matrix
+
+// fftHistTemplate returns the n x n input template — a sum of tones plus
+// structure — computing it once per n. Callers must not modify it.
+func fftHistTemplate(n int) kernels.Matrix {
+	if t, ok := templates.Load(n); ok {
+		return t.(kernels.Matrix)
+	}
+	mat := kernels.NewMatrix(n, n)
+	for row := 0; row < n; row++ {
+		for col := 0; col < n; col++ {
+			v := math.Sin(2*math.Pi*3*float64(row)/float64(n)) +
+				0.5*math.Cos(2*math.Pi*7*float64(col)/float64(n))
 			mat.Set(row, col, complex(v, 0))
 		}
 	}
-	return mat
+	t, _ := templates.LoadOrStore(n, mat)
+	return t.(kernels.Matrix)
 }
 
 var _ estimate.Profiler = FFTHistRunner{}

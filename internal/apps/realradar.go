@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"pipemap/internal/estimate"
 	"pipemap/internal/fxrt"
@@ -33,6 +34,25 @@ type RadarData struct {
 	Cube kernels.Matrix
 	// Dets are the CFAR detections gathered after the cfar task.
 	Dets []kernels.Detection
+
+	// spare is the cube-sized buffer the corner turn copies Cube into
+	// before the two swap; allocated by the first corner turn.
+	spare kernels.Matrix
+	// kept marks a data set a stage attempt under a deadline has touched:
+	// an abandoned attempt may still be writing into its cubes, so they
+	// are never recycled.
+	kept atomic.Bool
+}
+
+// release returns both cubes to the pool. RadarCodec.Encode calls it as
+// the data set's last reader on the serving path.
+func (rd *RadarData) release() {
+	if rd.kept.Load() {
+		return
+	}
+	putMatrix(rd.Cube)
+	putMatrix(rd.spare)
+	rd.Cube, rd.spare = kernels.Matrix{}, kernels.Matrix{}
 }
 
 // Radar op names for recorded measurements.
@@ -87,6 +107,9 @@ func (r RadarRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, map[[2]int]int, 
 				if !ok {
 					return nil, fmt.Errorf("apps: radar stage expects RadarData")
 				}
+				if ctx.Deadline > 0 {
+					rd.kept.Store(true)
+				}
 				for t := mod.Lo; t < mod.Hi; t++ {
 					if err := r.runTask(ctx, t, rd, chirpFreq, &trackMu, tracks); err != nil {
 						return nil, err
@@ -111,12 +134,15 @@ func (r RadarRunner) runTask(ctx *fxrt.StageCtx, task int, rd *RadarData,
 		})
 	case 1: // corner turn (redistribution) then Doppler FFT over columns
 		err := ctx.Rec.Time(opCornerTurn, func() error {
-			fresh := kernels.NewMatrix(pulses, gates)
+			if len(rd.spare.Data) != pulses*gates {
+				rd.spare = getMatrix(pulses, gates)
+			}
+			dst := rd.spare
 			err := ctx.Group.ParallelFor(pulses, func(r0, r1 int) error {
-				copy(fresh.Data[r0*gates:r1*gates], rd.Cube.Data[r0*gates:r1*gates])
+				copy(dst.Data[r0*gates:r1*gates], rd.Cube.Data[r0*gates:r1*gates])
 				return nil
 			})
-			rd.Cube = fresh
+			rd.Cube, rd.spare = dst, rd.Cube
 			return err
 		})
 		if err != nil {
@@ -238,7 +264,7 @@ func (r RadarRunner) inputAt(i, tg, td int) *RadarData {
 	for j := range chirp {
 		chirp[j] = radarChirpTap(j)
 	}
-	cube := kernels.NewMatrix(pulses, gates)
+	cube := getMatrix(pulses, gates)
 	for idx := range cube.Data {
 		cube.Data[idx] = complex(0.02*math.Sin(float64(idx+i)), 0)
 	}

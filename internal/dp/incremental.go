@@ -35,6 +35,21 @@ import (
 // final close scan is always re-run: it charges the last open module
 // [k-l, k), which contains a changed task whenever anything changed.
 //
+// # Layer layout
+//
+// peffPrev ranges over few values: it is the per-instance count of some
+// module [a', a) ending at the open module's start a = b-l, and maximal
+// replication maps most raw counts onto a handful of instance sizes. So
+// each layer indexes that axis by class — the position of peffPrev in E_a,
+// the ascending set of counts any feasible span [a', a) can hold,
+// derived once from the structural eff table — and layer (b, l) holds
+// (P+1)^2 * |E_{b-l}| states (none when span [b-l, b) is infeasible)
+// instead of (P+1)^3. Class order equals value order, so scanning a layer
+// in index order visits states in the same (pt, pcur, peffPrev) order as
+// a dense layout, and live lists, dominance and tie-breaking are those of
+// the dense tables. Only a non-replicable module reaching many counts
+// makes a class axis long.
+//
 // # Dominance pruning
 //
 // Two states in the same layer with equal (pcur, peffPrev) admit exactly
@@ -70,7 +85,6 @@ type Solver struct {
 	chain *model.Chain
 
 	k, P, stride int
-	lsize        int // stride^3, one (b,l) layer slab
 
 	// Structural per-span tables, flattened at [a*(k+1)+b]; these depend
 	// on memory models, MinProcs and Replicable flags only and never
@@ -85,16 +99,24 @@ type Solver struct {
 	// effective endpoint counts (ps, pr).
 	ecomV []float64
 
-	// Layer arena: k(k+1)/2 slabs of lsize values/choices, ordinal
-	// b(b-1)/2 + (l-1) for layer (b, l), 1 <= l <= b <= k.
+	// Layer arena: k(k+1)/2 layers stored back to back, ordinal
+	// b(b-1)/2 + (l-1) for layer (b, l), 1 <= l <= b <= k; layer ord
+	// occupies [off[ord], off[ord+1]). See "Layer layout" above.
 	val    []float64
 	choice []uint64
+	off    []int
+	// effVals[a] is E_a: the distinct per-instance counts, ascending, that
+	// a module ending at a can hold (E_0 = {0}: there is no previous
+	// module). effCls[a*stride+v] is the class of count v — its index in
+	// effVals[a] — or -1 when v is not in E_a.
+	effVals [][]int
+	effCls  []int32
 	// live[ord] lists the non-inf, non-dominated state indices of a layer
 	// in deterministic (pt, pcur, peffPrev) scan order; rebuilt whenever
 	// the layer is recomputed, reused read-only otherwise.
 	live [][]int32
 
-	colMin  []float64 // stride^2 dominance scratch, one (pcur,peff) column each
+	colMin  []float64 // dominance scratch, one entry per (pcur, class) column
 	changed []bool    // k-length scratch: which tasks moved this Resolve
 	tgts    []int     // per-pass feasible target spans scratch
 
@@ -109,13 +131,14 @@ type Solver struct {
 // count must stay at 1.
 func (s *Solver) SolveCount() int64 { return s.solves }
 
-// choicePack packs (prevL, prevPCur, prevEff) into one word; 21 bits each
-// bounds P and k at 2^21-1, far beyond any instance the cubic tables fit.
-func choicePack(l, pcur, peff int) uint64 {
-	return uint64(l)<<42 | uint64(pcur)<<21 | uint64(peff)
+// choicePack packs (prevL, prevPCur, prevCls) — the predecessor state's
+// module length, raw count and peffPrev class — into one word; 21 bits
+// each bounds P and k at 2^21-1, far beyond any instance the tables fit.
+func choicePack(l, pcur, c int) uint64 {
+	return uint64(l)<<42 | uint64(pcur)<<21 | uint64(c)
 }
 
-func choiceUnpack(c uint64) (l, pcur, peff int) {
+func choiceUnpack(c uint64) (l, pcur, cls int) {
 	return int(c >> 42), int(c >> 21 & (1<<21 - 1)), int(c & (1<<21 - 1))
 }
 
@@ -134,22 +157,15 @@ func NewSolver(c *model.Chain, pl model.Platform, opt Options) (*Solver, error) 
 	s := &Solver{
 		pl: pl, opt: opt, chain: c,
 		k: k, P: P, stride: stride,
-		lsize:   stride * stride * stride,
 		minP:    make([]int, k*(k+1)),
 		eff:     make([]int32, k*(k+1)*stride),
 		rep:     make([]int32, k*(k+1)*stride),
 		execEff: make([]float64, k*(k+1)*stride),
 		ecomV:   make([]float64, (k-1)*stride*stride),
-		colMin:  make([]float64, stride*stride),
 		changed: make([]bool, k),
 		tgts:    make([]int, 0, k),
 		mods:    make([]model.Module, 0, k),
 	}
-	nLayers := k * (k + 1) / 2
-	s.val = make([]float64, nLayers*s.lsize)
-	s.choice = make([]uint64, nLayers*s.lsize)
-	s.live = make([][]int32, nLayers)
-	fill(s.val, inf)
 	fill(s.execEff, inf)
 
 	// Structural span tables (min procs, replication splits).
@@ -183,9 +199,57 @@ func NewSolver(c *model.Chain, pl model.Platform, opt Options) (*Solver, error) 
 			}
 		}
 	}
+	s.classify()
 	s.tabulateExecAll(c)
 	s.seed()
 	return s, nil
+}
+
+// classify derives the peffPrev classes E_a from the structural eff table
+// and lays out the arena: layer (b, l) gets stride^2 * |E_{b-l}| states,
+// or none when its open span is infeasible.
+func (s *Solver) classify() {
+	k, P, stride := s.k, s.P, s.stride
+	s.effVals = make([][]int, k)
+	s.effCls = make([]int32, k*stride)
+	seen := make([]bool, stride)
+	maxE := 0
+	for a := 0; a < k; a++ {
+		clear(seen)
+		for a2 := 0; a2 < a; a2++ {
+			base := (a2*(k+1) + a) * stride
+			for p := 0; p <= P; p++ {
+				seen[s.eff[base+p]] = true
+			}
+		}
+		// eff 0 marks a raw count a span cannot hold, so 0 is a class only
+		// at a = 0, where there is no previous module.
+		seen[0] = a == 0
+		for v, ok := range seen {
+			s.effCls[a*stride+v] = -1
+			if ok {
+				s.effCls[a*stride+v] = int32(len(s.effVals[a]))
+				s.effVals[a] = append(s.effVals[a], v)
+			}
+		}
+		maxE = max(maxE, len(s.effVals[a]))
+	}
+	nLayers := k * (k + 1) / 2
+	s.off = make([]int, nLayers+1)
+	for b := 1; b <= k; b++ {
+		for l := 1; l <= b; l++ {
+			ord, size := s.ord(b, l), 0
+			if s.minP[(b-l)*(k+1)+b] <= P {
+				size = stride * stride * len(s.effVals[b-l])
+			}
+			s.off[ord+1] = s.off[ord] + size
+		}
+	}
+	s.val = make([]float64, s.off[nLayers])
+	s.choice = make([]uint64, s.off[nLayers])
+	s.live = make([][]int32, nLayers)
+	s.colMin = make([]float64, stride*maxE)
+	fill(s.val, inf)
 }
 
 // spanExec evaluates the composed execution cost of span [a, b) at
@@ -230,8 +294,15 @@ func (s *Solver) tabulateExecAll(c *model.Chain) {
 // ord is the arena ordinal of layer (b, l), 1 <= l <= b <= k.
 func (s *Solver) ord(b, l int) int { return b*(b-1)/2 + (l - 1) }
 
-// vidx is the in-layer index of state (pt, pcur, peffPrev).
-func (s *Solver) vidx(pt, pcur, peff int) int { return (pt*s.stride+pcur)*s.stride + peff }
+// vidx is the in-layer index of state (pt, pcur, peffPrev) in a layer
+// whose peffPrev axis has nE classes, c being peffPrev's class.
+func (s *Solver) vidx(pt, pcur, c, nE int) int { return (pt*s.stride+pcur)*nE + c }
+
+// layer returns the value slab of layer (b, l).
+func (s *Solver) layer(b, l int) []float64 {
+	ord := s.ord(b, l)
+	return s.val[s.off[ord]:s.off[ord+1]]
+}
 
 // seed writes the first-module states: module [0, l) holding pcur
 // processors, value 0 (no closed modules yet). Seed layers have open
@@ -242,39 +313,36 @@ func (s *Solver) seed() {
 		if min > s.P {
 			continue
 		}
-		off := s.ord(l, l) * s.lsize
+		vals := s.layer(l, l)
 		for pcur := min; pcur <= s.P; pcur++ {
-			s.val[off+s.vidx(pcur, pcur, 0)] = 0
+			vals[s.vidx(pcur, pcur, 0, 1)] = 0
 		}
-		s.buildLive(s.ord(l, l))
+		s.buildLive(l, l)
 	}
 }
 
-// buildLive rebuilds a layer's live-state list: finite values, minus the
-// dominance-pruned ones, in (pt, pcur, peffPrev) ascending order. It is a
-// pure function of the layer's contents, so fresh and incremental solves
-// produce identical lists. Returns the number of dominated states
+// buildLive rebuilds layer (b, l)'s live-state list: finite values, minus
+// the dominance-pruned ones, in (pt, pcur, peffPrev) ascending order. It
+// is a pure function of the layer's contents, so fresh and incremental
+// solves produce identical lists. Returns the number of dominated states
 // dropped.
-func (s *Solver) buildLive(ord int) int64 {
-	fill(s.colMin, inf)
-	off := ord * s.lsize
+func (s *Solver) buildLive(b, l int) int64 {
+	ord := s.ord(b, l)
+	// Index idx is (pt*stride+pcur)*nE + c, so idx % cols is the state's
+	// (pcur, c) dominance column.
+	cols := s.stride * len(s.effVals[b-l])
+	colMin := s.colMin[:cols]
+	fill(colMin, inf)
 	list := s.live[ord][:0]
 	pruned := int64(0)
-	idx := 0
-	for pt := 0; pt <= s.P; pt++ {
-		for pcur := 0; pcur <= s.P; pcur++ {
-			col := pcur * s.stride
-			for peff := 0; peff <= s.P; peff++ {
-				v := s.val[off+idx]
-				if v < inf {
-					if s.colMin[col+peff] <= v {
-						pruned++ // dominated: smaller pt, no worse value
-					} else {
-						list = append(list, int32(idx))
-						s.colMin[col+peff] = v
-					}
-				}
-				idx++
+	for idx, v := range s.layer(b, l) {
+		if v < inf {
+			col := idx % cols
+			if colMin[col] <= v {
+				pruned++ // dominated: smaller pt, no worse value
+			} else {
+				list = append(list, int32(idx))
+				colMin[col] = v
 			}
 		}
 	}
@@ -290,14 +358,18 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 	k, P, stride := s.k, s.P, s.stride
 	min2 := s.minP[b*(k+1)+b+l2]
 	eff2 := s.eff[(b*(k+1)+b+l2)*stride:]
-	nOff := s.ord(b+l2, l2) * s.lsize
+	nOff := s.off[s.ord(b+l2, l2)]
+	nE2 := len(s.effVals[b])
+	cls2 := s.effCls[b*stride:]
 	outTab := s.ecomV[(b-1)*stride*stride:]
 	for l := 1; l <= b; l++ {
 		a := b - l
 		if s.minP[a*(k+1)+b] > P {
 			continue
 		}
-		srcOff := s.ord(b, l) * s.lsize
+		src := s.layer(b, l)
+		prev := s.effVals[a]
+		nE := len(prev)
 		spanBase := (a*(k+1) + b) * stride
 		var inTab []float64
 		if a > 0 {
@@ -305,8 +377,8 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 		}
 		for _, idx32 := range s.live[s.ord(b, l)] {
 			idx := int(idx32)
-			peff := idx % stride
-			rest := idx / stride
+			c := idx % nE
+			rest := idx / nE
 			pcur := rest % stride
 			pt := rest / stride
 			e := int(s.eff[spanBase+pcur])
@@ -314,25 +386,26 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 				continue
 			}
 			nStates++
-			v := s.val[srcOff+idx]
+			v := src[idx]
 			r := float64(s.rep[spanBase+pcur])
 			in := 0.0
 			if inTab != nil {
-				in = inTab[peff*stride+e]
+				in = inTab[prev[c]*stride+e]
 			}
 			partial := (in + s.execEff[spanBase+pcur]) / r
 			outRow := outTab[e*stride:]
-			ch := choicePack(l, pcur, peff)
+			ch := choicePack(l, pcur, c)
+			ce := int(cls2[e])
 			for p2 := min2; p2 <= P-pt; p2++ {
 				resp := partial + outRow[int(eff2[p2])]/r
 				nv := v
 				if resp > nv {
 					nv = resp
 				}
-				ni := ((pt+p2)*stride+p2)*stride + e
-				if nv < s.val[nOff+ni] {
-					s.val[nOff+ni] = nv
-					s.choice[nOff+ni] = ch
+				ni := nOff + ((pt+p2)*stride+p2)*nE2 + ce
+				if nv < s.val[ni] {
+					s.val[ni] = nv
+					s.choice[ni] = ch
 				}
 			}
 			if n := P - pt - min2 + 1; n > 0 {
@@ -380,7 +453,7 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 	// Targets are final once every source l has been applied: build their
 	// live lists now (dominance is a pure function of the completed slab).
 	for _, l2 := range s.tgts {
-		pruned += s.buildLive(s.ord(b+l2, l2))
+		pruned += s.buildLive(b+l2, l2)
 	}
 	ins.layer("map_chain", b, layerT0, states, transitions, pruned)
 }
@@ -391,13 +464,15 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 func (s *Solver) scan() (model.Mapping, error) {
 	k, P, stride := s.k, s.P, s.stride
 	best := inf
-	var bestL, bestPT, bestPCur, bestEff int
+	var bestL, bestPT, bestPCur, bestCls int
 	for l := 1; l <= k; l++ {
 		a := k - l
 		if s.minP[a*(k+1)+k] > P {
 			continue
 		}
-		off := s.ord(k, l) * s.lsize
+		vals := s.layer(k, l)
+		prev := s.effVals[a]
+		nE := len(prev)
 		spanBase := (a*(k+1) + k) * stride
 		var inTab []float64
 		if a > 0 {
@@ -405,18 +480,18 @@ func (s *Solver) scan() (model.Mapping, error) {
 		}
 		for _, idx32 := range s.live[s.ord(k, l)] {
 			idx := int(idx32)
-			peff := idx % stride
-			rest := idx / stride
+			c := idx % nE
+			rest := idx / nE
 			pcur := rest % stride
 			pt := rest / stride
 			e := int(s.eff[spanBase+pcur])
 			if e == 0 {
 				continue
 			}
-			v := s.val[off+idx]
+			v := vals[idx]
 			in := 0.0
 			if inTab != nil {
-				in = inTab[peff*stride+e]
+				in = inTab[prev[c]*stride+e]
 			}
 			resp := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
 			if resp > v {
@@ -424,7 +499,7 @@ func (s *Solver) scan() (model.Mapping, error) {
 			}
 			if v < best {
 				best = v
-				bestL, bestPT, bestPCur, bestEff = l, pt, pcur, peff
+				bestL, bestPT, bestPCur, bestCls = l, pt, pcur, c
 			}
 		}
 	}
@@ -434,7 +509,7 @@ func (s *Solver) scan() (model.Mapping, error) {
 
 	// Reconstruct right to left into the reusable scratch.
 	s.mods = s.mods[:0]
-	b, l, pt, pcur, effPrev := k, bestL, bestPT, bestPCur, bestEff
+	b, l, pt, pcur, c := k, bestL, bestPT, bestPCur, bestCls
 	for {
 		a := b - l
 		spanBase := (a*(k+1) + b) * stride
@@ -446,8 +521,9 @@ func (s *Solver) scan() (model.Mapping, error) {
 		if a == 0 {
 			break
 		}
-		pl, pp, pe := choiceUnpack(s.choice[s.ord(b, l)*s.lsize+s.vidx(pt, pcur, effPrev)])
-		b, l, pt, pcur, effPrev = a, pl, pt-pcur, pp, pe
+		at := s.off[s.ord(b, l)] + s.vidx(pt, pcur, c, len(s.effVals[a]))
+		pl, pp, pc := choiceUnpack(s.choice[at])
+		b, l, pt, pcur, c = a, pl, pt-pcur, pp, pc
 	}
 	for i, j := 0, len(s.mods)-1; i < j; i, j = i+1, j-1 {
 		s.mods[i], s.mods[j] = s.mods[j], s.mods[i]
@@ -469,10 +545,8 @@ func (s *Solver) run(m int, par bool, ins instrument) (model.Mapping, error) {
 			if b-l <= m {
 				continue
 			}
-			ord := s.ord(b, l)
-			off := ord * s.lsize
-			fill(s.val[off:off+s.lsize], inf)
-			s.live[ord] = s.live[ord][:0]
+			fill(s.layer(b, l), inf)
+			s.live[s.ord(b, l)] = s.live[s.ord(b, l)][:0]
 			cleared++
 		}
 	}

@@ -27,7 +27,10 @@ func (o Options) instrument() instrument {
 // layer records one completed DP layer: a trace span plus aggregate
 // counters. states is the number of DP cells written, transitions the
 // number of candidate predecessor evaluations, and pruned the number of
-// source states skipped as infeasible.
+// states the layer dropped. What counts as dropped depends on the engine:
+// the full mapping DP (Solver.pass) reports the finite states its
+// dominance pruning removed from the completed layer, while the
+// assignment DP reports the states it skipped as infeasible.
 func (in instrument) layer(algo string, layer int, start time.Time, states, transitions, pruned int64) {
 	if !in.on {
 		return

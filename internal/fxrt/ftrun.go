@@ -184,11 +184,11 @@ func (r *ftRun) instance(i, b int) {
 }
 
 func (r *ftRun) serve(i, b int, st Stage, g *Group, attempts *sync.WaitGroup) {
-	ctx := &StageCtx{Group: g, Instance: b, Rec: r.rec}
+	deadline := r.p.deadlineFor(i)
+	ctx := &StageCtx{Group: g, Instance: b, Rec: r.rec, Deadline: deadline}
 	tr := r.p.Obs
 	mon := r.p.Monitor
 	tid := r.tidBase[i] + b
-	deadline := r.p.deadlineFor(i)
 	maxAttempts := r.p.Retry.MaxRetries + 1
 	consecFail := 0
 	for {

@@ -89,10 +89,23 @@ func TestModelPipelineRunsWithMonitor(t *testing.T) {
 }
 
 func TestMonitorObservesFaults(t *testing.T) {
+	// Replicas pull from one shared inbox, so left alone the healthy
+	// replica could drain every zero-work data set before instance 0 takes
+	// the DeadAfter attempts that kill it. The survivor therefore holds its
+	// first data set until the death is published.
+	dead := make(chan struct{})
 	p := &Pipeline{
 		Stages: []Stage{
 			{Name: "front", Workers: 1, Replicas: 2,
-				Run: func(_ *StageCtx, in DataSet) (DataSet, error) { return in, nil }},
+				Run: func(ctx *StageCtx, in DataSet) (DataSet, error) {
+					if ctx.Instance == 1 {
+						select {
+						case <-dead:
+						case <-time.After(time.Minute): // no death: the assertions below fail
+						}
+					}
+					return in, nil
+				}},
 			{Name: "back", Workers: 1, Replicas: 1,
 				Run: func(_ *StageCtx, in DataSet) (DataSet, error) { return in, nil }},
 		},
@@ -106,6 +119,16 @@ func TestMonitorObservesFaults(t *testing.T) {
 	p.Monitor = mon
 
 	const n = 30
+	events, _, cancel := mon.Events().Subscribe(4 * n)
+	defer cancel()
+	go func() {
+		for ev := range events {
+			if ev.Kind == "death" {
+				close(dead)
+				return
+			}
+		}
+	}()
 	stats, err := p.Run(func(i int) DataSet { return i }, n, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,13 @@ type StageCtx struct {
 	Instance int
 	// Rec accumulates named operation timings for profiling.
 	Rec *Recorder
+	// Deadline is the bound on one attempt of this stage (Stage.Deadline
+	// or Pipeline.StageDeadline); zero means every attempt runs to
+	// completion. An attempt that overruns its deadline is abandoned but
+	// keeps running detached, so while Deadline is set a stage must not
+	// let a buffer it touches be recycled: the detached attempt may still
+	// use it.
+	Deadline time.Duration
 }
 
 // Stage is one module of a pipeline: a work function running on Workers

@@ -69,6 +69,9 @@ type Stream struct {
 	p     *Pipeline
 	edges []Edge
 	rec   *Recorder
+	// recycle is set when no stage has a deadline, so edge transfer
+	// sources may be released (see Edge.Release).
+	recycle bool
 
 	inbox   []chan sEnvelope
 	quit    chan struct{}
@@ -117,12 +120,18 @@ func (p *Pipeline) Stream(opts StreamOptions) (*Stream, error) {
 		p:       p,
 		edges:   opts.Edges,
 		rec:     NewRecorder(),
+		recycle: true,
 		inbox:   make([]chan sEnvelope, l+1),
 		quit:    make(chan struct{}),
 		release: make(chan struct{}),
 		drained: make(chan struct{}),
 		start:   time.Now(),
 		live:    make([]atomic.Int32, l),
+	}
+	for i := range p.Stages {
+		if p.deadlineFor(i) > 0 {
+			s.recycle = false
+		}
 	}
 	for i := 0; i <= l; i++ {
 		capacity := opts.Inbox
@@ -279,8 +288,8 @@ func (s *Stream) instance(i, b int) {
 			}()
 		}()
 	}
-	ctx := &StageCtx{Group: g, Instance: b, Rec: s.rec}
 	deadline := s.p.deadlineFor(i)
+	ctx := &StageCtx{Group: g, Instance: b, Rec: s.rec, Deadline: deadline}
 	maxAttempts := s.p.Retry.MaxRetries + 1
 	consecFail := 0
 	for {
@@ -312,6 +321,11 @@ func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Durati
 		if err == nil {
 			env.rt.StageSpan(st.Name, i, b, env.attempts, "ok", t0, time.Since(t0))
 			mon.StageDone(i, time.Since(t0).Seconds())
+			if s.recycle && i > 0 && s.edges != nil {
+				if e := s.edges[i-1]; e.Transfer != nil && e.Release != nil {
+					e.Release(env.ds)
+				}
+			}
 			env.ds = out
 			env.attempts = 0
 			*consecFail = 0

@@ -22,6 +22,14 @@ type Edge struct {
 	// runs on the receiving instance's worker group; the sender is blocked
 	// while it runs. A nil Transfer makes the handoff free (pointer pass).
 	Transfer func(recv *StageCtx, in DataSet) (DataSet, error)
+	// Release, when set, recycles the data set Transfer read, which must
+	// not be the one it returned. Stream calls it once the receiving
+	// stage's attempt has succeeded — never earlier, because every retry
+	// re-runs Transfer from the same data set — and only when no stage of
+	// the pipeline has a deadline, because an attempt abandoned at its
+	// deadline keeps running detached and may still read it. Batch runs
+	// never call it.
+	Release func(in DataSet)
 }
 
 // transferEnvelope carries a data set plus a completion signal so the
