@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-quick serve-smoke ingest-smoke fleet-smoke fleet-fuzz pipegen pipegen-diff pipegen-fuzz
+.PHONY: build test race bench bench-quick serve-smoke ingest-smoke fleet-smoke fleet-fuzz
 
 build:
 	$(GO) build ./...
@@ -35,18 +35,3 @@ fleet-smoke:
 # Differential fuzz: cache-hit placements must be bit-identical to fresh solves.
 fleet-fuzz:
 	$(GO) test ./internal/fleet -run FuzzFleetCacheMatchesFresh -fuzz FuzzFleetCacheMatchesFresh -fuzztime 30s
-
-# Regenerate the committed specialized executors under internal/gen from
-# the specs + their solved mappings (commit the result).
-pipegen:
-	$(GO) run ./cmd/pipegen -all
-
-# Fail if the committed generated executors drift from what the generator
-# emits today (CI's golden gate; prints a per-file summary).
-pipegen-diff:
-	$(GO) run ./cmd/pipegen -all -check
-
-# Differential fuzz: generated executors must be bit-identical to the
-# generic fxrt stream on randomized seeds across all three apps.
-pipegen-fuzz:
-	$(GO) test ./internal/pipegen -run FuzzGeneratedMatchesGeneric -fuzz FuzzGeneratedMatchesGeneric -fuzztime 30s

@@ -14,9 +14,6 @@ import (
 	"pipemap/internal/apps"
 	"pipemap/internal/core"
 	"pipemap/internal/fxrt"
-	"pipemap/internal/gen/ffthist256"
-	"pipemap/internal/gen/radar64"
-	"pipemap/internal/gen/stereo128"
 	"pipemap/internal/ingest"
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
@@ -65,70 +62,9 @@ func buildIngestApp(sc serveConfig, m model.Mapping) (*fxrt.Pipeline, fxrt.Strea
 	if err != nil {
 		return nil, opts, nil, err
 	}
-	pl.Retry = ingestRetry
+	pl.Retry = fxrt.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond}
 	pl.DeadAfter = 2
 	return pl, opts, codec, nil
-}
-
-// ingestRetry is the fault-tolerance policy both ingest backends run:
-// buildIngestApp sets it on the generic pipeline, buildGenBackend on the
-// generated executor, so a live swap between them preserves semantics.
-var ingestRetry = fxrt.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond}
-
-// buildGenBackend builds the pipegen-generated executor for the app as the
-// plane's backend (-ingest-gen). The solved mapping must match the
-// mapping baked into the committed generated code; size defaults mirror
-// buildIngestApp so the codec and the executor agree on dimensions.
-func buildGenBackend(sc serveConfig, m model.Mapping, mon *live.Monitor) (ingest.Backend, ingest.Codec, error) {
-	checkBaked := func(baked string) error {
-		if got := m.String(); got != baked {
-			return fmt.Errorf("-ingest-gen: solved mapping %q does not match the generated executor's %q; solve the committed spec, or run make pipegen and rebuild", got, baked)
-		}
-		return nil
-	}
-	switch sc.ingestApp {
-	case "ffthist":
-		if err := checkBaked(ffthist256.MappingString); err != nil {
-			return nil, nil, err
-		}
-		n := sc.ingestSize
-		if n == 0 {
-			n = 128
-		}
-		ex, err := ffthist256.New(ffthist256.Config{N: n, Retry: ingestRetry, Monitor: mon})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ex, apps.FFTHistCodec{Runner: apps.FFTHistRunner{N: n}}, nil
-	case "radar":
-		if err := checkBaked(radar64.MappingString); err != nil {
-			return nil, nil, err
-		}
-		gates := sc.ingestSize
-		if gates == 0 {
-			gates = 256 // the runner's serving default, not the baked 64
-		}
-		ex, err := radar64.New(radar64.Config{Gates: gates, Retry: ingestRetry, Monitor: mon})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ex, apps.RadarCodec{Runner: apps.RadarRunner{Gates: gates}}, nil
-	case "stereo":
-		if err := checkBaked(stereo128.MappingString); err != nil {
-			return nil, nil, err
-		}
-		w := sc.ingestSize
-		if w == 0 {
-			w = 128
-		}
-		ex, err := stereo128.New(stereo128.Config{W: w, Retry: ingestRetry, Monitor: mon})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ex, apps.StereoCodec{Runner: apps.StereoRunner{W: w}}, nil
-	default:
-		return nil, nil, fmt.Errorf("-ingest %q: unknown application (want ffthist, radar, or stereo)", sc.ingestApp)
-	}
 }
 
 // serveIngest runs the ingestion data plane: the solved mapping realized as
@@ -143,37 +79,21 @@ func buildGenBackend(sc serveConfig, m model.Mapping, mon *live.Monitor) (ingest
 func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req core.Request, sc serveConfig) error {
 	m := res.Mapping
 	mon := live.NewMonitor(live.ConfigFromMapping(m))
-	var (
-		pl    *fxrt.Pipeline
-		opts  fxrt.StreamOptions
-		be    ingest.Backend
-		codec ingest.Codec
-		err   error
-	)
-	if sc.ingestGen {
-		// Serve on the specialized generated executor; -adapt can still
-		// migrate onto the generic engine later via Plane.Swap.
-		be, codec, err = buildGenBackend(sc, m, mon)
-		if err != nil {
-			return err
-		}
-	} else {
-		pl, opts, codec, err = buildIngestApp(sc, m)
-		if err != nil {
-			return err
-		}
-		if sc.kill != "" {
-			stage, inst, err := resolveKill(sc.kill, m)
-			if err != nil {
-				return err
-			}
-			pl.Faults = append(pl.Faults, fxrt.Fault{
-				Stage: stage, Instance: inst, DataSet: -1, Kind: fxrt.FaultFail,
-			})
-			fmt.Fprintf(stdout, "injecting permanent failure: stage %d instance %d\n", stage, inst)
-		}
-		pl.Monitor = mon
+	pl, opts, codec, err := buildIngestApp(sc, m)
+	if err != nil {
+		return err
 	}
+	if sc.kill != "" {
+		stage, inst, err := resolveKill(sc.kill, m)
+		if err != nil {
+			return err
+		}
+		pl.Faults = append(pl.Faults, fxrt.Fault{
+			Stage: stage, Instance: inst, DataSet: -1, Kind: fxrt.FaultFail,
+		})
+		fmt.Fprintf(stdout, "injecting permanent failure: stage %d instance %d\n", stage, inst)
+	}
+	pl.Monitor = mon
 	reg := live.NewRegistry(live.Options{})
 
 	// Observability plumbing: flight recorder (always on — it is one ring
@@ -218,12 +138,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 		Tracer:        tracer,
 		SLO:           engine,
 	}
-	var plane *ingest.Plane
-	if sc.ingestGen {
-		plane, err = ingest.NewBackend(icfg, be, mon)
-	} else {
-		plane, err = ingest.New(icfg, pl, opts)
-	}
+	plane, err := ingest.New(icfg, pl, opts)
 	if err != nil {
 		return err
 	}
@@ -274,12 +189,8 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 	if sc.tenantRate > 0 {
 		rate = fmt.Sprintf("%g req/s per tenant", sc.tenantRate)
 	}
-	engineName := "generic fxrt"
-	if sc.ingestGen {
-		engineName = "pipegen-generated"
-	}
-	fmt.Fprintf(stdout, "serving %s ingestion on http://%s via the %s executor (POST /v1/submit; /v1/ingest /pipeline /metrics /readyz)\n",
-		codec.App(), srv.Addr(), engineName)
+	fmt.Fprintf(stdout, "serving %s ingestion on http://%s via the fxrt executor (POST /v1/submit; /v1/ingest /pipeline /metrics /readyz)\n",
+		codec.App(), srv.Addr())
 	fmt.Fprintf(stdout, "admission: queue depth %d, deadline budget %s, rate %s, %d dispatcher(s)\n",
 		sc.queueDepth, sc.shedDeadline, rate, sc.dispatchers)
 	spans := "off"

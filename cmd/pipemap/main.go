@@ -111,7 +111,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	tenantRate := fs.Float64("tenant-rate", 0, "with -ingest: per-tenant admission rate limit in requests/s (0 = unlimited)")
 	ingestSize := fs.Int("ingest-size", 0, "with -ingest: problem size (ffthist matrix N, radar range gates, stereo image width; 0 = a serving default)")
 	ingestDispatchers := fs.Int("ingest-dispatchers", 4, "with -ingest: concurrent pipeline dispatchers")
-	ingestGen := fs.Bool("ingest-gen", false, "with -ingest: serve on the pipegen-generated executor committed under internal/gen (requires the solved mapping to match the generated code; incompatible with -serve-kill)")
 	traceSample := fs.Float64("trace-sample", 0, "with -ingest: head-sampling rate for request traces in [0,1] (0 = tracing off; client traceparent sampled flags always force)")
 	traceSpans := fs.String("trace-spans", "", "with -ingest: export finished sampled traces as NDJSON to this file")
 	flightSize := fs.Int("flight", 256, "with -ingest: flight recorder ring size (last N traces/sheds/adapt decisions at /debug/flightrecorder)")
@@ -137,14 +136,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	}
 	if *ingestApp != "" && *serveAddr == "" {
 		return fmt.Errorf("-ingest requires -serve")
-	}
-	if *ingestGen {
-		if *ingestApp == "" {
-			return fmt.Errorf("-ingest-gen requires -ingest")
-		}
-		if *serveKill != "" {
-			return fmt.Errorf("-ingest-gen is not combinable with -serve-kill (generated executors do not support fault injection)")
-		}
 	}
 	if *queueDepth < 1 {
 		return fmt.Errorf("-queue-depth must be >= 1, got %d", *queueDepth)
@@ -326,7 +317,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 			adapt: *adapt, adaptInterval: *adaptInterval, adaptThreshold: *adaptThreshold,
 			ingestApp: *ingestApp, queueDepth: *queueDepth, shedDeadline: *shedDeadline,
 			tenantRate: *tenantRate, ingestSize: *ingestSize, dispatchers: *ingestDispatchers,
-			ingestGen: *ingestGen,
 			traceSample: *traceSample, traceSpans: *traceSpans, flightSize: *flightSize,
 			sloP99: *sloP99, sloAvailability: *sloAvailability,
 		})

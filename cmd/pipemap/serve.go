@@ -33,7 +33,6 @@ type serveConfig struct {
 	tenantRate   float64
 	ingestSize   int
 	dispatchers  int
-	ingestGen    bool
 
 	traceSample     float64
 	traceSpans      string

@@ -35,7 +35,7 @@ type RunStats struct {
 	Rollbacks  int
 }
 
-// Runtime executes the closed loop on the fxrt fault-tolerant executor.
+// Runtime executes the closed loop on the fxrt runtime.
 // The stream is processed in bounded segments: each segment runs on the
 // current generation's pipeline, and the segment boundary is the migration
 // drain point — Run returns only after every in-flight data set of the
@@ -49,9 +49,8 @@ type Runtime struct {
 	// Controller makes the decisions; required.
 	Controller *Controller
 	// Factory builds the data plane for a mapping generation; required.
-	// If the returned pipeline carries no fault-tolerance options, a
-	// one-retry policy is added so the fault-tolerant executor (the only
-	// one that feeds the live monitor) runs it.
+	// Runtime attaches the generation's live monitor to the returned
+	// pipeline.
 	Factory func(m model.Mapping, gen int) (*fxrt.Pipeline, error)
 	// MonitorConfig derives the live-monitor config for a mapping; nil
 	// uses live.ConfigFromMapping. Wrap it to Scale by the emulation
@@ -95,11 +94,6 @@ func (rt *Runtime) build(m model.Mapping, gen int) (*fxrt.Pipeline, *live.Monito
 	pl, err := rt.Factory(m, gen)
 	if err != nil {
 		return nil, nil, fmt.Errorf("adapt: building generation %d: %w", gen, err)
-	}
-	if pl.Retry.MaxRetries == 0 && pl.StageDeadline == 0 && pl.DeadAfter == 0 && len(pl.Faults) == 0 {
-		// Force the fault-tolerant executor: the strict rendezvous executor
-		// never feeds the live monitor, which would starve the controller.
-		pl.Retry = fxrt.RetryPolicy{MaxRetries: 1}
 	}
 	mon := live.NewMonitor(rt.monitorConfig(m))
 	pl.Monitor = mon

@@ -37,11 +37,10 @@ const (
 // Pipeline builds the fxrt pipeline realizing the mapping, along with the
 // inter-module edge transfers. The mapping must cover the 3-task FFT-Hist
 // chain (colffts, rowffts, hist). When the colffts/rowffts boundary
-// crosses modules, the transpose runs as a true edge transfer — the
-// sending instance blocks while the receiving instance redistributes, the
-// paper's rendezvous communication model. The pipeline must run with the
-// returned edges: a module starting at rowffts recycles the transposed
-// matrix each attempt receives from its edge.
+// crosses modules, the transpose runs as a true edge transfer on the
+// receiving instance, which redistributes the matrix. The pipeline must
+// run with the returned edges: a module starting at rowffts recycles the
+// transposed matrix each attempt receives from its edge.
 func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, error) {
 	if r.N < 2 || r.N&(r.N-1) != 0 {
 		return nil, nil, fmt.Errorf("apps: FFT-Hist size %d must be a power of two", r.N)
@@ -208,8 +207,13 @@ func (r FFTHistRunner) Run(m model.Mapping) (fxrt.Stats, error) {
 }
 
 // perturb varies the stream slightly so runs are not trivially cacheable.
+// i may be any int, including a negative submitted seed.
 func perturb(mat kernels.Matrix, i int) {
-	mat.Data[i%len(mat.Data)] += complex(float64(i%7), 0)
+	j := i % len(mat.Data)
+	if j < 0 {
+		j += len(mat.Data)
+	}
+	mat.Data[j] += complex(float64(i%7), 0)
 }
 
 // Input synthesizes the i-th stream data set: the tone template with a

@@ -193,16 +193,11 @@ func (r RadarRunner) runTask(ctx *fxrt.StageCtx, task int, rd *RadarData,
 	}
 }
 
+// chirpFreq synthesizes the frequency-domain matched-filter reference: a
+// 16-tap quadratic-phase chirp zero-padded to the range gates, FFT'd in
+// place.
 func (r RadarRunner) chirpFreq() ([]complex128, error) {
 	_, gates := r.dims()
-	return RadarChirp(gates)
-}
-
-// RadarChirp synthesizes the frequency-domain matched-filter reference: a
-// 16-tap quadratic-phase chirp zero-padded to gates samples, FFT'd in
-// place. It is shared by the runner and by pipegen-generated radar
-// executors, which must filter against bit-identical coefficients.
-func RadarChirp(gates int) ([]complex128, error) {
 	chirp := make([]complex128, gates)
 	for j := 0; j < 16 && j < gates; j++ {
 		chirp[j] = radarChirpTap(j)

@@ -101,8 +101,8 @@ func (r StereoRunner) runTask(ctx *fxrt.StageCtx, task int, sd *StereoData) erro
 			return ctx.Group.ParallelFor(h, func(y0, y1 int) error {
 				for y := y0; y < y1; y++ {
 					for x := 0; x < w; x++ {
-						sd.Ref.Set(x, y, Clamp01(sd.Ref.At(x, y)))
-						sd.Target.Set(x, y, Clamp01(sd.Target.At(x, y)))
+						sd.Ref.Set(x, y, clamp01(sd.Ref.At(x, y)))
+						sd.Target.Set(x, y, clamp01(sd.Target.At(x, y)))
 					}
 				}
 				return nil
@@ -166,7 +166,8 @@ func (r StereoRunner) runTask(ctx *fxrt.StageCtx, task int, sd *StereoData) erro
 	}
 }
 
-func Clamp01(v float64) float64 {
+// clamp01 clamps v to [0, 1].
+func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
 	}

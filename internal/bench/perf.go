@@ -22,8 +22,8 @@ type PerfOptions struct {
 	// Runs is the number of timing repetitions per solver; the median is
 	// reported (default 3).
 	Runs int
-	// DataSets is the number of data sets streamed through the
-	// fault-tolerant runtime (default 400).
+	// DataSets is the number of data sets streamed through the fxrt
+	// runtime (default 400).
 	DataSets int
 	// Speedup compresses the emulated stage times so a run finishes in
 	// manageable wall time (default 50). Reported runtime throughput is
@@ -46,8 +46,7 @@ func (o PerfOptions) withDefaults() PerfOptions {
 }
 
 // SpecPerf is the performance record of one chain spec: solver latencies
-// and the fault-tolerant runtime's achieved throughput against the model
-// bound.
+// and the fxrt runtime's achieved throughput against the model bound.
 type SpecPerf struct {
 	Spec  string `json:"spec"`
 	Tasks int    `json:"tasks"`
@@ -74,9 +73,9 @@ type SpecPerf struct {
 	// the two solvers' mappings (data sets/s, model units).
 	DPThroughput     float64 `json:"dpThroughput"`
 	GreedyThroughput float64 `json:"greedyThroughput"`
-	// FxrtThroughput is the throughput the fault-tolerant executor achieved
-	// emulating the DP mapping, rescaled to model units; FxrtEfficiency is
-	// its fraction of the model bound.
+	// FxrtThroughput is the throughput the fxrt runtime achieved emulating
+	// the DP mapping, rescaled to model units; FxrtEfficiency is its
+	// fraction of the model bound.
 	FxrtThroughput float64 `json:"fxrtThroughput"`
 	FxrtEfficiency float64 `json:"fxrtEfficiency"`
 	// TraceSpanNanos is the median cost of recording one stage span on a
@@ -86,16 +85,7 @@ type SpecPerf struct {
 	// keeps at effectively zero.
 	TraceSpanNanos float64 `json:"traceSpanNanos"`
 	TraceOffNanos  float64 `json:"traceOffNanos"`
-	// GenericNanosPerDS and GeneratedNanosPerDS compare the generic fxrt
-	// stream against the pipegen-generated executor on the same mapping
-	// structure, real kernels, identical inputs (internal/bench/genperf.go
-	// documents the reduced workload sizes); GeneratedSpeedup is their
-	// ratio (>1 means the generated path is faster per data set). Zero for
-	// specs without a committed generated executor.
-	GenericNanosPerDS   float64 `json:"genericNanosPerDS,omitempty"`
-	GeneratedNanosPerDS float64 `json:"generatedNanosPerDS,omitempty"`
-	GeneratedSpeedup    float64 `json:"generatedSpeedup,omitempty"`
-	Mapping             string  `json:"mapping"`
+	Mapping        string  `json:"mapping"`
 }
 
 // PerfReport is the full performance trajectory written to
@@ -118,8 +108,8 @@ type PerfReport struct {
 	Specs       []SpecPerf `json:"specs"`
 }
 
-// RunPerf measures solver latency (DP and greedy) and fault-tolerant
-// runtime throughput for each chain spec file.
+// RunPerf measures solver latency (DP and greedy) and fxrt runtime
+// throughput for each chain spec file.
 func RunPerf(specPaths []string, opt PerfOptions) (PerfReport, error) {
 	opt = opt.withDefaults()
 	rep := PerfReport{
@@ -183,14 +173,13 @@ func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {
 	}
 	sp.IncrementalSolveSeconds = incTime
 
-	// Runtime throughput: emulate the DP mapping on the fault-tolerant
-	// executor (the same path `pipemap -serve` exercises) and rescale the
-	// observed rate back to model units.
+	// Runtime throughput: emulate the DP mapping on the fxrt runtime (the
+	// same path `pipemap -serve` exercises) and rescale the observed rate
+	// back to model units.
 	p, err := fxrt.ModelPipeline(dpRes.Mapping, opt.Speedup)
 	if err != nil {
 		return SpecPerf{}, err
 	}
-	p.Retry = fxrt.RetryPolicy{MaxRetries: 1}
 	stats, err := p.Run(func(i int) fxrt.DataSet { return i }, opt.DataSets, 0)
 	if err != nil {
 		return SpecPerf{}, err
@@ -200,10 +189,6 @@ func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {
 		sp.FxrtEfficiency = sp.FxrtThroughput / sp.DPThroughput
 	}
 	sp.TraceSpanNanos, sp.TraceOffNanos = timeTraceSpan(opt.Runs)
-
-	if err := perfGenerated(&sp, path, dpRes.Mapping, opt); err != nil {
-		return SpecPerf{}, err
-	}
 	return sp, nil
 }
 
@@ -359,31 +344,13 @@ func RenderPerf(rep PerfReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf trajectory (%s %s/%s, %d CPUs, GOMAXPROCS=%d, %d data sets, %gx speedup, median of %d):\n",
 		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.CPUs, rep.GoMaxProcs, rep.DataSets, rep.Speedup, rep.Runs)
-	fmt.Fprintf(&b, "%-28s %12s %12s %12s %12s %6s %10s %10s %8s %10s %11s %11s %7s\n",
-		"spec", "dp solve", "greedy solve", "incr solve", "adapt step", "memo", "model t/s", "fxrt t/s", "eff", "trace/span",
-		"generic/ds", "pipegen/ds", "gain")
+	fmt.Fprintf(&b, "%-28s %12s %12s %12s %12s %6s %10s %10s %8s %10s\n",
+		"spec", "dp solve", "greedy solve", "incr solve", "adapt step", "memo", "model t/s", "fxrt t/s", "eff", "trace/span")
 	for _, sp := range rep.Specs {
-		fmt.Fprintf(&b, "%-28s %10.3fms %10.3fms %10.3fms %10.3fms %5.0f%% %10.4f %10.4f %7.1f%% %8.0fns %11s %11s %7s\n",
+		fmt.Fprintf(&b, "%-28s %10.3fms %10.3fms %10.3fms %10.3fms %5.0f%% %10.4f %10.4f %7.1f%% %8.0fns\n",
 			sp.Spec, sp.DPSolveSeconds*1e3, sp.GreedySolveSeconds*1e3, sp.IncrementalSolveSeconds*1e3,
 			sp.AdaptDecisionSeconds*1e3, 100*sp.MemoHitRate,
-			sp.DPThroughput, sp.FxrtThroughput, 100*sp.FxrtEfficiency, sp.TraceSpanNanos,
-			perDS(sp.GenericNanosPerDS), perDS(sp.GeneratedNanosPerDS), gain(sp.GeneratedSpeedup))
+			sp.DPThroughput, sp.FxrtThroughput, 100*sp.FxrtEfficiency, sp.TraceSpanNanos)
 	}
 	return b.String()
-}
-
-// perDS renders a per-data-set nanosecond figure, "-" when unmeasured.
-func perDS(ns float64) string {
-	if ns <= 0 {
-		return "-"
-	}
-	return time.Duration(ns).Round(time.Microsecond).String()
-}
-
-// gain renders a generated-vs-generic speedup ratio, "-" when unmeasured.
-func gain(x float64) string {
-	if x <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", x)
 }

@@ -11,7 +11,7 @@ const (
 	// FaultFail makes the attempt return an error without running the
 	// stage function.
 	FaultFail FaultKind = iota
-	// FaultHang blocks the attempt until the pipeline run finishes (so a
+	// FaultHang blocks the attempt until the stream closes (so a
 	// configured stage deadline is the only way out).
 	FaultHang
 	// FaultSlow delays the attempt by Delay before running the stage
@@ -77,8 +77,8 @@ func (p *Pipeline) matchFault(stage, instance, dataSet, attempt int) *Fault {
 }
 
 // RetryPolicy controls per-data-set retries within a stage. The zero value
-// disables retries (a failed attempt drops the data set when the pipeline
-// runs in fault-tolerant mode, or aborts the run otherwise).
+// disables retries: a failed attempt drops the data set, or fails a batch
+// run that has no fault-tolerance options.
 type RetryPolicy struct {
 	// MaxRetries is the number of retries after the first attempt, so a
 	// data set gets MaxRetries+1 attempts per stage.
@@ -90,9 +90,7 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration
 }
 
-// BackoffFor returns the delay before retry number retry (1-based). It is
-// exported for pipegen-generated executors, which replicate the stream
-// executor's retry loop without going through a Pipeline.
+// BackoffFor returns the delay before retry number retry (1-based).
 func (rp RetryPolicy) BackoffFor(retry int) time.Duration {
 	if rp.Backoff <= 0 || retry < 1 {
 		return 0
@@ -110,9 +108,9 @@ func (rp RetryPolicy) BackoffFor(retry int) time.Duration {
 	return d
 }
 
-// faultTolerant reports whether any fault-tolerance option is set, which
-// routes Run/RunWithEdges through the fault-tolerant executor instead of
-// the strict rendezvous executor.
+// faultTolerant reports whether any fault-tolerance option is set. A batch
+// run without one fails on its first failed data set; with one, failed
+// data sets are dropped and counted.
 func (p *Pipeline) faultTolerant() bool {
 	if p.Retry.MaxRetries > 0 || p.StageDeadline > 0 || p.DeadAfter > 0 || len(p.Faults) > 0 {
 		return true

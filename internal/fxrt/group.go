@@ -1,9 +1,10 @@
 // Package fxrt is a small goroutine-based task and data parallel runtime
 // in the spirit of the paper's Fx compiler target: a pipeline of data
 // parallel tasks runs on disjoint groups of workers ("processors"), with
-// module replication processing alternate data sets round-robin and
-// blocking rendezvous handoff between pipeline stages (the paper's model
-// in which sender and receiver are both occupied by a transfer).
+// the replicas of a module sharing its data sets round-robin and bounded
+// handoff queues between pipeline stages. A transfer runs on the receiving
+// instance only; package sim keeps the paper's model, in which sender and
+// receiver are both occupied by it.
 //
 // The runtime executes real kernels (package kernels) and measures real
 // wall-clock behaviour, so it can profile an application for the model

@@ -7,10 +7,10 @@ import (
 	"pipemap/internal/model"
 )
 
-// ModelPipeline builds a runnable fault-tolerant pipeline that emulates a
-// solved mapping: one stage per module, replicated as the mapping
-// prescribes, whose work function sleeps for the module's predicted
-// response time f_i divided by speedup. Replication is what makes the
+// ModelPipeline builds a runnable pipeline that emulates a solved mapping:
+// one stage per module, replicated as the mapping prescribes, whose work
+// function sleeps for the module's predicted response time f_i divided by
+// speedup. Replication is what makes the
 // emulation interesting — the live observed period of stage i converges to
 // f_i/(speedup·r_i), so the bottleneck structure of the mapping reproduces
 // in the served health model, and killing a replica visibly degrades it.

@@ -201,9 +201,10 @@ func TestMonitorObservesTimeoutsAndDrops(t *testing.T) {
 	}
 }
 
-// TestStrictExecutorIgnoresMonitor documents that only the fault-tolerant
-// executor reports: a Monitor alone must not change executor routing.
-func TestStrictExecutorIgnoresMonitor(t *testing.T) {
+// TestPlainRunReportsToMonitor checks that a Run without fault-tolerance
+// options still reports every completion to its Monitor: every run feeds
+// the live health model, so no caller has to add a retry policy for it.
+func TestPlainRunReportsToMonitor(t *testing.T) {
 	p := &Pipeline{
 		Stages: []Stage{{Name: "s", Workers: 1, Replicas: 1,
 			Run: func(_ *StageCtx, in DataSet) (DataSet, error) { return in, nil }}},
@@ -211,12 +212,17 @@ func TestStrictExecutorIgnoresMonitor(t *testing.T) {
 	mon := live.NewMonitor(live.Config{Stages: []live.StageInfo{{Name: "s", Replicas: 1}}})
 	p.Monitor = mon
 	if p.faultTolerant() {
-		t.Fatal("Monitor alone routed to the fault-tolerant executor")
+		t.Fatal("Monitor alone counted as a fault-tolerance option")
 	}
-	if _, err := p.Run(func(i int) DataSet { return i }, 10, 0); err != nil {
+	const n = 10
+	if _, err := p.Run(func(i int) DataSet { return i }, n, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.Health().Completed; got != 0 {
-		t.Errorf("strict executor reported %d completions to the monitor", got)
+	h := mon.Health()
+	if h.Completed != n {
+		t.Errorf("monitor saw %d completions, want %d", h.Completed, n)
+	}
+	if !h.Started || !h.Finished {
+		t.Errorf("health started/finished = %v/%v, want true/true", h.Started, h.Finished)
 	}
 }

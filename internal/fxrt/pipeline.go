@@ -1,9 +1,9 @@
 package fxrt
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pipemap/internal/obs"
@@ -42,9 +42,8 @@ type Stage struct {
 	// (each instance has its own Group; shared inputs must be treated as
 	// read-only).
 	Run func(ctx *StageCtx, in DataSet) (DataSet, error)
-	// Deadline bounds one attempt of this stage in fault-tolerant runs,
-	// overriding Pipeline.StageDeadline; zero inherits the pipeline-wide
-	// value.
+	// Deadline bounds one attempt of this stage, overriding
+	// Pipeline.StageDeadline; zero inherits the pipeline-wide value.
 	Deadline time.Duration
 }
 
@@ -64,8 +63,7 @@ type Stats struct {
 	// OpStats maps operation names to mean/min/max summaries; a Max far
 	// above the Mean flags a straggling or slowed instance.
 	OpStats map[string]OpStat
-	// Retried is the total number of retry attempts across all stages
-	// (fault-tolerant runs only).
+	// Retried is the total number of retry attempts across all stages.
 	Retried int
 	// Dropped is the number of data sets abandoned after exhausting their
 	// attempts at some stage; dropped data sets do not reach the sink.
@@ -154,18 +152,18 @@ func (r *Recorder) Summary() map[string]OpStat {
 	return out
 }
 
-// Pipeline is a chain of stages executing a stream of data sets.
+// Pipeline is a chain of stages executing a stream of data sets. Every
+// execution runs on a Stream: a batch Run or RunWithEdges pushes its data
+// sets through one and collects the results.
 //
-// The zero-value configuration runs the strict rendezvous executor that
-// models the paper's execution semantics exactly and aborts on the first
-// stage error. Setting any of the fault-tolerance fields (Retry,
-// StageDeadline, DeadAfter, Faults, or a per-stage Deadline) routes
-// Run/RunWithEdges through the fault-tolerant executor instead: failed
-// attempts are retried with capped exponential backoff, hung attempts are
-// cut off by deadlines, data sets that exhaust their attempts are dropped
-// and counted (never aborting the stream), and repeatedly failing
-// instances are declared dead and removed from the round-robin while the
-// surviving replicas keep serving at reduced throughput.
+// The fault-tolerance fields (Retry, StageDeadline, DeadAfter, Faults, or a
+// per-stage Deadline) shape failure handling: failed attempts are retried
+// with capped exponential backoff, hung attempts are cut off by deadlines,
+// data sets that exhaust their attempts are dropped and counted (never
+// aborting the stream), and repeatedly failing instances are declared dead
+// and removed from the round-robin while the surviving replicas keep
+// serving at reduced throughput. Without any of them, a batch run fails on
+// its first failed data set.
 type Pipeline struct {
 	Stages []Stage
 	// Retry is the per-data-set retry policy applied at every stage.
@@ -180,39 +178,57 @@ type Pipeline struct {
 	DeadAfter int
 	// Faults injects deterministic failures for testing (see Fault).
 	Faults []Fault
-	// Obs receives one trace span per data set × stage × attempt in
-	// fault-tolerant runs, plus instant events for instance deaths and
-	// dropped data sets; nil disables tracing with no overhead.
+	// Obs receives one trace span per data set × stage × attempt, plus
+	// instant events for instance deaths and dropped data sets; nil
+	// disables tracing with no overhead.
 	Obs *obs.Tracer
 	// Monitor receives live per-attempt observations (completions with
-	// latency, retries, timeouts, drops, instance deaths) in
-	// fault-tolerant runs, feeding the health model served by obs/live.
-	// nil disables live monitoring with no overhead. The strict rendezvous
-	// executor does not report to it; attach fault-tolerance options (even
-	// just a RetryPolicy) to serve live traffic.
+	// latency, retries, timeouts, drops, instance deaths) from every run
+	// and stream, feeding the health model served by obs/live. nil
+	// disables live monitoring with no overhead.
 	Monitor *live.Monitor
 }
 
-// envelope carries a data set with its stream index.
-type envelope struct {
-	idx int
-	ds  DataSet
-	t0  time.Time
-}
-
-// validate checks the pipeline structure and run parameters shared by Run
-// and RunWithEdges, returning the effective warmup count. edges is only
-// inspected when withEdges is set.
-func (p *Pipeline) validate(n, warmup int, edges []Edge, withEdges bool) (int, error) {
+// validate checks the pipeline structure shared by Stream, Run and
+// RunWithEdges. Edges, when given, need one entry per stage boundary;
+// withEdges requires them.
+func (p *Pipeline) validate(edges []Edge, withEdges bool) error {
 	if len(p.Stages) == 0 {
-		return 0, fmt.Errorf("fxrt: pipeline has no stages")
+		return fmt.Errorf("fxrt: pipeline has no stages")
 	}
-	if withEdges && len(edges) != len(p.Stages)-1 {
-		return 0, fmt.Errorf("fxrt: %d edges for %d stages (want %d)",
+	if (withEdges || edges != nil) && len(edges) != len(p.Stages)-1 {
+		return fmt.Errorf("fxrt: %d edges for %d stages (want %d)",
 			len(edges), len(p.Stages), len(p.Stages)-1)
 	}
+	for i, s := range p.Stages {
+		if s.Workers < 1 || s.Replicas < 1 {
+			return fmt.Errorf("fxrt: stage %d (%s) has workers=%d replicas=%d",
+				i, s.Name, s.Workers, s.Replicas)
+		}
+		if s.Run == nil {
+			return fmt.Errorf("fxrt: stage %d (%s) has no Run", i, s.Name)
+		}
+	}
+	return nil
+}
+
+// Run streams n data sets produced by source through the pipeline and
+// returns execution statistics. warmup data sets are excluded from the
+// throughput window (pass 0 for n/5).
+func (p *Pipeline) Run(source func(i int) DataSet, n, warmup int) (Stats, error) {
+	return p.runBatch(source, n, warmup, nil, false)
+}
+
+// runBatch is the batch driver behind Run and RunWithEdges: it pushes the
+// n source data sets through a fresh Stream, collects their results, and
+// closes the stream. Requeues and retries reorder the stream, so the
+// warmup window is delimited by completion order, not by stream index.
+func (p *Pipeline) runBatch(source func(i int) DataSet, n, warmup int, edges []Edge, withEdges bool) (Stats, error) {
+	if err := p.validate(edges, withEdges); err != nil {
+		return Stats{}, err
+	}
 	if n <= 0 {
-		return 0, fmt.Errorf("fxrt: need at least one data set")
+		return Stats{}, fmt.Errorf("fxrt: need at least one data set")
 	}
 	if warmup <= 0 {
 		warmup = n / 5
@@ -220,148 +236,55 @@ func (p *Pipeline) validate(n, warmup int, edges []Edge, withEdges bool) (int, e
 	if warmup >= n {
 		warmup = n - 1
 	}
-	for i, s := range p.Stages {
-		if s.Workers < 1 || s.Replicas < 1 {
-			return 0, fmt.Errorf("fxrt: stage %d (%s) has workers=%d replicas=%d",
-				i, s.Name, s.Workers, s.Replicas)
-		}
-		if s.Run == nil {
-			return 0, fmt.Errorf("fxrt: stage %d (%s) has no Run", i, s.Name)
-		}
-	}
-	return warmup, nil
-}
-
-// Run streams n data sets produced by source through the pipeline and
-// returns execution statistics. warmup data sets are excluded from the
-// throughput window (pass 0 for n/5).
-func (p *Pipeline) Run(source func(i int) DataSet, n, warmup int) (Stats, error) {
-	warmup, err := p.validate(n, warmup, nil, false)
+	s, err := p.Stream(StreamOptions{Edges: edges})
 	if err != nil {
 		return Stats{}, err
 	}
-	if p.faultTolerant() {
-		return p.runFT(source, n, warmup, nil)
-	}
-
-	rec := NewRecorder()
-	l := len(p.Stages)
-	// Rendezvous channels: ch[i][a][b] carries data sets from instance a
-	// of stage i-1 to instance b of stage i. ch[0][0][b] is the source
-	// feed. Unbuffered channels model the blocking transfer of the
-	// execution model.
-	ch := make([][][]chan envelope, l+1)
-	srcReps := 1
-	for i := 0; i <= l; i++ {
-		var from, to int
-		switch i {
-		case 0:
-			from, to = srcReps, p.Stages[0].Replicas
-		case l:
-			from, to = p.Stages[l-1].Replicas, 1
-		default:
-			from, to = p.Stages[i-1].Replicas, p.Stages[i].Replicas
-		}
-		ch[i] = make([][]chan envelope, from)
-		for a := 0; a < from; a++ {
-			ch[i][a] = make([]chan envelope, to)
-			for b := 0; b < to; b++ {
-				ch[i][a][b] = make(chan envelope)
-			}
-		}
-	}
-
-	var (
-		errOnce sync.Once
-		runErr  error
-		failed  atomic.Bool
-	)
-	setErr := func(err error) {
-		if err != nil {
-			failed.Store(true)
-			errOnce.Do(func() { runErr = err })
-		}
-	}
-
-	var wg sync.WaitGroup
-	// Stage instances.
-	for i := 0; i < l; i++ {
-		st := p.Stages[i]
-		for b := 0; b < st.Replicas; b++ {
-			wg.Add(1)
-			go func(i, b int, st Stage) {
-				defer wg.Done()
-				g, err := NewGroup(st.Workers)
-				if err != nil {
-					setErr(err)
-					// Must still drain the schedule to unblock peers.
-					g = nil
-				}
-				if g != nil {
-					defer g.Close()
-				}
-				ctx := &StageCtx{Group: g, Instance: b, Rec: rec}
-				prevReps := srcReps
-				if i > 0 {
-					prevReps = p.Stages[i-1].Replicas
-				}
-				nextReps := 1
-				if i < l-1 {
-					nextReps = p.Stages[i+1].Replicas
-				}
-				for idx := b; idx < n; idx += st.Replicas {
-					env := <-ch[i][idx%prevReps][b]
-					if g != nil && !failed.Load() {
-						out, err := st.Run(ctx, env.ds)
-						if err != nil {
-							setErr(fmt.Errorf("fxrt: stage %s instance %d data set %d: %w",
-								st.Name, b, idx, err))
-						} else {
-							env.ds = out
-						}
-					}
-					ch[i+1][b][idx%nextReps] <- env
-				}
-			}(i, b, st)
-		}
-	}
-
-	// Source.
+	// One shared result channel delivers the results in completion order.
+	res := make(chan StreamResult, n)
+	pushed := make(chan struct{})
 	start := time.Now()
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		r0 := p.Stages[0].Replicas
-		for idx := 0; idx < n; idx++ {
-			ch[0][0][idx%r0] <- envelope{idx: idx, ds: source(idx), t0: time.Now()}
+		defer close(pushed)
+		for i := 0; i < n; i++ {
+			// Cannot fail: the stream closes only after every result is in.
+			s.push(context.Background(), source(i), nil, res)
 		}
 	}()
-
-	// Sink: consume outputs in stream order from the last stage.
-	lastReps := p.Stages[l-1].Replicas
-	outTimes := make([]time.Time, n)
-	var latSum time.Duration
-	for idx := 0; idx < n; idx++ {
-		env := <-ch[l][idx%lastReps][0]
+	var (
+		firstErr               error
+		latSum                 time.Duration
+		completed              int
+		windowStart, windowEnd time.Time
+	)
+	for got := 0; got < n; got++ {
+		r := <-res
+		if r.Err != nil {
+			if firstErr == nil {
+				firstErr = r.Err
+			}
+			continue
+		}
 		now := time.Now()
-		outTimes[env.idx] = now
-		latSum += now.Sub(env.t0)
+		latSum += r.Latency
+		completed++
+		windowEnd = now
+		if completed == warmup+1 {
+			windowStart = now
+		}
 	}
-	wg.Wait()
-	if runErr != nil {
-		return Stats{}, runErr
+	<-pushed
+	stats := s.Close()
+	if firstErr != nil && !p.faultTolerant() {
+		return Stats{}, firstErr
 	}
-
-	stats := Stats{
-		DataSets: n,
-		Elapsed:  outTimes[n-1].Sub(start),
-		Latency:  latSum / time.Duration(n),
-		Ops:      rec.Means(),
-		OpStats:  rec.Summary(),
+	stats.Elapsed, stats.Throughput = 0, 0
+	if completed > 0 {
+		stats.Elapsed = windowEnd.Sub(start)
+		stats.Latency = latSum / time.Duration(completed)
 	}
-	window := outTimes[n-1].Sub(outTimes[warmup])
-	if window > 0 {
-		stats.Throughput = float64(n-1-warmup) / window.Seconds()
+	if window := windowEnd.Sub(windowStart); completed > warmup+1 && window > 0 {
+		stats.Throughput = float64(completed-warmup-1) / window.Seconds()
 	}
 	return stats, nil
 }

@@ -52,19 +52,21 @@ type sEnvelope struct {
 	rt *obs.ReqTrace
 }
 
-// Stream is a long-running execution of a pipeline: data sets are pushed
-// one at a time and each push returns a channel that delivers that data
-// set's result. Unlike Run, which streams a fixed batch and reports
-// aggregate Stats, a Stream serves an ingestion data plane: inboxes are
-// bounded (a full pipeline pushes back rather than buffering), every data
-// set's outcome is delivered to its submitter, and Close drains in-flight
-// work to zero before tearing the instances down.
+// Stream is a long-running execution of a pipeline, and fxrt's only
+// executor: data sets are pushed one at a time and each push returns a
+// channel that delivers that data set's result. Run and RunWithEdges
+// drive a Stream over a fixed batch. Inboxes are bounded (a full pipeline
+// pushes back rather than buffering), the instances of a stage pull from
+// one shared inbox (a dynamic round-robin, so a dead instance leaves the
+// rotation simply by no longer pulling), every data set's outcome is
+// delivered to its submitter, and Close drains in-flight work to zero
+// before tearing the instances down.
 //
-// The executor semantics are those of the fault-tolerant executor: failed
-// attempts retry with capped exponential backoff, hung attempts are cut
-// off by stage deadlines, data sets that exhaust their attempts resolve
-// with an error (never aborting the stream), and repeatedly failing
-// instances die and leave the rotation while survivors keep serving.
+// Failed attempts retry with capped exponential backoff, hung attempts are
+// cut off by stage deadlines, data sets that exhaust their attempts
+// resolve with an error (never aborting the stream), and repeatedly
+// failing instances die and leave the rotation while survivors keep
+// serving.
 type Stream struct {
 	p     *Pipeline
 	edges []Edge
@@ -97,25 +99,12 @@ type Stream struct {
 
 // Stream starts a streaming execution of the pipeline and returns its
 // handle. The pipeline's Monitor (if any) is started and observes every
-// attempt exactly as in fault-tolerant batch runs.
+// attempt.
 func (p *Pipeline) Stream(opts StreamOptions) (*Stream, error) {
-	if len(p.Stages) == 0 {
-		return nil, fmt.Errorf("fxrt: pipeline has no stages")
+	if err := p.validate(opts.Edges, false); err != nil {
+		return nil, err
 	}
 	l := len(p.Stages)
-	if opts.Edges != nil && len(opts.Edges) != l-1 {
-		return nil, fmt.Errorf("fxrt: %d edges for %d stages (want %d)",
-			len(opts.Edges), l, l-1)
-	}
-	for i, s := range p.Stages {
-		if s.Workers < 1 || s.Replicas < 1 {
-			return nil, fmt.Errorf("fxrt: stage %d (%s) has workers=%d replicas=%d",
-				i, s.Name, s.Workers, s.Replicas)
-		}
-		if s.Run == nil {
-			return nil, fmt.Errorf("fxrt: stage %d (%s) has no Run", i, s.Name)
-		}
-	}
 	s := &Stream{
 		p:       p,
 		edges:   opts.Edges,
@@ -147,14 +136,21 @@ func (p *Pipeline) Stream(opts StreamOptions) (*Stream, error) {
 		}
 		s.inbox[i] = make(chan sEnvelope, capacity)
 	}
+	// Every instance traces on its own viewer row: instance b of stage i on
+	// tid b plus the replica count of the earlier stages.
+	tid := 0
 	for i := 0; i < l; i++ {
 		s.live[i].Store(int32(p.Stages[i].Replicas))
 		for b := 0; b < p.Stages[i].Replicas; b++ {
+			if p.Obs != nil {
+				p.Obs.NameThread(tid, fmt.Sprintf("%s/%d", p.Stages[i].Name, b))
+			}
 			s.wg.Add(1)
-			go func(i, b int) {
+			go func(i, b, tid int) {
 				defer s.wg.Done()
-				s.instance(i, b)
-			}(i, b)
+				s.instance(i, b, tid)
+			}(i, b, tid)
+			tid++
 		}
 	}
 	s.wg.Add(1)
@@ -176,10 +172,19 @@ func (s *Stream) Push(ctx context.Context, ds DataSet) (<-chan StreamResult, err
 // (including retries and drops) records a span on rt. A nil rt is exactly
 // Push.
 func (s *Stream) PushTraced(ctx context.Context, ds DataSet, rt *obs.ReqTrace) (<-chan StreamResult, error) {
+	res := make(chan StreamResult, 1)
+	if err := s.push(ctx, ds, rt, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// push submits one data set whose result the sink sends on res.
+func (s *Stream) push(ctx context.Context, ds DataSet, rt *obs.ReqTrace, res chan StreamResult) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrStreamClosed
+		return ErrStreamClosed
 	}
 	s.inflight++
 	s.mu.Unlock()
@@ -187,7 +192,7 @@ func (s *Stream) PushTraced(ctx context.Context, ds DataSet, rt *obs.ReqTrace) (
 		idx: int(s.seq.Add(1) - 1),
 		ds:  ds,
 		t0:  time.Now(),
-		res: make(chan StreamResult, 1),
+		res: res,
 		rt:  rt,
 	}
 	var done <-chan struct{}
@@ -196,10 +201,10 @@ func (s *Stream) PushTraced(ctx context.Context, ds DataSet, rt *obs.ReqTrace) (
 	}
 	select {
 	case s.inbox[0] <- env:
-		return env.res, nil
+		return nil
 	case <-done:
 		s.doneOne()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
@@ -273,29 +278,36 @@ func (s *Stream) Stats() Stats {
 	return st
 }
 
-// instance is the body of one stage replica.
-func (s *Stream) instance(i, b int) {
+// replica is the state of one stage instance.
+type replica struct {
+	i, b int // stage and replica index
+	tid  int // trace row
+	st   Stage
+	ctx  *StageCtx
+	// attempts tracks attempts abandoned at their deadline, so the group
+	// closes only after they finish.
+	attempts   sync.WaitGroup
+	consecFail int
+}
+
+// instance is the body of instance b of stage i, tracing on row tid.
+func (s *Stream) instance(i, b, tid int) {
 	st := s.p.Stages[i]
 	g, _ := NewGroup(st.Workers) // Workers >= 1 was validated in Stream
-	var attempts sync.WaitGroup
-	if g != nil {
-		// Abandoned (timed-out) attempts may still be running on the group;
-		// close it only after they finish, without blocking shutdown.
-		defer func() {
-			go func() {
-				attempts.Wait()
-				g.Close()
-			}()
+	r := &replica{i: i, b: b, tid: tid, st: st,
+		ctx: &StageCtx{Group: g, Instance: b, Rec: s.rec, Deadline: s.p.deadlineFor(i)}}
+	// Abandoned (timed-out) attempts may still be running on the group;
+	// close it only after they finish, without blocking shutdown.
+	defer func() {
+		go func() {
+			r.attempts.Wait()
+			g.Close()
 		}()
-	}
-	deadline := s.p.deadlineFor(i)
-	ctx := &StageCtx{Group: g, Instance: b, Rec: s.rec, Deadline: deadline}
-	maxAttempts := s.p.Retry.MaxRetries + 1
-	consecFail := 0
+	}()
 	for {
 		select {
 		case env := <-s.inbox[i]:
-			if s.process(ctx, i, b, st, deadline, &attempts, maxAttempts, &consecFail, env) {
+			if s.process(r, env) {
 				return // instance died
 			}
 		case <-s.quit:
@@ -304,23 +316,32 @@ func (s *Stream) instance(i, b int) {
 	}
 }
 
-// process runs one envelope through stage i on instance b, retrying per
-// the pipeline policy. It reports true when the instance declared itself
-// dead (the envelope was requeued to a surviving replica).
-func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Duration,
-	attempts *sync.WaitGroup, maxAttempts int, consecFail *int, env sEnvelope) bool {
+// process runs one envelope through r's stage, retrying per the pipeline
+// policy. It reports true when the instance declared itself dead (the
+// envelope was requeued to a surviving replica).
+func (s *Stream) process(r *replica, env sEnvelope) bool {
+	i, name := r.i, r.st.Name
 	if env.dropped {
 		s.forward(i, env)
 		return false
 	}
-	mon := s.p.Monitor
+	mon, tr := s.p.Monitor, s.p.Obs
 	for {
 		t0 := time.Now()
-		out, err, timedOut := attemptOnce(s.p, s.rec, s.edges, s.release,
-			ctx, i, b, st, deadline, attempts, env.ds, env.idx, env.attempts)
+		out, err, timedOut := s.attempt(r, env.ds, env.idx, env.attempts)
+		dur := time.Since(t0)
+		outcome := "ok"
+		if timedOut {
+			outcome = "timeout"
+		} else if err != nil {
+			outcome = "error"
+		}
+		env.rt.StageSpan(name, i, r.b, env.attempts, outcome, t0, dur)
+		if tr != nil {
+			tr.StageSpan(name, r.tid, env.idx, env.attempts, outcome, t0, dur)
+		}
 		if err == nil {
-			env.rt.StageSpan(st.Name, i, b, env.attempts, "ok", t0, time.Since(t0))
-			mon.StageDone(i, time.Since(t0).Seconds())
+			mon.StageDone(i, dur.Seconds())
 			if s.recycle && i > 0 && s.edges != nil {
 				if e := s.edges[i-1]; e.Transfer != nil && e.Release != nil {
 					e.Release(env.ds)
@@ -328,37 +349,51 @@ func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Durati
 			}
 			env.ds = out
 			env.attempts = 0
-			*consecFail = 0
+			r.consecFail = 0
 			s.forward(i, env)
 			return false
 		}
-		outcome := "error"
-		if timedOut {
-			outcome = "timeout"
-		}
-		env.rt.StageSpan(st.Name, i, b, env.attempts, outcome, t0, time.Since(t0))
 		env.attempts++
 		env.err = err
-		*consecFail++
+		r.consecFail++
 		if timedOut {
 			s.timeouts.Add(1)
 			mon.StageTimeout(i, env.idx)
 		}
-		if s.p.DeadAfter > 0 && *consecFail >= s.p.DeadAfter {
+		if s.p.DeadAfter > 0 && r.consecFail >= s.p.DeadAfter {
 			// Die only if another live instance remains to serve the
 			// stream; the last instance soldiers on.
 			if s.live[i].Add(-1) >= 1 {
 				s.deaths.Add(1)
 				mon.InstanceDeath(i, env.idx)
-				env.rt.Instant("stage", st.Name, "instance death; requeued")
-				env.attempts = 0 // fresh budget on a surviving instance
-				s.requeue(i, env)
+				env.rt.Instant("stage", name, "instance death; requeued")
+				if tr != nil {
+					tr.InstantArgs("fault", "instance-death", r.tid, time.Now(),
+						map[string]any{"dataset": env.idx, "stage": name})
+				}
+				// Requeue to a surviving instance with a fresh budget. The
+				// send may block on a full inbox but cannot deadlock: this
+				// instance has left the live count, at least one survivor
+				// keeps pulling, and quit closes only after in-flight
+				// drains to zero.
+				env.attempts = 0
+				s.inbox[i] <- env
 				return true
 			}
 			s.live[i].Add(1)
 		}
-		if env.attempts >= maxAttempts {
-			s.drop(i, &env)
+		if env.attempts > s.p.Retry.MaxRetries {
+			// Attempts exhausted: tombstone the data set; the sink
+			// resolves it with the last attempt's error.
+			env.dropped = true
+			env.ds = nil
+			s.droppedN.Add(1)
+			mon.StageDrop(i, env.idx)
+			env.rt.Instant("stage", name, "dropped: attempts exhausted")
+			if tr != nil {
+				tr.InstantArgs("fault", "drop", r.tid, time.Now(),
+					map[string]any{"dataset": env.idx, "stage": name})
+			}
 			s.forward(i, env)
 			return false
 		}
@@ -370,17 +405,69 @@ func (s *Stream) process(ctx *StageCtx, i, b int, st Stage, deadline time.Durati
 	}
 }
 
-// drop tombstones env after stage i exhausted its attempts; the sink
-// resolves it with the last attempt's error.
-func (s *Stream) drop(i int, env *sEnvelope) {
-	env.dropped = true
-	if env.err == nil {
-		env.err = fmt.Errorf("fxrt: data set %d dropped at stage %s", env.idx, s.p.Stages[i].Name)
+// attempt executes one try of r's stage on a data set: the incoming edge
+// transfer (if any), injected faults, and the stage function, bounded by
+// the stage deadline. An attempt cut off at its deadline keeps running
+// detached, tracked by r.attempts; injected hangs end when the stream
+// closes.
+func (s *Stream) attempt(r *replica, in DataSet, idx, attemptNo int) (DataSet, error, bool) {
+	i, b, st := r.i, r.b, r.st
+	run := func() (DataSet, error) {
+		v := in
+		if i > 0 && s.edges != nil && s.edges[i-1].Transfer != nil {
+			e := s.edges[i-1]
+			t := time.Now()
+			out, err := e.Transfer(r.ctx, v)
+			s.rec.Observe(e.Name, time.Since(t).Seconds())
+			if err != nil {
+				return nil, fmt.Errorf("fxrt: edge %s data set %d: %w", e.Name, idx, err)
+			}
+			v = out
+		}
+		if f := s.p.matchFault(i, b, idx, attemptNo); f != nil {
+			switch f.Kind {
+			case FaultFail:
+				return nil, fmt.Errorf("fxrt: injected failure at stage %s instance %d data set %d attempt %d",
+					st.Name, b, idx, attemptNo)
+			case FaultHang:
+				<-s.release
+				return nil, fmt.Errorf("fxrt: injected hang at stage %s instance %d data set %d released",
+					st.Name, b, idx)
+			case FaultSlow:
+				time.Sleep(f.Delay)
+			}
+		}
+		out, err := st.Run(r.ctx, v)
+		if err != nil {
+			return nil, fmt.Errorf("fxrt: stage %s instance %d data set %d: %w", st.Name, b, idx, err)
+		}
+		return out, nil
 	}
-	env.ds = nil
-	s.droppedN.Add(1)
-	s.p.Monitor.StageDrop(i, env.idx)
-	env.rt.Instant("stage", s.p.Stages[i].Name, "dropped: attempts exhausted")
+	deadline := r.ctx.Deadline
+	if deadline <= 0 {
+		out, err := run()
+		return out, err, false
+	}
+	type result struct {
+		ds  DataSet
+		err error
+	}
+	ch := make(chan result, 1)
+	r.attempts.Add(1)
+	go func() {
+		defer r.attempts.Done()
+		out, err := run()
+		ch <- result{out, err}
+	}()
+	timer := time.NewTimer(deadline)
+	defer timer.Stop()
+	select {
+	case res := <-ch:
+		return res.ds, res.err, false
+	case <-timer.C:
+		return nil, fmt.Errorf("fxrt: stage %s instance %d data set %d: deadline %v exceeded",
+			st.Name, b, idx, deadline), true
+	}
 }
 
 // forward hands env to the next stage (or the sink). The send may block on
@@ -390,18 +477,6 @@ func (s *Stream) drop(i int, env *sEnvelope) {
 func (s *Stream) forward(i int, env sEnvelope) {
 	env.attempts = 0
 	s.inbox[i+1] <- env
-}
-
-// requeue returns env to the stage's own inbox so a surviving instance
-// picks it up. The inbox is bounded, so a dying instance must never block
-// on itself: when full, the data set resolves as dropped instead.
-func (s *Stream) requeue(i int, env sEnvelope) {
-	select {
-	case s.inbox[i] <- env:
-	default:
-		s.drop(i, &env)
-		s.forward(i, env)
-	}
 }
 
 // sink resolves envelopes to their submitters.

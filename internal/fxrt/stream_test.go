@@ -201,6 +201,75 @@ func TestStreamInstanceDeathFailsOver(t *testing.T) {
 	}
 }
 
+// TestStreamDeathUnderLoadLosesNothing is the regression test for a dying
+// instance dropping its data set when its stage's inbox is full: the
+// requeue must wait for a surviving replica, so no data set fails while
+// replicas survive.
+func TestStreamDeathUnderLoadLosesNothing(t *testing.T) {
+	hold := make(chan struct{})  // holds the survivors' first data sets
+	fail := make(chan struct{})  // holds instance 1's failing attempt
+	started := make(chan int, 8) // one signal per attempt
+	p := &Pipeline{
+		Stages: []Stage{{Name: "w", Workers: 1, Replicas: 3,
+			Run: func(ctx *StageCtx, in DataSet) (DataSet, error) {
+				started <- ctx.Instance
+				if ctx.Instance == 1 {
+					<-fail
+					return nil, fmt.Errorf("instance 1 is broken")
+				}
+				<-hold
+				return in, nil
+			}}},
+		DeadAfter: 1,
+	}
+	s, err := p.Stream(StreamOptions{Inbox: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(chan StreamResult, 4)
+	push := func(i int) {
+		res, err := s.Push(context.Background(), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { results <- <-res }()
+	}
+	// Every instance takes one data set, then a fourth fills the inbox.
+	for i := 0; i < 3; i++ {
+		push(i)
+	}
+	for i := 0; i < 3; i++ {
+		<-started
+	}
+	push(3)
+	// Instance 1 fails and dies, requeueing its data set into the full
+	// inbox.
+	close(fail)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Dead != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("instance 1 never died")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// While the survivors are held no data set can complete: a result now
+	// means the requeue dropped one.
+	select {
+	case r := <-results:
+		t.Fatalf("a data set resolved while every survivor was held: %+v", r)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(hold)
+	for i := 0; i < 4; i++ {
+		if r := <-results; r.Err != nil {
+			t.Fatalf("data set lost while replicas survive: %v", r.Err)
+		}
+	}
+	if st := s.Close(); st.Dead != 1 || st.Dropped != 0 || st.DataSets != 4 {
+		t.Fatalf("stats = %+v, want 1 death, 0 dropped, 4 data sets", st)
+	}
+}
+
 func TestStreamConcurrentHammer(t *testing.T) {
 	p := echoPipeline(2, 2)
 	p.Retry = RetryPolicy{MaxRetries: 1}

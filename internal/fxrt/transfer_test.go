@@ -77,8 +77,9 @@ func TestRunWithEdgesValuesEndToEnd(t *testing.T) {
 }
 
 func TestRunWithEdgesBlocksSender(t *testing.T) {
-	// A slow transfer occupies both sides: with 1 replica each and
-	// near-zero stage work, throughput is bounded by the transfer time.
+	// A slow transfer runs inside the receiving attempt: with 1 replica
+	// each and near-zero stage work, throughput is bounded by the
+	// transfer time.
 	const transferMS = 4
 	p := &Pipeline{Stages: []Stage{
 		{Name: "a", Workers: 1, Replicas: 1, Run: passthrough},

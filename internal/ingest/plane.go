@@ -57,9 +57,9 @@ func (c Config) withDefaults() Config {
 
 // Backend is the pipeline engine behind the plane: anything that accepts
 // data sets one at a time, resolves each to a StreamResult, and drains on
-// Close. The generic engine is *fxrt.Stream; pipegen-generated executors
-// (internal/gen/...) satisfy the same contract, so a specialized plane
-// plugs in behind the identical admission/shedding/drain machinery.
+// Close. *fxrt.Stream is the engine New builds; the interface lets a
+// caller wrap a stream (for example, to time each push) and hand it to
+// NewBackend behind the identical admission/shedding/drain machinery.
 type Backend interface {
 	// PushTraced submits one data set, recording stage spans on rt (nil
 	// for untraced). It blocks on backpressure until ctx is done and
@@ -130,10 +130,10 @@ func New(cfg Config, pl *fxrt.Pipeline, opts fxrt.StreamOptions) (*Plane, error)
 	return NewBackend(cfg, s, pl.Monitor)
 }
 
-// NewBackend builds the plane around an already-running backend — the
-// seam a pipegen-generated executor plugs into. mon is the monitor
-// observing the backend (it feeds the circuit breaker and is marked
-// draining during Drain); a nil monitor disables the breaker.
+// NewBackend builds the plane around an already-running backend, such as
+// a stream wrapped by the caller. mon is the monitor observing the backend
+// (it feeds the circuit breaker and is marked draining during Drain); a
+// nil monitor disables the breaker.
 func NewBackend(cfg Config, be Backend, mon *live.Monitor) (*Plane, error) {
 	if be == nil {
 		return nil, fmt.Errorf("ingest: nil backend")
@@ -426,20 +426,12 @@ func (p *Plane) Swap(pl *fxrt.Pipeline, opts fxrt.StreamOptions) error {
 	if err != nil {
 		return err
 	}
-	p.SwapBackend(ns, pl.Monitor)
-	return nil
-}
-
-// SwapBackend replaces the backing engine with an already-running backend
-// — the live-migration seam shared by generic streams and generated
-// executors (in either direction). The old backend is marked draining,
-// drained of its in-flight work, and torn down.
-func (p *Plane) SwapBackend(be Backend, mon *live.Monitor) {
-	old := p.be.Swap(&backend{s: be, mon: mon})
+	old := p.be.Swap(&backend{s: ns, mon: pl.Monitor})
 	if old != nil {
 		old.mon.SetDraining(true)
 		old.s.Close() // blocks until the old backend's in-flight resolves
 	}
+	return nil
 }
 
 // DrainStats summarizes a graceful drain.
