@@ -1,8 +1,9 @@
 // Command benchrun records the repo's performance trajectory: it times the
 // DP and greedy solvers on the committed chain specs, times one adaptive
 // controller decision cycle (ingest + refit + re-solve — the latency the
-// closed loop adds between stream segments), measures the fault-tolerant
-// runtime's throughput against the model bound, and writes the report to
+// closed loop adds between stream segments), times the rebalances of a
+// fixed fleet churn script, measures the fault-tolerant runtime's
+// throughput against the model bound, and writes the report to
 // BENCH_solver.json. Commit the refreshed file to extend the perf history;
 // CI runs a reduced-size pass (-quick) and uploads the report as an
 // artifact.
@@ -33,7 +34,7 @@ func main() {
 func run(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_solver.json", "output path for the JSON report (empty = stdout only)")
-	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency or cold DP solve time regresses more than 2x (with a 0.5ms absolute floor)")
+	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency, cold DP solve time or fleet rebalance latency regresses more than 2x (with a 0.5ms absolute floor)")
 	quick := fs.Bool("quick", false, "reduced-size run for CI (fewer data sets and repetitions)")
 	runs := fs.Int("runs", 0, "timing repetitions per solver (0 = default)")
 	datasets := fs.Int("datasets", 0, "data sets streamed through the runtime (0 = default)")
@@ -97,6 +98,7 @@ var gatedMetrics = []struct {
 }{
 	{"adapt decision", func(sp bench.SpecPerf) float64 { return sp.AdaptDecisionSeconds }},
 	{"dp solve", func(sp bench.SpecPerf) float64 { return sp.DPSolveSeconds }},
+	{"fleet rebalance", func(sp bench.SpecPerf) float64 { return sp.FleetRebalanceSeconds }},
 }
 
 // gateAgainst compares the fresh report's gated latencies to the committed

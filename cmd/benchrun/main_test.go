@@ -89,3 +89,44 @@ func TestGateChecksDPSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestGateChecksFleetRebalance pins the same rule on the fleet churn
+// latency, and lets a baseline that predates the field pass.
+func TestGateChecksFleetRebalance(t *testing.T) {
+	base := bench.PerfReport{Specs: []bench.SpecPerf{
+		{Spec: "big", FleetRebalanceSeconds: 0.002},
+		{Spec: "tiny", FleetRebalanceSeconds: 0.0001},
+		{Spec: "old"},
+	}}
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		big, tiny   float64
+		wantFailure string
+	}{
+		{name: "within 2x", big: 0.0039, tiny: 0.0001},
+		{name: "regressed", big: 0.0041, tiny: 0.0001, wantFailure: "big: fleet rebalance"},
+		{name: "under the floor", big: 0.002, tiny: 0.0004},
+		{name: "tiny above the floor", big: 0.002, tiny: 0.0006, wantFailure: "tiny: fleet rebalance"},
+	} {
+		rep := bench.PerfReport{Specs: []bench.SpecPerf{
+			{Spec: "big", FleetRebalanceSeconds: tc.big},
+			{Spec: "tiny", FleetRebalanceSeconds: tc.tiny},
+			{Spec: "old", FleetRebalanceSeconds: 1},
+		}}
+		err := gateAgainst(path, rep, &bytes.Buffer{})
+		switch {
+		case tc.wantFailure == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		case tc.wantFailure != "" && (err == nil || !strings.Contains(err.Error(), tc.wantFailure)):
+			t.Errorf("%s: gate error %v, want one naming %q", tc.name, err, tc.wantFailure)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -74,6 +75,23 @@ type memoEntry struct {
 	algorithm  core.Algorithm
 	throughput float64
 	latency    float64
+	// frontier, once ResolveBudget has read it from the solver, holds the
+	// entry of every budget 0..P (nil modules where no mapping fits);
+	// entry P equals the fields above.
+	frontier []memoEntry
+}
+
+// result re-anchors a memoized entry on the caller's chain as a detached
+// copy, so callers can never mutate the memo.
+func (e memoEntry) result(chain *model.Chain) core.Result {
+	res := core.Result{
+		Mapping:    model.Mapping{Chain: chain, Modules: append([]model.Module(nil), e.modules...)},
+		Algorithm:  e.algorithm,
+		Throughput: e.throughput,
+		Latency:    e.latency,
+	}
+	res.Unconstrained = res.Mapping
+	return res
 }
 
 // NewSolveCache returns an empty cache.
@@ -257,40 +275,16 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 	defer sc.mu.Unlock()
 
 	sig := structuralSig(chain, pl, opt, algo)
-	k := chain.Len()
-	if cap(sc.scratch) < k {
-		sc.scratch = make([]uint64, k)
-	}
-	hashes := sc.scratch[:k]
+	hashes := sc.execHashes(chain, pl.Procs)
 	key := sig
-	for i := range chain.Tasks {
-		hashes[i] = execTaskHash(chain.Tasks[i], pl.Procs)
-		key = mix(key, hashes[i])
+	for _, h := range hashes {
+		key = mix(key, h)
 	}
 
-	if sig != sc.sig {
-		// Structural change: every memo entry and the retained solver
-		// describe a different instance.
-		if sc.sig != 0 {
-			sc.stats.Invalidate()
-		}
-		sc.sig = sig
-		sc.solver = nil
-		sc.prevOK = false
-		sc.results = map[uint64]memoEntry{}
-		sc.order = sc.order[:0]
-	}
-
+	sc.reset(sig)
 	if ent, ok := sc.results[key]; ok {
 		sc.stats.Hit()
-		res := core.Result{
-			Mapping:    model.Mapping{Chain: chain, Modules: append([]model.Module(nil), ent.modules...)},
-			Algorithm:  ent.algorithm,
-			Throughput: ent.throughput,
-			Latency:    ent.latency,
-		}
-		res.Unconstrained = res.Mapping
-		return res, time.Since(start), PathMemo, nil
+		return ent.result(chain), time.Since(start), PathMemo, nil
 	}
 	sc.stats.Miss()
 
@@ -320,25 +314,154 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 		return core.Result{}, time.Since(start), path, err
 	}
 
-	// Record this tick as the incremental baseline and memoize the result.
+	sc.remember(key, hashes, memoEntry{
+		modules:    append([]model.Module(nil), res.Mapping.Modules...),
+		algorithm:  res.Algorithm,
+		throughput: res.Throughput,
+		latency:    res.Latency,
+	})
+	return res, time.Since(start), path, nil
+}
+
+// reset drops every memo entry and the retained solver when the
+// structural signature moves: they describe a different instance.
+func (sc *SolveCache) reset(sig uint64) {
+	if sig == sc.sig {
+		return
+	}
+	if sc.sig != 0 {
+		sc.stats.Invalidate()
+	}
+	sc.sig = sig
+	sc.solver = nil
+	sc.prevOK = false
+	sc.results = map[uint64]memoEntry{}
+	sc.order = sc.order[:0]
+}
+
+// remember records a completed solve's per-task hashes as the incremental
+// baseline and memoizes its entry under key, evicting the oldest entry
+// beyond memoCap.
+func (sc *SolveCache) remember(key uint64, hashes []uint64, ent memoEntry) {
+	k := len(hashes)
 	if cap(sc.execHash) < k {
 		sc.execHash = make([]uint64, k)
 	}
 	sc.execHash = sc.execHash[:k]
 	copy(sc.execHash, hashes)
 	sc.prevOK = true
-	if len(sc.order) >= memoCap {
-		delete(sc.results, sc.order[0])
-		sc.order = sc.order[:copy(sc.order, sc.order[1:])]
+	if _, ok := sc.results[key]; !ok {
+		if len(sc.order) >= memoCap {
+			delete(sc.results, sc.order[0])
+			sc.order = sc.order[:copy(sc.order, sc.order[1:])]
+		}
+		sc.order = append(sc.order, key)
 	}
-	sc.results[key] = memoEntry{
-		modules:    append([]model.Module(nil), res.Mapping.Modules...),
-		algorithm:  res.Algorithm,
-		throughput: res.Throughput,
-		latency:    res.Latency,
+	sc.results[key] = ent
+}
+
+// execHashes fills the per-task execution hashes of chain at P processors
+// into the cache's scratch.
+func (sc *SolveCache) execHashes(chain *model.Chain, P int) []uint64 {
+	k := chain.Len()
+	if cap(sc.scratch) < k {
+		sc.scratch = make([]uint64, k)
 	}
-	sc.order = append(sc.order, key)
-	return res, time.Since(start), path, nil
+	hashes := sc.scratch[:k]
+	for i := range chain.Tasks {
+		hashes[i] = execTaskHash(chain.Tasks[i], P)
+	}
+	return hashes
+}
+
+// HasFrontier reports whether ResolveBudget serves (chain, pl, opt):
+// clustering is on and budget routing picks DP at pl.Procs. The routing
+// estimate grows with the processor count, so every smaller budget routes
+// to DP too and one table serves them all.
+func HasFrontier(chain *model.Chain, pl model.Platform, opt ResolveOptions) bool {
+	return !opt.DisableClustering && pickAlgorithm(chain, pl, opt) == core.DP
+}
+
+// ResolveBudget returns the result a fresh Resolve of chain on budget
+// processors (1 <= budget <= pl.Procs) returns, read from the per-budget
+// frontier of the instance solved at pl, the allocation cap. One DP solve
+// at the cap thus serves every budget below it: a miss solves the cap
+// instance through the retained solver (incrementally when only execution
+// costs moved) and memoizes the whole frontier under the same canonical
+// key Resolve uses; a hit is a lookup. sig and key must be
+// CanonicalStructSig and CanonicalSpecKey of (chain, pl, opt): callers that
+// place one spec at many budgets hash it once. The instance must satisfy
+// HasFrontier. The path is PathMemo for a frontier read and PathFullDP or
+// PathIncremental when a solve ran. Resolve never builds a frontier.
+func (sc *SolveCache) ResolveBudget(chain *model.Chain, pl model.Platform, opt ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
+	if !HasFrontier(chain, pl, opt) {
+		return core.Result{}, "", fmt.Errorf("adapt: no per-budget frontier for %d tasks on %d processors", chain.Len(), pl.Procs)
+	}
+	if budget < 1 || budget > pl.Procs {
+		return core.Result{}, "", fmt.Errorf("adapt: budget %d outside [1, %d]", budget, pl.Procs)
+	}
+
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+
+	sc.reset(sig)
+	path := PathMemo
+	ent, ok := sc.results[key]
+	if ok && ent.frontier != nil {
+		sc.stats.Hit()
+	} else {
+		sc.stats.Miss()
+		if err := chain.Validate(); err != nil {
+			return core.Result{}, "", err
+		}
+		if err := pl.Validate(); err != nil {
+			return core.Result{}, "", err
+		}
+		hashes := sc.execHashes(chain, pl.Procs)
+		var err error
+		ent, path, err = sc.solveFrontier(chain, pl, opt, hashes)
+		if err != nil {
+			sc.prevOK = false
+			return core.Result{}, path, err
+		}
+		sc.remember(key, hashes, ent)
+	}
+	at := ent.frontier[budget]
+	if at.modules == nil {
+		return core.Result{}, path, fmt.Errorf("adapt: no feasible mapping of %d tasks onto %d processors", chain.Len(), budget)
+	}
+	return at.result(chain), path, nil
+}
+
+// solveFrontier solves the cap instance through the retained solver and
+// reads its per-budget frontier into a memo entry. Budgets that share a
+// winner share its module slice.
+func (sc *SolveCache) solveFrontier(chain *model.Chain, pl model.Platform, opt ResolveOptions, hashes []uint64) (memoEntry, string, error) {
+	_, path, err := sc.solveDP(chain, pl, opt, hashes)
+	if err != nil {
+		return memoEntry{}, path, err
+	}
+	fr, err := sc.solver.Frontier()
+	if err != nil {
+		return memoEntry{}, path, err
+	}
+	front := make([]memoEntry, len(fr))
+	for b, m := range fr {
+		if m.Modules == nil {
+			continue
+		}
+		front[b] = memoEntry{
+			modules:    m.Modules,
+			algorithm:  core.DP,
+			throughput: m.Throughput(),
+			latency:    m.Latency(),
+		}
+	}
+	// The solve succeeded at the cap, so the cap's entry is the mapping
+	// Resolve would memoize for this key.
+	ent := front[pl.Procs]
+	ent.frontier = front
+	return ent, path, nil
 }
 
 // solveDP runs the DP engine, incrementally when the previous tick solved

@@ -336,3 +336,79 @@ func TestSolveCacheConcurrent(t *testing.T) {
 		t.Error("concurrent hammer never hit the memo")
 	}
 }
+
+// TestSolveCacheResolveBudget: one solve at the cap serves every budget
+// below it, each equal to a fresh Resolve at that budget; a random walk of
+// cost scales re-solves once per new cost state and hits the memo for a
+// revisited one; Resolve and ResolveBudget share the memo entry without
+// Resolve ever reading a frontier.
+func TestSolveCacheResolveBudget(t *testing.T) {
+	sc := NewSolveCache()
+	scales := [][]float64{{1, 1, 1}, {1, 1.5, 1}, {2, 1, 0.5}, {1, 1, 1}}
+	wantPaths := []string{PathFullDP, PathIncremental, PathIncremental, PathMemo}
+	for step, scale := range scales {
+		chain, pl := cacheChain(scale)
+		sig, key := CanonicalStructSig(chain, pl, cacheOpt), CanonicalSpecKey(chain, pl, cacheOpt)
+		for b := 1; b <= pl.Procs; b++ {
+			got, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b)
+			fresh, _, freshErr := Resolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, cacheOpt)
+			if (err != nil) != (freshErr != nil) {
+				t.Fatalf("step %d budget %d: error %v, fresh error %v", step, b, err, freshErr)
+			}
+			want := PathMemo
+			if b == 1 {
+				want = wantPaths[step]
+			}
+			if path != want {
+				t.Fatalf("step %d budget %d: path %q, want %q", step, b, path, want)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got.Mapping.Modules, fresh.Mapping.Modules) ||
+				got.Throughput != fresh.Throughput || got.Latency != fresh.Latency ||
+				got.Algorithm != fresh.Algorithm || got.Mapping.Chain != chain {
+				t.Fatalf("step %d budget %d: frontier %v, fresh %v", step, b, &got.Mapping, &fresh.Mapping)
+			}
+		}
+	}
+	if st := sc.Stats(); st.FullSolves != 1 || st.IncrementalSolves != 2 {
+		t.Errorf("solves = %d full, %d incremental; want 1 and 2", st.FullSolves, st.IncrementalSolves)
+	}
+
+	// A Resolve at the cap hits the frontier's entry.
+	chain, pl := cacheChain(nil)
+	if _, _, path, err := sc.Resolve(chain, pl, cacheOpt); err != nil || path != PathMemo {
+		t.Fatalf("Resolve after ResolveBudget: path %q err %v, want a memo hit", path, err)
+	}
+
+	// A Resolve entry carries no frontier: the first budget read re-scans
+	// the retained tables, and the next one is a hit.
+	sc = NewSolveCache()
+	if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+		t.Fatal(err)
+	}
+	if ent := sc.results[CanonicalSpecKey(chain, pl, cacheOpt)]; ent.frontier != nil {
+		t.Fatal("Resolve built a frontier")
+	}
+	sig, key := CanonicalStructSig(chain, pl, cacheOpt), CanonicalSpecKey(chain, pl, cacheOpt)
+	for i, want := range []string{PathIncremental, PathMemo} {
+		if _, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, 3); err != nil || path != want {
+			t.Fatalf("budget read %d after Resolve: path %q err %v, want %q", i, path, err, want)
+		}
+	}
+
+	// Out-of-range budgets and instances without a frontier are refused.
+	for _, b := range []int{0, pl.Procs + 1} {
+		if _, _, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b); err == nil {
+			t.Errorf("budget %d accepted", b)
+		}
+	}
+	greedy := ResolveOptions{Budget: time.Nanosecond}
+	if HasFrontier(chain, pl, greedy) || HasFrontier(chain, pl, ResolveOptions{DisableClustering: true}) {
+		t.Error("HasFrontier true for an instance routed to greedy or without clustering")
+	}
+	if _, _, err := sc.ResolveBudget(chain, pl, greedy, CanonicalStructSig(chain, pl, greedy), CanonicalSpecKey(chain, pl, greedy), 3); err == nil {
+		t.Error("ResolveBudget served an instance routed to greedy")
+	}
+}

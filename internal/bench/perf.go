@@ -11,6 +11,7 @@ import (
 	"pipemap/internal/adapt"
 	"pipemap/internal/core"
 	"pipemap/internal/dp"
+	"pipemap/internal/fleet"
 	"pipemap/internal/fxrt"
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
@@ -65,6 +66,11 @@ type SpecPerf struct {
 	// DP re-solve (warm solver, last task's execution cost drifted) — the
 	// solver-only share of an adapt tick.
 	IncrementalSolveSeconds float64 `json:"incrementalSolveSeconds"`
+	// FleetRebalanceSeconds is the median, over runs, of the mean mutation
+	// latency of a fixed fleet churn script on a fresh 256-processor pool
+	// (see timeFleetChurn): the admission, departure, failure and restore
+	// rebalances a fleet serving this spec pays.
+	FleetRebalanceSeconds float64 `json:"fleetRebalanceSeconds"`
 	// MemoHitRate is the controller solve cache's hit rate over the
 	// measured adapt loop (alternating changed and unchanged ticks;
 	// unchanged ticks should hit).
@@ -172,6 +178,10 @@ func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {
 		return SpecPerf{}, err
 	}
 	sp.IncrementalSolveSeconds = incTime
+
+	if sp.FleetRebalanceSeconds, err = timeFleetChurn(chain, pl, opt.Runs); err != nil {
+		return SpecPerf{}, err
+	}
 
 	// Runtime throughput: emulate the DP mapping on the fxrt runtime (the
 	// same path `pipemap -serve` exercises) and rescale the observed rate
@@ -321,6 +331,65 @@ func timeIncrementalSolve(chain *model.Chain, pl model.Platform, runs int) (floa
 	return times[len(times)/2], nil
 }
 
+// churnPool is the shared processor pool of the fleet churn script.
+const churnPool = 256
+
+// timeFleetChurn measures fleet rebalance latency. Each run admits the
+// spec six times on a fresh churnPool-processor fleet, at three cost
+// scales and capped at the spec's processor count, then fails 32
+// processors, departs one pipeline, re-admits it, restores the 32, departs
+// another, fails 16 and restores them. It returns the median over runs of
+// the mean latency of those 13 mutations.
+func timeFleetChurn(chain *model.Chain, pl model.Platform, runs int) (float64, error) {
+	scales := []float64{1, 1.05, 1.1}
+	chains := make([]*model.Chain, len(scales))
+	for i, k := range scales {
+		tasks := append([]model.Task(nil), chain.Tasks...)
+		for j := range tasks {
+			tasks[j].Exec = model.ScaleCost{F: chain.Tasks[j].Exec, K: k}
+		}
+		chains[i] = &model.Chain{Tasks: tasks, ICom: chain.ICom, ECom: chain.ECom}
+	}
+	means := make([]float64, 0, runs)
+	for r := 0; r < runs; r++ {
+		f, err := fleet.New(fleet.Config{Pool: model.Platform{Procs: churnPool, MemPerProc: pl.MemPerProc}})
+		if err != nil {
+			return 0, err
+		}
+		var ids []int64
+		admit := func(c *model.Chain) func() error {
+			return func() error {
+				p, err := f.Admit(fleet.Spec{Tenant: "churn", Chain: c, MaxProcs: pl.Procs})
+				ids = append(ids, p.ID)
+				return err
+			}
+		}
+		script := []func() error{
+			admit(chains[0]), admit(chains[0]), admit(chains[1]),
+			admit(chains[1]), admit(chains[2]), admit(chains[2]),
+			func() error { return f.FailProcs(32) },
+			func() error { return f.Depart(ids[1]) },
+			admit(chains[1]),
+			func() error { return f.RestoreProcs(32) },
+			func() error { return f.Depart(ids[0]) },
+			func() error { return f.FailProcs(16) },
+			func() error { return f.RestoreProcs(16) },
+		}
+		var total time.Duration
+		for i, step := range script {
+			start := time.Now()
+			err := step()
+			total += time.Since(start)
+			if err != nil {
+				return 0, fmt.Errorf("fleet churn step %d: %w", i, err)
+			}
+		}
+		means = append(means, total.Seconds()/float64(len(script)))
+	}
+	sort.Float64s(means)
+	return means[len(means)/2], nil
+}
+
 // timeSolve solves the request runs times and returns the last result and
 // the median wall time.
 func timeSolve(req core.Request, runs int) (core.Result, float64, error) {
@@ -344,12 +413,12 @@ func RenderPerf(rep PerfReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf trajectory (%s %s/%s, %d CPUs, GOMAXPROCS=%d, %d data sets, %gx speedup, median of %d):\n",
 		rep.GoVersion, rep.GOOS, rep.GOARCH, rep.CPUs, rep.GoMaxProcs, rep.DataSets, rep.Speedup, rep.Runs)
-	fmt.Fprintf(&b, "%-28s %12s %12s %12s %12s %6s %10s %10s %8s %10s\n",
-		"spec", "dp solve", "greedy solve", "incr solve", "adapt step", "memo", "model t/s", "fxrt t/s", "eff", "trace/span")
+	fmt.Fprintf(&b, "%-28s %12s %12s %12s %12s %12s %6s %10s %10s %8s %10s\n",
+		"spec", "dp solve", "greedy solve", "incr solve", "adapt step", "rebalance", "memo", "model t/s", "fxrt t/s", "eff", "trace/span")
 	for _, sp := range rep.Specs {
-		fmt.Fprintf(&b, "%-28s %10.3fms %10.3fms %10.3fms %10.3fms %5.0f%% %10.4f %10.4f %7.1f%% %8.0fns\n",
+		fmt.Fprintf(&b, "%-28s %10.3fms %10.3fms %10.3fms %10.3fms %10.3fms %5.0f%% %10.4f %10.4f %7.1f%% %8.0fns\n",
 			sp.Spec, sp.DPSolveSeconds*1e3, sp.GreedySolveSeconds*1e3, sp.IncrementalSolveSeconds*1e3,
-			sp.AdaptDecisionSeconds*1e3, 100*sp.MemoHitRate,
+			sp.AdaptDecisionSeconds*1e3, sp.FleetRebalanceSeconds*1e3, 100*sp.MemoHitRate,
 			sp.DPThroughput, sp.FxrtThroughput, 100*sp.FxrtEfficiency, sp.TraceSpanNanos)
 	}
 	return b.String()

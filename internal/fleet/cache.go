@@ -23,7 +23,10 @@ const gridMemoCap = 256
 // each family to its own adapt.SolveCache, so two tenants alternating
 // structurally different specs never thrash one cache's invalidation path,
 // while N tenants submitting the identical spec share one memo entry and
-// one retained incremental solver. Machine-constrained (grid) solves,
+// one retained incremental solver. SolveBudget keys a family by the
+// structure at the spec's allocation cap and serves every allocation up
+// to the cap from one solve's per-budget frontier; Solve keys it by the
+// structure at the allocation itself. Machine-constrained (grid) solves,
 // which the SolveCache cannot express, are memoized separately keyed by
 // (canonical spec key, region dims).
 //
@@ -136,6 +139,18 @@ func (c *Cache) Solve(chain *model.Chain, pl model.Platform, opt adapt.ResolveOp
 	fam := c.family(adapt.CanonicalStructSig(chain, pl, opt))
 	res, _, path, err := fam.Resolve(chain, pl, opt)
 	return res, path, err
+}
+
+// SolveBudget maps a chain onto budget processors from the per-budget
+// frontier of the same chain solved at its allocation cap capPl, through
+// the family of the cap structure: every allocation of one spec shares one
+// DP solve, and a re-placement at another allocation is a memo lookup.
+// sig and key are adapt.CanonicalStructSig and adapt.CanonicalSpecKey of
+// (chain, capPl, opt), computed once by the caller; the instance must
+// satisfy adapt.HasFrontier. The result equals a fresh adapt.Resolve on
+// budget processors, and its mapping is a detached copy.
+func (c *Cache) SolveBudget(chain *model.Chain, capPl model.Platform, opt adapt.ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
+	return c.family(sig).ResolveBudget(chain, capPl, opt, sig, key, budget)
 }
 
 // PathGrid marks a placement solved under machine (grid) constraints.

@@ -11,10 +11,14 @@
 // package is the layer between: tenant arrival and departure, processor
 // failure, preemptive eviction, and rebalancing are first-class events,
 // each of which re-packs the pool and re-places only the pipelines whose
-// allocation actually changed (unchanged pipelines keep their mapping
-// without touching a solver; changed ones route through the per-family
-// adapt.SolveCache, whose memo and incremental DP warm path make repeat
-// allocations cheap).
+// allocation actually changed. Unchanged pipelines keep their mapping
+// without touching the cache. Admission hashes each spec once, at its
+// allocation cap, and its family's adapt.SolveCache solves it there once:
+// that DP table holds the optimum at every smaller budget too, so every
+// re-placement reads the new allocation's mapping from the memoized
+// per-budget frontier, with no hashing and no solve. Specs without a
+// frontier (greedy-routed at the cap, or DisableClustering) solve per
+// allocation through the same caches.
 //
 // # Packing policy (normative)
 //

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pipemap/internal/adapt"
+	"pipemap/internal/core"
 	"pipemap/internal/machine"
 	"pipemap/internal/model"
 	"pipemap/internal/obs/live"
@@ -53,8 +54,9 @@ type Placement struct {
 	ID       int64  `json:"id"`
 	Tenant   string `json:"tenant"`
 	Priority int    `json:"priority"`
-	// Key is the canonical spec hash at the current allocation — equal
-	// keys mean the solver ran once for all of them.
+	// Key is the canonical spec hash at the allocation cap, computed once
+	// at admission — equal keys mean the solver ran once for all of them,
+	// whatever their allocations.
 	Key uint64 `json:"key"`
 	// Alloc is the processor allocation; the mapping uses at most this.
 	Alloc int `json:"alloc"`
@@ -68,8 +70,9 @@ type Placement struct {
 	Summary    string  `json:"mapping"`
 	Throughput float64 `json:"throughput"`
 	Latency    float64 `json:"latency"`
-	// Path reports how the last placement was produced: memo, incremental,
-	// dp, greedy, grid, or grid-memo.
+	// Path reports how the last placement was produced: memo (read from
+	// the cached per-budget frontier, or a memoized per-allocation solve),
+	// dp or incremental (a DP solve ran), greedy, grid, or grid-memo.
 	Path string `json:"path"`
 	// Generation is the rebalance generation that last (re-)placed this
 	// pipeline.
@@ -86,15 +89,22 @@ type pipeline struct {
 	cap      int // allocation ceiling
 	alloc    int
 
-	placed     bool
-	key        uint64
-	region     machine.Rect
-	placedDims machine.Rect // region dims the current mapping was verified on
-	mapping    model.Mapping
-	throughput float64
-	latency    float64
-	path       string
-	placedGen  int64
+	// sig and key are the canonical structural signature and spec key at
+	// the cap, hashed once at admission. frontier marks a spec whose every
+	// allocation is read from the per-budget frontier of its cap solve;
+	// the others solve per allocation.
+	sig, key uint64
+	frontier bool
+
+	placed      bool
+	placedAlloc int // allocation the current mapping was placed at
+	region      machine.Rect
+	placedDims  machine.Rect // region dims the current mapping was verified on
+	mapping     model.Mapping
+	throughput  float64
+	latency     float64
+	path        string
+	placedGen   int64
 }
 
 // Stats is a point-in-time snapshot of the fleet counters. At quiesce,
@@ -256,10 +266,14 @@ func (f *Fleet) Admit(s Spec) (Placement, error) {
 			s.Tenant, min, f.procs)
 	}
 
+	capPl := model.Platform{Procs: capProcs, MemPerProc: f.cfg.Pool.MemPerProc}
 	f.nextID++
 	cand := &pipeline{
 		id: f.nextID, tenant: s.Tenant, chain: s.Chain,
 		priority: pri, min: min, cap: capProcs,
+		sig:      adapt.CanonicalStructSig(s.Chain, capPl, f.cfg.Solve),
+		key:      adapt.CanonicalSpecKey(s.Chain, capPl, f.cfg.Solve),
+		frontier: adapt.HasFrontier(s.Chain, capPl, f.cfg.Solve),
 	}
 	// Mutation-free pre-check: run the partition with the candidate
 	// included (rank and partition only read min/priority); if the
@@ -485,18 +499,27 @@ func (f *Fleet) packGridLocked(survivors []*pipeline) (kept, victims []*pipeline
 	return nil, victims
 }
 
-// placeLocked solves (through the cache) and places one pipeline at its
-// current allocation, skipping the solver entirely when nothing changed
-// since its last placement.
+// placeLocked places one pipeline at its current allocation through the
+// cache, skipping it entirely when neither the allocation nor, in grid
+// mode, the region shape changed since its last placement. A frontier
+// spec reads its allocation from the per-budget frontier of its cap solve;
+// any other spec solves at the allocation.
 func (f *Fleet) placeLocked(m *pipeline) error {
-	pl := model.Platform{Procs: m.alloc, MemPerProc: f.cfg.Pool.MemPerProc}
-	key := adapt.CanonicalSpecKey(m.chain, pl, f.cfg.Solve)
-	if m.placed && m.key == key && (!f.grid || sameShape(m.region, m.placedDims)) {
-		// Same costs, same allocation (the key covers pl.Procs), and in
-		// grid mode a congruent region: keep the placement untouched.
+	if m.placed && m.placedAlloc == m.alloc && (!f.grid || sameShape(m.region, m.placedDims)) {
 		return nil
 	}
-	res, path, err := f.cache.Solve(m.chain, pl, f.cfg.Solve)
+	pl := model.Platform{Procs: m.alloc, MemPerProc: f.cfg.Pool.MemPerProc}
+	var (
+		res  core.Result
+		path string
+		err  error
+	)
+	if m.frontier {
+		capPl := model.Platform{Procs: m.cap, MemPerProc: f.cfg.Pool.MemPerProc}
+		res, path, err = f.cache.SolveBudget(m.chain, capPl, f.cfg.Solve, m.sig, m.key, m.alloc)
+	} else {
+		res, path, err = f.cache.Solve(m.chain, pl, f.cfg.Solve)
+	}
 	if err != nil {
 		return err
 	}
@@ -511,7 +534,7 @@ func (f *Fleet) placeLocked(m *pipeline) error {
 		m.placedDims = machine.Rect{H: m.region.H, W: m.region.W}
 	}
 	m.placed = true
-	m.key = key
+	m.placedAlloc = m.alloc
 	m.mapping = res.Mapping
 	m.throughput = res.Throughput
 	m.latency = res.Latency

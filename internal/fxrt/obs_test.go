@@ -187,7 +187,7 @@ func TestFTRunTidsUniquePerInstance(t *testing.T) {
 			workStage("a", 2, 0, nil),
 			workStage("b", 3, 0, nil),
 		},
-		Retry: RetryPolicy{MaxRetries: 1}, // any FT option routes through ftRun
+		Retry: RetryPolicy{MaxRetries: 1}, // a fault-tolerant run; it goes through Stream like any other
 		Obs:   tr,
 	}
 	if _, err := p.Run(func(i int) DataSet { return i }, 20, 2); err != nil {

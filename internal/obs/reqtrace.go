@@ -71,12 +71,23 @@ func ParseTraceID(s string) (TraceID, bool) {
 }
 
 // ParseTraceparent parses a W3C traceparent header
-// ("00-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>") and returns the
-// trace ID plus whether the sampled flag is set. Unknown versions are
-// accepted as long as the field layout matches (per the spec's
-// forward-compatibility rule); malformed headers return ok=false.
+// ("<2 hex version>-<32 hex trace-id>-<16 hex parent-id>-<2 hex flags>")
+// and returns the trace ID plus whether the sampled flag is set. It
+// applies the W3C Trace Context rules: every field is lowercase hex, the
+// trace-id and parent-id are not all zeros, and version ff is invalid.
+// Version 00 is exactly 55 bytes; a later version may be longer only if
+// the next byte is '-' (the spec's forward-compatibility rule). Malformed
+// headers return ok=false.
 func ParseTraceparent(h string) (id TraceID, sampled, ok bool) {
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
+		return TraceID{}, false, false
+	}
+	version, parent := h[:2], h[36:52]
+	if !lowerHex(version) || version == "ff" || !lowerHex(h[3:35]) ||
+		!lowerHex(parent) || parent == "0000000000000000" || !lowerHex(h[53:55]) {
+		return TraceID{}, false, false
+	}
+	if version == "00" && len(h) != 55 || len(h) > 55 && h[55] != '-' {
 		return TraceID{}, false, false
 	}
 	id, ok = ParseTraceID(h[3:35])
@@ -88,6 +99,16 @@ func ParseTraceparent(h string) (id TraceID, sampled, ok bool) {
 		return TraceID{}, false, false
 	}
 	return id, flags[0]&0x01 != 0, true
+}
+
+// lowerHex reports whether s is made of lowercase hex digits only.
+func lowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // newTraceID returns a random non-zero trace ID. The generator is seeded

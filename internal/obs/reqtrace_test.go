@@ -52,16 +52,66 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		strings.Replace(valid, "-", "_", 1),
 		"00-" + strings.Repeat("0", 32) + valid[35:], // zero trace ID
 		valid[:53] + "zz", // non-hex flags
+		valid[:36] + strings.Repeat("0", 16) + valid[52:], // zero parent-id
+		valid[:36] + strings.Repeat("z", 16) + valid[52:], // non-hex parent-id
+		"ff" + valid[2:], // version ff is invalid
+		"0g" + valid[2:], // non-hex version
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", // uppercase hex
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", // uppercase flags
+		valid + "-00", // version 00 is exactly 55 bytes
+		valid + "x",
+		"01" + valid[2:] + "x", // a later version continues only after '-'
 	}
 	for _, h := range bad {
 		if _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted malformed header", h)
 		}
 	}
-	// Unknown version with the standard layout parses (forward compat).
+	// The specification's own example parses.
+	if _, sampled, ok := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"); !ok || !sampled {
+		t.Errorf("W3C example header: sampled %v ok %v, want true true", sampled, ok)
+	}
+	// Unknown version with the standard layout parses (forward compat),
+	// also with further fields after a '-'.
 	if _, _, ok := ParseTraceparent("01" + valid[2:]); !ok {
 		t.Error("unknown traceparent version with standard layout rejected")
 	}
+	if _, _, ok := ParseTraceparent("01" + valid[2:] + "-future"); !ok {
+		t.Error("unknown traceparent version with trailing fields rejected")
+	}
+}
+
+// FuzzParseTraceparent feeds arbitrary header values to the parser: it
+// must never panic, and any header it accepts must round-trip its
+// trace-id and sampled bit through Traceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-future",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		id, sampled, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if id.IsZero() || id.String() != h[3:35] {
+			t.Fatalf("ParseTraceparent(%q) accepted trace-id %v", h, id)
+		}
+		if want := strings.IndexByte("13579bdf", h[54]) >= 0; sampled != want {
+			t.Fatalf("ParseTraceparent(%q) sampled = %v, flags say %v", h, sampled, want)
+		}
+		back, backSampled, backOK := ParseTraceparent(id.Traceparent(sampled))
+		if !backOK || back != id || backSampled != sampled {
+			t.Fatalf("ParseTraceparent(%q) = %v %v does not round-trip: got %v %v %v",
+				h, id, sampled, back, backSampled, backOK)
+		}
+	})
 }
 
 func TestSamplingDeterministicAndProportional(t *testing.T) {

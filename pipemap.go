@@ -402,9 +402,11 @@ func NewSLOEngine(cfg SLOConfig) *SLOEngine { return slo.New(cfg) }
 // many tenant chain specs against one shared processor pool, partitions
 // the pool by a weighted-priority policy, and maps every pipeline through
 // a solve-once-place-many cache: identical specs (by the canonical spec
-// hash) solve exactly once no matter how many tenants submit them.
-// Tenant departure, processor failure, and preemptive eviction rebalance
-// the pool and re-place only the pipelines whose allocation changed.
+// hash at their allocation cap) solve exactly once no matter how many
+// tenants submit them. Tenant departure, processor failure, and
+// preemptive eviction rebalance the pool and re-place only the pipelines
+// whose allocation changed, reading each new mapping from the per-budget
+// frontier of the spec's solve at its cap rather than solving again.
 type (
 	// Fleet is the multi-pipeline scheduler over one shared pool.
 	Fleet = fleet.Fleet
@@ -423,7 +425,8 @@ type (
 	// FleetState is the /fleet JSON payload (stats plus placements).
 	FleetState = fleet.State
 	// FleetCache is the fleet-level solve cache grouping specs into
-	// structural families.
+	// structural families; a family solves a spec once at its allocation
+	// cap and serves every allocation up to the cap from that solve.
 	FleetCache = fleet.Cache
 	// FleetCacheStats aggregates hit/miss/solve counters across the
 	// cache's families.
