@@ -3,10 +3,10 @@
 // controller decision cycle (ingest + refit + re-solve — the latency the
 // closed loop adds between stream segments), times the rebalances of a
 // fixed fleet churn script, measures the fault-tolerant runtime's
-// throughput against the model bound, and writes the report to
-// BENCH_solver.json. Commit the refreshed file to extend the perf history;
-// CI runs a reduced-size pass (-quick) and uploads the report as an
-// artifact.
+// throughput against the model bound, times the served applications'
+// kernels per data set, and writes the report to BENCH_solver.json.
+// Commit the refreshed file to extend the perf history; CI runs a
+// reduced-size pass (-quick) and uploads the report as an artifact.
 //
 // Usage:
 //
@@ -34,7 +34,7 @@ func main() {
 func run(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_solver.json", "output path for the JSON report (empty = stdout only)")
-	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency, cold DP solve time or fleet rebalance latency regresses more than 2x (with a 0.5ms absolute floor)")
+	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency, cold DP solve time or fleet rebalance latency, or a served app's kernel time per data set, regresses more than 2x (with a 0.5ms absolute floor)")
 	quick := fs.Bool("quick", false, "reduced-size run for CI (fewer data sets and repetitions)")
 	runs := fs.Int("runs", 0, "timing repetitions per solver (0 = default)")
 	datasets := fs.Int("datasets", 0, "data sets streamed through the runtime (0 = default)")
@@ -101,9 +101,10 @@ var gatedMetrics = []struct {
 	{"fleet rebalance", func(sp bench.SpecPerf) float64 { return sp.FleetRebalanceSeconds }},
 }
 
-// gateAgainst compares the fresh report's gated latencies to the committed
-// baseline and fails on a >2x regression above the floor. Specs absent
-// from the baseline, and metrics it does not record, pass (they are new).
+// gateAgainst compares the fresh report's gated latencies — each spec's
+// and each served app's kernel time — to the committed baseline and fails
+// on a >2x regression above the floor. Specs and apps absent from the
+// baseline, and metrics it does not record, pass (they are new).
 func gateAgainst(baselinePath string, rep bench.PerfReport, stdout io.Writer) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -113,30 +114,39 @@ func gateAgainst(baselinePath string, rep bench.PerfReport, stdout io.Writer) er
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("gate baseline %s: %w", baselinePath, err)
 	}
+	var failures []string
+	check := func(subject, metric string, now, old float64) {
+		if old <= 0 {
+			return
+		}
+		verdict := "ok"
+		if now > 2*old && now > gateFloorSeconds {
+			verdict = "REGRESSED"
+			failures = append(failures, fmt.Sprintf("%s: %s %.3fms vs baseline %.3fms (>2x)",
+				subject, metric, now*1e3, old*1e3))
+		}
+		fmt.Fprintf(stdout, "gate %-28s %-14s %8.3fms baseline %8.3fms  %s\n",
+			subject, metric, now*1e3, old*1e3, verdict)
+	}
 	baseline := make(map[string]bench.SpecPerf, len(base.Specs))
 	for _, sp := range base.Specs {
 		baseline[sp.Spec] = sp
 	}
-	var failures []string
 	for _, sp := range rep.Specs {
 		oldSp, ok := baseline[sp.Spec]
 		if !ok {
 			continue
 		}
 		for _, m := range gatedMetrics {
-			now, old := m.get(sp), m.get(oldSp)
-			if old <= 0 {
-				continue
-			}
-			verdict := "ok"
-			if now > 2*old && now > gateFloorSeconds {
-				verdict = "REGRESSED"
-				failures = append(failures, fmt.Sprintf("%s: %s %.3fms vs baseline %.3fms (>2x)",
-					sp.Spec, m.name, now*1e3, old*1e3))
-			}
-			fmt.Fprintf(stdout, "gate %-28s %-14s %8.3fms baseline %8.3fms  %s\n",
-				sp.Spec, m.name, now*1e3, old*1e3, verdict)
+			check(sp.Spec, m.name, m.get(sp), m.get(oldSp))
 		}
+	}
+	baseKernels := make(map[string]float64, len(base.Kernels))
+	for _, k := range base.Kernels {
+		baseKernels[k.App+" "+k.Shape] = k.Seconds
+	}
+	for _, k := range rep.Kernels {
+		check(k.App+" "+k.Shape, "kernels", k.Seconds, baseKernels[k.App+" "+k.Shape])
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("latency gate failed:\n  %s", strings.Join(failures, "\n  "))

@@ -130,3 +130,44 @@ func TestGateChecksFleetRebalance(t *testing.T) {
 		}
 	}
 }
+
+// TestGateChecksKernels pins the same rule on each served app's kernel
+// time per data set, matched by app and shape, and lets an app or shape
+// the baseline does not record pass.
+func TestGateChecksKernels(t *testing.T) {
+	base := bench.PerfReport{Kernels: []bench.KernelPerf{
+		{App: "ffthist", Shape: "128x128", Seconds: 0.0006},
+		{App: "radar", Shape: "16x256", Seconds: 0.0002},
+	}}
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		ffthist, radar float64
+		wantFailure    string
+	}{
+		{name: "within 2x", ffthist: 0.0011, radar: 0.0002},
+		{name: "regressed", ffthist: 0.0013, radar: 0.0002, wantFailure: "ffthist 128x128: kernels"},
+		{name: "under the floor", ffthist: 0.0006, radar: 0.00045},
+		{name: "above the floor", ffthist: 0.0006, radar: 0.0006, wantFailure: "radar 16x256: kernels"},
+	} {
+		rep := bench.PerfReport{Kernels: []bench.KernelPerf{
+			{App: "ffthist", Shape: "128x128", Seconds: tc.ffthist},
+			{App: "radar", Shape: "16x256", Seconds: tc.radar},
+			{App: "ffthist", Shape: "256x256", Seconds: 1},
+		}}
+		err := gateAgainst(path, rep, &bytes.Buffer{})
+		switch {
+		case tc.wantFailure == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", tc.name, err)
+		case tc.wantFailure != "" && (err == nil || !strings.Contains(err.Error(), tc.wantFailure)):
+			t.Errorf("%s: gate error %v, want one naming %q", tc.name, err, tc.wantFailure)
+		}
+	}
+}

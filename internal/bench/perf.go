@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -9,10 +11,12 @@ import (
 	"time"
 
 	"pipemap/internal/adapt"
+	"pipemap/internal/apps"
 	"pipemap/internal/core"
 	"pipemap/internal/dp"
 	"pipemap/internal/fleet"
 	"pipemap/internal/fxrt"
+	"pipemap/internal/ingest"
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
 	"pipemap/internal/obs/live"
@@ -112,10 +116,23 @@ type PerfReport struct {
 	Speedup     float64    `json:"speedup"`
 	GeneratedAt string     `json:"generatedAt"`
 	Specs       []SpecPerf `json:"specs"`
+	// Kernels is the kernel-compute layer of the served applications.
+	Kernels []KernelPerf `json:"kernels"`
+}
+
+// KernelPerf is the kernel compute cost of one served application: the
+// median wall time of one data set through all of the app's tasks on a
+// one-module, one-processor mapping, so no transfer edge, replica or
+// parallel split enters it.
+type KernelPerf struct {
+	App     string  `json:"app"`
+	Shape   string  `json:"shape"`
+	Seconds float64 `json:"seconds"`
 }
 
 // RunPerf measures solver latency (DP and greedy) and fxrt runtime
-// throughput for each chain spec file.
+// throughput for each chain spec file, then the served applications'
+// kernel time.
 func RunPerf(specPaths []string, opt PerfOptions) (PerfReport, error) {
 	opt = opt.withDefaults()
 	rep := PerfReport{
@@ -136,7 +153,89 @@ func RunPerf(specPaths []string, opt PerfOptions) (PerfReport, error) {
 		}
 		rep.Specs = append(rep.Specs, sp)
 	}
+	kernels, err := timeKernels(opt.Runs)
+	if err != nil {
+		return PerfReport{}, fmt.Errorf("bench: kernels: %w", err)
+	}
+	rep.Kernels = kernels
 	return rep, nil
+}
+
+// timeKernels times the served applications' kernels at the shapes
+// perfbench serves them: FFT-Hist at N=128 and radar on a 16x256 cube.
+func timeKernels(runs int) ([]KernelPerf, error) {
+	ffthist := apps.FFTHistRunner{N: 128}
+	radar := apps.RadarRunner{Pulses: 16, Gates: 256}
+	cases := []struct {
+		app, shape string
+		chain      *model.Chain
+		codec      ingest.Codec
+		build      func(model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, error)
+	}{
+		{"ffthist", "128x128", apps.FFTHistStructure(128), apps.FFTHistCodec{Runner: ffthist}, ffthist.Pipeline},
+		{"radar", "16x256", apps.RadarStructure(), apps.RadarCodec{Runner: radar},
+			func(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, error) {
+				pl, _, err := radar.Pipeline(m)
+				return pl, nil, err
+			}},
+	}
+	iters := 20 * runs
+	if iters < 40 {
+		iters = 40
+	}
+	var out []KernelPerf
+	for _, c := range cases {
+		m := model.Mapping{Chain: c.chain, Modules: []model.Module{{Lo: 0, Hi: c.chain.Len(), Procs: 1, Replicas: 1}}}
+		pl, edges, err := c.build(m)
+		if err != nil {
+			return nil, err
+		}
+		sec, err := medianPush(pl, edges, c.codec, iters)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.app, err)
+		}
+		out = append(out, KernelPerf{App: c.app, Shape: c.shape, Seconds: sec})
+	}
+	return out, nil
+}
+
+// medianPush streams seeded data sets through pl one at a time and
+// returns the median wall time from push to result over iters of them.
+// Each data set is decoded and encoded by codec, as a served request is,
+// outside the timed push; the first few warm the caches and buffer pools
+// and are not timed.
+func medianPush(pl *fxrt.Pipeline, edges []fxrt.Edge, codec ingest.Codec, iters int) (float64, error) {
+	const warm = 5
+	s, err := pl.Stream(fxrt.StreamOptions{Edges: edges})
+	if err != nil {
+		return 0, err
+	}
+	defer s.Close()
+	times := make([]float64, 0, iters)
+	for i := 0; i < warm+iters; i++ {
+		ds, err := codec.Decode(json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)))
+		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		res, err := s.Push(context.Background(), ds)
+		if err != nil {
+			return 0, err
+		}
+		r := <-res
+		d := time.Since(start)
+		if r.Err != nil {
+			return 0, r.Err
+		}
+		if _, err := codec.Encode(r.DS); err != nil {
+			return 0, err
+		}
+		if i >= warm {
+			times = append(times, d.Seconds())
+		}
+	}
+	sort.Float64s(times)
+	return times[len(times)/2], nil
 }
 
 func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {
@@ -420,6 +519,9 @@ func RenderPerf(rep PerfReport) string {
 			sp.Spec, sp.DPSolveSeconds*1e3, sp.GreedySolveSeconds*1e3, sp.IncrementalSolveSeconds*1e3,
 			sp.AdaptDecisionSeconds*1e3, sp.FleetRebalanceSeconds*1e3, 100*sp.MemoHitRate,
 			sp.DPThroughput, sp.FxrtThroughput, 100*sp.FxrtEfficiency, sp.TraceSpanNanos)
+	}
+	for _, k := range rep.Kernels {
+		fmt.Fprintf(&b, "kernels %-20s %10.3fms per data set\n", k.App+" "+k.Shape, k.Seconds*1e3)
 	}
 	return b.String()
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // TestRunPerf runs a tiny trajectory pass against the committed specs and
-// checks the report is structurally sound: positive solve times, runtime
-// throughput in the neighborhood of the model bound, and stable JSON keys.
+// checks the report is structurally sound: positive solve and kernel
+// times, runtime throughput in the neighborhood of the model bound, and
+// stable JSON keys.
 func TestRunPerf(t *testing.T) {
 	rep, err := RunPerf(
 		[]string{"../../specs/threestage.json", "../../specs/ffthist256.json"},
@@ -39,13 +40,23 @@ func TestRunPerf(t *testing.T) {
 		}
 	}
 
+	if len(rep.Kernels) != 2 || rep.Kernels[0].App != "ffthist" || rep.Kernels[0].Shape != "128x128" ||
+		rep.Kernels[1].App != "radar" || rep.Kernels[1].Shape != "16x256" {
+		t.Errorf("kernels = %+v, want ffthist 128x128 and radar 16x256", rep.Kernels)
+	}
+	for _, k := range rep.Kernels {
+		if k.Seconds <= 0 {
+			t.Errorf("%s %s: non-positive kernel time %g", k.App, k.Shape, k.Seconds)
+		}
+	}
+
 	buf, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
 		`"goVersion"`, `"specs"`, `"dpSolveSeconds"`, `"greedySolveSeconds"`,
-		`"fxrtThroughput"`, `"fxrtEfficiency"`, `"mapping"`,
+		`"fxrtThroughput"`, `"fxrtEfficiency"`, `"mapping"`, `"kernels"`,
 	} {
 		if !strings.Contains(string(buf), key) {
 			t.Errorf("report JSON missing %s", key)

@@ -3,6 +3,7 @@ package ingest
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,7 +33,8 @@ type SubmitRequest struct {
 	// The X-Tenant header is an equivalent alternative.
 	Tenant string `json:"tenant,omitempty"`
 	// BudgetMS is the request's deadline budget in milliseconds; 0 uses the
-	// plane's default.
+	// plane's default, a negative budget is refused, and one past the
+	// longest time.Duration saturates to it.
 	BudgetMS int `json:"budget_ms,omitempty"`
 	// Input is the application-specific payload, decoded by the codec.
 	Input json.RawMessage `json:"input,omitempty"`
@@ -115,8 +117,9 @@ func parseTraceHeaders(r *http.Request) (parent obs.TraceID, force bool) {
 }
 
 // SubmitHandler serves POST /v1/submit: decode via the codec, submit to
-// the plane, and render the outcome — 200 with the encoded result, 429/503
-// with a structured shed body, or 500 for pipeline processing failures.
+// the plane, and render the outcome — 200 with the encoded result, 400 for
+// a malformed body or input or a negative budget_ms, 429/503 with a
+// structured shed body, or 500 for pipeline processing failures.
 // The request context cancels the wait (not the work) when the client
 // disconnects.
 //
@@ -135,6 +138,14 @@ func SubmitHandler(p *Plane, codec Codec) http.Handler {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err.Error() != "EOF" {
 			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decode body: %v", err), "")
 			return
+		}
+		if req.BudgetMS < 0 {
+			writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("budget_ms %d is negative", req.BudgetMS), "")
+			return
+		}
+		budget := time.Duration(math.MaxInt64)
+		if int64(req.BudgetMS) <= math.MaxInt64/int64(time.Millisecond) {
+			budget = time.Duration(req.BudgetMS) * time.Millisecond
 		}
 		if req.Tenant == "" {
 			req.Tenant = r.Header.Get("X-Tenant")
@@ -161,7 +172,7 @@ func SubmitHandler(p *Plane, codec Codec) http.Handler {
 			finish("bad_input", 0, 0)
 			return
 		}
-		out, err := p.SubmitTraced(r.Context(), req.Tenant, ds, time.Duration(req.BudgetMS)*time.Millisecond, id, rt)
+		out, err := p.SubmitTraced(r.Context(), req.Tenant, ds, budget, id, rt)
 		if err != nil {
 			if se, ok := err.(*ShedError); ok {
 				writeShed(w, se, idStr)

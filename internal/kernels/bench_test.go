@@ -19,8 +19,11 @@ func randCube(rows, cols int, seed int64) Matrix {
 	return m
 }
 
+// The 128 sizes are the served FFT-Hist shape (N=128); the 16x256 radar
+// benchmarks are the served radar cube.
+
 func BenchmarkFFTRows(b *testing.B) {
-	for _, n := range []int{64, 256} {
+	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			m := randMatrix(n, 1)
 			b.SetBytes(int64(16 * n * n))
@@ -34,7 +37,7 @@ func BenchmarkFFTRows(b *testing.B) {
 }
 
 func BenchmarkFFTCols(b *testing.B) {
-	for _, n := range []int{64, 256} {
+	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			m := randMatrix(n, 2)
 			b.SetBytes(int64(16 * n * n))
@@ -63,26 +66,44 @@ func BenchmarkTranspose(b *testing.B) {
 }
 
 func BenchmarkHistogramAccumulate(b *testing.B) {
-	m := randMatrix(256, 4)
-	b.SetBytes(int64(16 * 256 * 256))
-	for i := 0; i < b.N; i++ {
-		h := NewHistogram(64, -6, 6)
-		h.AccumulateMatrix(m, 0, 256)
+	for _, n := range []int{128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := randMatrix(n, 4)
+			b.SetBytes(int64(16 * n * n))
+			for i := 0; i < b.N; i++ {
+				h := NewHistogram(64, -6, 6)
+				h.AccumulateMatrix(m, 0, n)
+			}
+		})
 	}
 }
 
 func BenchmarkMatchedFilter(b *testing.B) {
-	cube := randCube(16, 512, 7)
-	chirp := make([]complex128, 512)
-	for i := 0; i < 32; i++ {
-		chirp[i] = complex(1, 0)
+	for _, gates := range []int{256, 512} {
+		b.Run(fmt.Sprintf("16x%d", gates), func(b *testing.B) {
+			cube := randCube(16, gates, 7)
+			chirp := make([]complex128, gates)
+			for i := 0; i < 32; i++ {
+				chirp[i] = complex(1, 0)
+			}
+			if err := FFT(chirp); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(16 * 16 * gates))
+			for i := 0; i < b.N; i++ {
+				if err := MatchedFilter(cube, chirp, 0, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	if err := FFT(chirp); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(16 * 16 * 512))
+}
+
+func BenchmarkDopplerFFT(b *testing.B) {
+	cube := randCube(16, 256, 9)
+	b.SetBytes(int64(16 * 16 * 256))
 	for i := 0; i < b.N; i++ {
-		if err := MatchedFilter(cube, chirp, 0, 16); err != nil {
+		if err := DopplerFFT(cube, 0, 256); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,63 +10,123 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
+	"sync"
 )
 
 // FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x. len(x) must be a power of two.
+// transform of x. len(x) must be a power of two; an empty x is left as is.
+// Every transform of one length runs on a plan built once and cached: the
+// bit-reversal swaps and each stage's twiddle factors from math.Sincos.
 func FFT(x []complex128) error {
-	return fft(x, false)
+	p, err := planFor(len(x))
+	if p == nil {
+		return err
+	}
+	p.transform(x, false)
+	return nil
 }
 
 // IFFT computes the in-place inverse FFT of x (normalized by 1/n).
 func IFFT(x []complex128) error {
-	if err := fft(x, true); err != nil {
+	p, err := planFor(len(x))
+	if p == nil {
 		return err
 	}
+	p.transform(x, true)
 	inv := 1 / float64(len(x))
-	for i := range x {
-		x[i] *= complex(inv, 0)
+	for i, v := range x {
+		x[i] = complex(real(v)*inv, imag(v)*inv)
 	}
 	return nil
 }
 
-func fft(x []complex128, inverse bool) error {
-	n := len(x)
+// fftPlan is everything a length-n transform needs besides its data: the
+// bit-reversal permutation as swap pairs, and the twiddle factors of every
+// stage from the third on, laid out stage by stage so each butterfly pass
+// reads them contiguously. The first two stages' twiddles are 1 and -i.
+type fftPlan struct {
+	n     int
+	swaps [][2]int // index pairs (i, j), i < j, that bit reversal exchanges
+	fwd   []complex128
+	inv   []complex128 // the conjugates of fwd
+	// cols recycles FFTCols' gather buffers of colBlock columns of length
+	// n, so a warm FFTCols call allocates nothing.
+	cols sync.Pool // *[]complex128
+}
+
+// plans caches one plan per transform length.
+var plans sync.Map // int -> *fftPlan
+
+// planFor returns the plan for length n, building it on first use. It
+// returns a nil plan for n == 0 (nothing to do) and, with an error, for a
+// length that is not a power of two.
+func planFor(n int) (*fftPlan, error) {
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("kernels: FFT length %d is not a power of two", n)
+	if n < 0 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("kernels: FFT length %d is not a power of two", n)
 	}
-	// Bit-reversal permutation.
+	if p, ok := plans.Load(n); ok {
+		return p.(*fftPlan), nil
+	}
+	p := &fftPlan{n: n}
 	shift := 64 - uint(bits.Len(uint(n-1)))
 	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			p.swaps = append(p.swaps, [2]int{i, j})
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	for size := 8; size <= n; size <<= 1 {
+		for k := 0; k < size/2; k++ {
+			sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(size))
+			p.fwd = append(p.fwd, complex(cos, sin))
+			p.inv = append(p.inv, complex(cos, -sin))
+		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wstep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for off := 0; off < half; off++ {
-				a := x[start+off]
-				b := x[start+off+half] * w
-				x[start+off] = a + b
-				x[start+off+half] = a - b
-				w *= wstep
+	q, _ := plans.LoadOrStore(n, p)
+	return q.(*fftPlan), nil
+}
+
+// transform runs the unnormalized forward or inverse transform of x in
+// place; len(x) must be the plan's length. It is the one FFT routine every
+// kernel uses.
+func (p *fftPlan) transform(x []complex128, inverse bool) {
+	x = x[:p.n]
+	for _, s := range p.swaps {
+		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
+	}
+	// Stages 1 and 2: butterflies of span 1 with twiddle 1, then of span
+	// 2 with twiddles 1 and -i (+i for the inverse).
+	for y := x; len(y) >= 2; y = y[2:] {
+		a, b := y[0], y[1]
+		y[0], y[1] = a+b, a-b
+	}
+	for y := x; len(y) >= 4; y = y[4:] {
+		a0, a1, b0, c := y[0], y[1], y[2], y[3]
+		b1 := complex(imag(c), -real(c)) // c * -i
+		if inverse {
+			b1 = -b1 // c * +i
+		}
+		y[0], y[2] = a0+b0, a0-b0
+		y[1], y[3] = a1+b1, a1-b1
+	}
+	tw := p.fwd
+	if inverse {
+		tw = p.inv
+	}
+	for half := 4; half < len(x); half <<= 1 {
+		w := tw[:half]
+		tw = tw[half:]
+		for s := 0; s < len(x); s += 2 * half {
+			lo, hi := x[s:], x[s+half:]
+			lo, hi = lo[:len(w)], hi[:len(w)]
+			for k, wk := range w {
+				a, b := lo[k], hi[k]*wk
+				lo[k], hi[k] = a+b, a-b
 			}
 		}
 	}
-	return nil
 }
 
 // Matrix is a dense row-major complex matrix, the data set flowing through
@@ -93,28 +153,60 @@ func (m Matrix) Row(r int) []complex128 { return m.Data[r*m.Cols : (r+1)*m.Cols]
 // FFTRows transforms rows [r0, r1) of the matrix in place. It is the
 // row-parallel unit of work of the paper's rowffts task.
 func FFTRows(m Matrix, r0, r1 int) error {
+	if r0 >= r1 {
+		return nil
+	}
+	p, err := planFor(m.Cols)
+	if p == nil {
+		return err
+	}
 	for r := r0; r < r1; r++ {
-		if err := FFT(m.Row(r)); err != nil {
-			return err
-		}
+		p.transform(m.Row(r), false)
 	}
 	return nil
 }
 
+// colBlock is how many adjacent columns FFTCols gathers per pass: four
+// complex128s are one 64-byte cache line of each row.
+const colBlock = 4
+
 // FFTCols transforms columns [c0, c1) of the matrix in place (the colffts
-// task). Columns are gathered into a scratch buffer, transformed, and
-// scattered back.
+// task). It gathers up to four adjacent columns per pass into a pooled
+// scratch buffer, transforms each as a contiguous vector with the same
+// routine FFT uses, and scatters them back, so every column's result is
+// the same whichever way the column range is split.
 func FFTCols(m Matrix, c0, c1 int) error {
-	buf := make([]complex128, m.Rows)
-	for c := c0; c < c1; c++ {
-		for r := 0; r < m.Rows; r++ {
-			buf[r] = m.Data[r*m.Cols+c]
+	if c0 >= c1 {
+		return nil
+	}
+	p, err := planFor(m.Rows)
+	if p == nil {
+		return err
+	}
+	rows := m.Rows
+	bp, _ := p.cols.Get().(*[]complex128)
+	if bp == nil {
+		buf := make([]complex128, colBlock*rows)
+		bp = &buf
+	}
+	defer p.cols.Put(bp)
+	buf := *bp
+	for c := c0; c < c1; c += colBlock {
+		w := min(colBlock, c1-c)
+		for r := 0; r < rows; r++ {
+			row := m.Data[r*m.Cols+c : r*m.Cols+c+w]
+			for j, v := range row {
+				buf[j*rows+r] = v
+			}
 		}
-		if err := FFT(buf); err != nil {
-			return err
+		for j := 0; j < w; j++ {
+			p.transform(buf[j*rows:(j+1)*rows], false)
 		}
-		for r := 0; r < m.Rows; r++ {
-			m.Data[r*m.Cols+c] = buf[r]
+		for r := 0; r < rows; r++ {
+			row := m.Data[r*m.Cols+c : r*m.Cols+c+w]
+			for j := range row {
+				row[j] = buf[j*rows+r]
+			}
 		}
 	}
 	return nil

@@ -117,6 +117,28 @@ func TestFFTErrors(t *testing.T) {
 	if err := FFT(nil); err != nil {
 		t.Errorf("empty FFT failed: %v", err)
 	}
+	if err := IFFT(make([]complex128, 6)); err == nil {
+		t.Error("IFFT accepted a non-power-of-two")
+	}
+	if err := IFFT(nil); err != nil {
+		t.Errorf("empty IFFT failed: %v", err)
+	}
+	m := NewMatrix(3, 5)
+	if err := FFTRows(m, 0, 3); err == nil {
+		t.Error("FFTRows accepted rows of length 5")
+	}
+	if err := FFTCols(m, 0, 5); err == nil {
+		t.Error("FFTCols accepted columns of length 3")
+	}
+	if err := MatchedFilter(m, make([]complex128, 5), 0, 3); err == nil {
+		t.Error("MatchedFilter accepted rows of length 5")
+	}
+	if err := FFTRows(NewMatrix(2, 0), 0, 2); err != nil {
+		t.Errorf("FFTRows of empty rows failed: %v", err)
+	}
+	if err := FFTCols(NewMatrix(0, 2), 0, 2); err != nil {
+		t.Errorf("FFTCols of empty columns failed: %v", err)
+	}
 }
 
 func TestFFTRowsColsMatchFullTransform(t *testing.T) {
@@ -184,5 +206,151 @@ func TestTransposeInvolution(t *testing.T) {
 		if src.Data[i] != back.Data[i] {
 			t.Fatal("double transpose is not identity")
 		}
+	}
+}
+
+// dft is the O(n^2) reference transform: forward, or inverse with the 1/n
+// normalization, with each twiddle from math.Sincos at the index reduced
+// mod n.
+func dft(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
+	out := make([]complex128, n)
+	for k := range out {
+		var s complex128
+		for j, v := range x {
+			sin, cos := math.Sincos(sign * 2 * math.Pi * float64(j*k%n) / float64(n))
+			s += v * complex(cos, sin)
+		}
+		if inverse {
+			s /= complex(float64(n), 0)
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// FuzzFFTMatchesDFT checks FFT and IFFT at every power-of-two length from 2
+// to 1024 against the O(n^2) DFT: max|error| <= 1e-11 * sum|x_j|.
+func FuzzFFTMatchesDFT(f *testing.F) {
+	for e := uint8(0); e < 10; e++ {
+		f.Add(int64(e), e, e%2 == 1, int8(0))
+	}
+	f.Add(int64(7), uint8(9), true, int8(-100))
+	f.Add(int64(8), uint8(9), false, int8(100))
+	f.Fuzz(func(t *testing.T, seed int64, logn uint8, inverse bool, exp int8) {
+		n := 2 << (logn % 10)
+		rng := rand.New(rand.NewSource(seed))
+		scale := math.Pow(10, float64(exp%120))
+		x := make([]complex128, n)
+		var norm float64
+		for i := range x {
+			x[i] = complex(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+			norm += cmplx.Abs(x[i])
+		}
+		want := dft(x, inverse)
+		transform := FFT
+		if inverse {
+			transform = IFFT
+		}
+		if err := transform(x); err != nil {
+			t.Fatal(err)
+		}
+		var worst float64
+		for i := range x {
+			worst = math.Max(worst, cmplx.Abs(x[i]-want[i]))
+		}
+		if worst > 1e-11*norm {
+			t.Errorf("n=%d inverse=%v: max error %g > 1e-11 * %g", n, inverse, worst, norm)
+		}
+	})
+}
+
+// TestFFTRowsColsMatchFFT pins that the matrix kernels run the same
+// routine as FFT: every row and column comes out bit-identical to FFT on
+// a copy of it.
+func TestFFTRowsColsMatchFFT(t *testing.T) {
+	src := randCube(16, 13, 9) // 13 columns: not a multiple of the 4-column block
+	byCols := Matrix{Rows: 16, Cols: 13, Data: append([]complex128(nil), src.Data...)}
+	byRows := Matrix{Rows: 13, Cols: 16, Data: append([]complex128(nil), src.Data...)}
+	if err := FFTCols(byCols, 0, 13); err != nil {
+		t.Fatal(err)
+	}
+	if err := FFTRows(byRows, 0, 13); err != nil {
+		t.Fatal(err)
+	}
+	col := make([]complex128, 16)
+	for c := 0; c < 13; c++ {
+		for r := range col {
+			col[r] = src.At(r, c)
+		}
+		if err := FFT(col); err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range col {
+			if got := byCols.At(r, c); got != v {
+				t.Fatalf("FFTCols (%d,%d) = %v, FFT of the column gives %v", r, c, got, v)
+			}
+		}
+	}
+	for r := 0; r < 13; r++ {
+		row := append([]complex128(nil), src.Data[r*16:(r+1)*16]...)
+		if err := FFT(row); err != nil {
+			t.Fatal(err)
+		}
+		for c, v := range row {
+			if got := byRows.At(r, c); got != v {
+				t.Fatalf("FFTRows (%d,%d) = %v, FFT of the row gives %v", r, c, got, v)
+			}
+		}
+	}
+}
+
+// TestFFTColsPartitionInvariant splits the column range at every pair of
+// cut points, as any ParallelFor mapping may, and requires every split to
+// be bit-identical to one band.
+func TestFFTColsPartitionInvariant(t *testing.T) {
+	for _, shape := range [][2]int{{16, 13}, {8, 32}} {
+		rows, cols := shape[0], shape[1]
+		src := randCube(rows, cols, int64(rows*cols))
+		whole := Matrix{Rows: rows, Cols: cols, Data: append([]complex128(nil), src.Data...)}
+		if err := FFTCols(whole, 0, cols); err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a <= cols; a++ {
+			for b := a; b <= cols; b++ {
+				m := Matrix{Rows: rows, Cols: cols, Data: append([]complex128(nil), src.Data...)}
+				for _, band := range [][2]int{{b, cols}, {0, a}, {a, b}} {
+					if err := FFTCols(m, band[0], band[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range m.Data {
+					if m.Data[i] != whole.Data[i] {
+						t.Fatalf("%dx%d split at %d,%d: element %d = %v, one band gives %v",
+							rows, cols, a, b, i, m.Data[i], whole.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFFTColsWarmAllocatesNothing pins the pooled scratch: a warm FFTCols
+// call allocates nothing.
+func TestFFTColsWarmAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	m := randMatrix(128, 10)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := FFTCols(m, 0, m.Cols); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm FFTCols allocates %v times per call, want 0", allocs)
 	}
 }

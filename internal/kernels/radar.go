@@ -15,22 +15,30 @@ import (
 
 // MatchedFilter convolves rows (pulses) [r0, r1) of the cube with the
 // reference chirp in the frequency domain: X <- IFFT(FFT(X) .* conj(FFT(chirp))).
-// chirpFreq must already be the FFT of the chirp, length cube.Cols.
+// chirpFreq must already be the FFT of the chirp, length cube.Cols. The
+// inverse transform's 1/n is folded into the conjugate-chirp multiply;
+// with n a power of two that scaling is exact, so the result is the one
+// FFT, multiply and IFFT give.
 func MatchedFilter(cube Matrix, chirpFreq []complex128, r0, r1 int) error {
 	if len(chirpFreq) != cube.Cols {
 		return fmt.Errorf("kernels: chirp length %d != %d range gates", len(chirpFreq), cube.Cols)
 	}
+	if r0 >= r1 {
+		return nil
+	}
+	p, err := planFor(cube.Cols)
+	if p == nil {
+		return err
+	}
+	inv := 1 / float64(cube.Cols)
 	for r := r0; r < r1; r++ {
 		row := cube.Row(r)
-		if err := FFT(row); err != nil {
-			return err
+		p.transform(row, false)
+		for i, c := range chirpFreq {
+			v := row[i] * cmplx.Conj(c)
+			row[i] = complex(real(v)*inv, imag(v)*inv)
 		}
-		for i := range row {
-			row[i] *= cmplx.Conj(chirpFreq[i])
-		}
-		if err := IFFT(row); err != nil {
-			return err
-		}
+		p.transform(row, true)
 	}
 	return nil
 }

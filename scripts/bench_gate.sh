@@ -4,7 +4,8 @@
 # Re-runs the reduced-size perf trajectory and fails the build when any
 # spec's adaptive-controller decision latency, cold DP solve time
 # (dpSolveSeconds) or fleet churn-script mutation latency
-# (fleetRebalanceSeconds) regresses more than 2x against the committed
+# (fleetRebalanceSeconds), or any served app's kernel time per data set
+# (the kernels list), regresses more than 2x against the committed
 # BENCH_solver.json baseline (with a 0.5ms absolute floor so sub-noise
 # latencies never flake). The fresh report is written
 # to BENCH_gate.json for upload as a CI artifact; the committed baseline
