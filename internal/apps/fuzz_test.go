@@ -14,6 +14,7 @@ func FuzzCodecDecode(f *testing.F) {
 	for _, in := range []string{
 		``, `{}`, `null`, `not json`, `{"seed":7}`, `{"seed":-1}`,
 		`{"data":[1,2,3]}`, `{"target_gate":5,"target_doppler":2}`, `{"target_gate":-4}`,
+		`{"seed":3,"target_gate":0,"target_doppler":0}`,
 	} {
 		f.Add(in)
 	}

@@ -90,12 +90,14 @@ var _ ingest.Codec = RadarCodec{}
 func (c RadarCodec) App() string { return "radar" }
 
 // Decode implements ingest.Codec. Input fields (all optional): "seed"
-// varies the clutter, "target_gate"/"target_doppler" place the echo.
+// varies the clutter, "target_gate"/"target_doppler" place the echo. An
+// absent target field takes the runner's default; a present one, 0
+// included, places the echo there.
 func (c RadarCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
 	var req struct {
-		Seed          int `json:"seed"`
-		TargetGate    int `json:"target_gate"`
-		TargetDoppler int `json:"target_doppler"`
+		Seed          int  `json:"seed"`
+		TargetGate    *int `json:"target_gate"`
+		TargetDoppler *int `json:"target_doppler"`
 	}
 	if len(input) > 0 {
 		if err := json.Unmarshal(input, &req); err != nil {
@@ -104,11 +106,11 @@ func (c RadarCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
 	}
 	pulses, gates := c.Runner.dims()
 	tg, td := c.Runner.target()
-	if req.TargetGate != 0 {
-		tg = req.TargetGate
+	if req.TargetGate != nil {
+		tg = *req.TargetGate
 	}
-	if req.TargetDoppler != 0 {
-		td = req.TargetDoppler
+	if req.TargetDoppler != nil {
+		td = *req.TargetDoppler
 	}
 	if tg < 0 || tg >= gates {
 		return nil, fmt.Errorf("radar input: target_gate %d outside [0, %d)", tg, gates)

@@ -3,6 +3,7 @@ package apps
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -102,6 +103,32 @@ func TestRadarCodecValidatesTarget(t *testing.T) {
 	c := RadarCodec{Runner: RadarRunner{Pulses: 8, Gates: 64}}
 	if _, err := c.Decode(json.RawMessage(`{"target_gate": 1000}`)); err == nil {
 		t.Fatal("out-of-range target gate accepted")
+	}
+}
+
+// TestRadarCodecExplicitZeroTarget checks that a target field present in
+// the input is honoured even when it is 0, and that an absent one takes
+// the runner's default.
+func TestRadarCodecExplicitZeroTarget(t *testing.T) {
+	c := RadarCodec{}
+	for _, tc := range []struct {
+		input  string
+		tg, td int
+	}{
+		{`{"seed":3,"target_gate":0,"target_doppler":0}`, 0, 0},
+		{`{"seed":3,"target_gate":0}`, 0, 3},
+		{`{"seed":3,"target_doppler":0}`, 64, 0},
+		{`{"seed":3}`, 64, 3},
+	} {
+		ds, err := c.Decode(json.RawMessage(tc.input))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.input, err)
+		}
+		got, want := ds.(*RadarData).Cube, c.Runner.inputAt(3, tc.tg, tc.td).Cube
+		if !reflect.DeepEqual(got.Data, want.Data) {
+			t.Errorf("%s: decoded cube differs from the cube with the echo at gate %d, Doppler bin %d",
+				tc.input, tc.tg, tc.td)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package apps
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"pipemap/internal/dp"
@@ -60,6 +64,71 @@ func TestRadarRunnerDetectsTarget(t *testing.T) {
 	if bestCell[0] != 5 || bestCell[1] < 38 || bestCell[1] > 42 {
 		t.Errorf("dominant track at doppler=%d gate=%d, want 5/40±2 (hits %d, map %v)",
 			bestCell[0], bestCell[1], bestHits, tracks)
+	}
+}
+
+// TestRadarClutterMatchesSin checks the table-rotated clutter against
+// its definition, 0.02*sin(idx+seed), on every cell the echo leaves
+// alone, for seeds up to just under 2^53 in magnitude.
+func TestRadarClutterMatchesSin(t *testing.T) {
+	r := RadarRunner{}
+	pulses, gates := r.dims()
+	tg, td := r.target()
+	seeds := []int{0, 1, -1, 255, 1 << 20, 1 << 31, -1 << 31, 1 << 40, 1 << 52}
+	// Random seeds keep idx+seed inside (-2^53, 2^53), where it is exact.
+	span := int64(1<<53 - pulses*gates)
+	rng := rand.New(rand.NewSource(53))
+	for range 200 {
+		seeds = append(seeds, int(rng.Int63n(2*span)-span))
+	}
+	worst := 0.0
+	for _, seed := range seeds {
+		rd := r.inputAt(seed, tg, td)
+		for idx, v := range rd.Cube.Data {
+			if g := idx % gates; g >= tg && g < tg+len(radarChirp) {
+				continue
+			}
+			want := 0.02 * math.Sin(float64(idx+seed))
+			if imag(v) != 0 || math.Abs(real(v)-want) > 2e-17 {
+				t.Fatalf("seed %d cell %d: clutter %v, want %v", seed, idx, v, want)
+			}
+			worst = max(worst, math.Abs(real(v)-want))
+		}
+		rd.release()
+	}
+	t.Logf("largest clutter error over %d seeds: %.3g", len(seeds), worst)
+}
+
+// TestRadarClutterTableConcurrent synthesizes cubes of a size no other
+// test uses from several goroutines at once, so they race to build its
+// clutter table; every cube must equal the one synthesized afterwards.
+func TestRadarClutterTableConcurrent(t *testing.T) {
+	r := RadarRunner{Pulses: 2, Gates: 64}
+	got := make([]*RadarData, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = r.inputAt(5, 9, 1)
+		}()
+	}
+	wg.Wait()
+	want := r.inputAt(5, 9, 1)
+	for g, rd := range got {
+		if !reflect.DeepEqual(rd.Cube.Data, want.Cube.Data) {
+			t.Errorf("goroutine %d synthesized a different cube", g)
+		}
+	}
+}
+
+// BenchmarkRadarInput times the synthesis of one served 16x256 radar cube.
+func BenchmarkRadarInput(b *testing.B) {
+	r := RadarRunner{}
+	r.input(0).release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.input(i).release()
 	}
 }
 

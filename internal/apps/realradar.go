@@ -199,20 +199,21 @@ func (r RadarRunner) runTask(ctx *fxrt.StageCtx, task int, rd *RadarData,
 func (r RadarRunner) chirpFreq() ([]complex128, error) {
 	_, gates := r.dims()
 	chirp := make([]complex128, gates)
-	for j := 0; j < 16 && j < gates; j++ {
-		chirp[j] = radarChirpTap(j)
-	}
+	copy(chirp, radarChirp[:])
 	if err := kernels.FFT(chirp); err != nil {
 		return nil, err
 	}
 	return chirp, nil
 }
 
-// radarChirpTap is the j-th time-domain tap of the synthetic chirp.
-func radarChirpTap(j int) complex128 {
-	phase := 0.08 * float64(j*j)
-	return complex(math.Cos(phase), math.Sin(phase))
-}
+// radarChirp holds the time-domain taps of the synthetic chirp.
+var radarChirp = func() (taps [16]complex128) {
+	for j := range taps {
+		phase := 0.08 * float64(j*j)
+		taps[j] = complex(math.Cos(phase), math.Sin(phase))
+	}
+	return taps
+}()
 
 // Run executes the mapping on the runtime, returning the measured
 // statistics and the accumulated track hit counts keyed by
@@ -253,24 +254,48 @@ func (r RadarRunner) input(i int) *RadarData {
 }
 
 // inputAt synthesizes a cube with the target at (gate tg, doppler td).
+// Cell idx (row-major) holds the clutter 0.02*sin(idx+i), computed as
+// 0.02*(sin(idx)cos(i) + cos(idx)sin(i)) from a cached table of
+// sin(idx), cos(idx): within 2e-17 of 0.02*math.Sin(float64(idx+i))
+// whenever idx+i is exact in a float64. For |i| >= 2^53, where float64(i)
+// rounds, the rotation by the rounded seed defines the clutter, and
+// neighbouring cells stay distinct.
 func (r RadarRunner) inputAt(i, tg, td int) *RadarData {
 	pulses, gates := r.dims()
-	chirp := make([]complex128, 16)
-	for j := range chirp {
-		chirp[j] = radarChirpTap(j)
-	}
 	cube := getMatrix(pulses, gates)
-	for idx := range cube.Data {
-		cube.Data[idx] = complex(0.02*math.Sin(float64(idx+i)), 0)
+	tab := clutterTable(len(cube.Data))
+	sin, cos := math.Sincos(float64(i))
+	data := cube.Data[:len(tab)]
+	for idx, t := range tab {
+		data[idx] = complex(0.02*(t.sin*cos+t.cos*sin), 0)
 	}
 	for pu := 0; pu < pulses; pu++ {
 		ph := 2 * math.Pi * float64(td) * float64(pu) / float64(pulses)
 		rot := complex(math.Cos(ph), math.Sin(ph))
-		for j := 0; j < len(chirp) && tg+j < gates; j++ {
-			cube.Set(pu, tg+j, cube.At(pu, tg+j)+chirp[j]*rot*complex(2, 0))
+		for j := 0; j < len(radarChirp) && tg+j < gates; j++ {
+			cube.Set(pu, tg+j, cube.At(pu, tg+j)+radarChirp[j]*rot*complex(2, 0))
 		}
 	}
 	return &RadarData{Cube: cube}
+}
+
+// clutterTables caches sin(idx), cos(idx) per cube size.
+var clutterTables sync.Map // int -> []sincos
+
+type sincos struct{ sin, cos float64 }
+
+// clutterTable returns sin(idx), cos(idx) for idx in [0, n), computing
+// them once per n on first use. Callers must not modify it.
+func clutterTable(n int) []sincos {
+	if t, ok := clutterTables.Load(n); ok {
+		return t.([]sincos)
+	}
+	tab := make([]sincos, n)
+	for idx := range tab {
+		tab[idx].sin, tab[idx].cos = math.Sincos(float64(idx))
+	}
+	t, _ := clutterTables.LoadOrStore(n, tab)
+	return t.([]sincos)
 }
 
 var _ estimate.Profiler = RadarRunner{}

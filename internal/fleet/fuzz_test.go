@@ -1,11 +1,18 @@
 package fleet
 
 import (
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pipemap/internal/adapt"
+	"pipemap/internal/machine"
 	"pipemap/internal/model"
 )
 
@@ -97,6 +104,70 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 			}
 			if len(got.Mapping.Modules) > 0 {
 				got.Mapping.Modules[0].Procs = -1 // must not poison the frontier
+			}
+		}
+	})
+}
+
+// FuzzFailHandler drives POST /fleet/fail — the handler that takes
+// processors away from a live fleet — with arbitrary methods, raw queries
+// and bodies, twice per input, against a fresh 8-processor fleet holding
+// two tenants. The handler must never panic, must answer 200, 400, 405 or
+// 409, and must leave the fleet accounted (admitted == placed + departed +
+// evicted) with every placement inside the surviving pool.
+func FuzzFailHandler(f *testing.F) {
+	for _, in := range [][3]string{
+		{"POST", "", ""}, {"POST", "n=1", ""}, {"POST", "n=3", "{}"}, {"POST", "n=7", ""},
+		{"POST", "n=8", ""}, {"POST", "n=0", ""}, {"POST", "n=-2", ""}, {"POST", "n=abc", ""},
+		{"POST", "n=9223372036854775807", ""}, {"POST", "n=99999999999999999999", ""},
+		{"POST", "n=2&n=5", "n=4"}, {"POST", "n=%zz;x", "garbage"}, {"GET", "n=1", ""},
+		{"", "", ""}, {"post", "n=1", ""}, {"DELETE", "n=1", "{}"},
+	} {
+		f.Add(in[0], in[1], in[2])
+	}
+	f.Fuzz(func(t *testing.T, method, query, body string) {
+		fl, err := New(Config{Pool: model.Platform{Procs: 8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tenant := range []string{"a", "b"} {
+			if _, err := fl.Admit(Spec{Tenant: tenant, Chain: fixedChain()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rebalances := 0
+		h := FailHandler(fl, func() { rebalances++ })
+		for call := 1; call <= 2; call++ {
+			req := &http.Request{
+				Method: method,
+				URL:    &url.URL{Path: "/fleet/fail", RawQuery: query},
+				Header: http.Header{},
+				Body:   io.NopCloser(strings.NewReader(body)),
+			}
+			rec := httptest.NewRecorder()
+			before := rebalances
+			h.ServeHTTP(rec, req)
+			switch rec.Code {
+			case http.StatusOK:
+				if rebalances != before+1 {
+					t.Fatalf("call %d: 200 after %d rebalance callbacks, want 1", call, rebalances-before)
+				}
+				var st State
+				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+					t.Fatalf("call %d: 200 body is not the fleet state: %v", call, err)
+				}
+			case http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusConflict:
+				if rebalances != before {
+					t.Fatalf("call %d: status %d ran the rebalance callback", call, rec.Code)
+				}
+			default:
+				t.Fatalf("call %d: %s %q answered %d, want 200, 400, 405 or 409", call, method, query, rec.Code)
+			}
+			if err := checkAccounting(fl.Stats()); err != nil {
+				t.Fatalf("call %d: %v", call, err)
+			}
+			if err := checkPlacements(fl, machine.Grid{}); err != nil {
+				t.Fatalf("call %d: %v", call, err)
 			}
 		}
 	})

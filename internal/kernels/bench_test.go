@@ -110,10 +110,14 @@ func BenchmarkDopplerFFT(b *testing.B) {
 }
 
 func BenchmarkCFAR(b *testing.B) {
-	cube := randCube(16, 512, 8)
-	PowerRows(cube, 0, 16)
-	for i := 0; i < b.N; i++ {
-		CFAR(cube, 2, 8, 12, 0, 16)
+	for _, gates := range []int{256, 512} {
+		b.Run(fmt.Sprintf("16x%d", gates), func(b *testing.B) {
+			cube := randCube(16, gates, 8)
+			PowerRows(cube, 0, 16)
+			for i := 0; i < b.N; i++ {
+				CFAR(cube, 2, 8, 12, 0, 16)
+			}
+		})
 	}
 }
 
