@@ -139,7 +139,8 @@ func BenchmarkPathology(b *testing.B) {
 	b.ReportMetric(gap, "dp/greedy")
 }
 
-// --- Algorithm scaling benches: DP O(P^4 k) / O(P^4 k^2) vs greedy O(Pk) ---
+// --- Algorithm scaling benches: the DP on singleton spans (assignment) and on
+// every span (full mapping) vs greedy O(Pk) ---
 
 func scalingChain(k int) *model.Chain {
 	rng := rand.New(rand.NewSource(int64(k)))
@@ -155,7 +156,7 @@ func BenchmarkDPAssignScaling(b *testing.B) {
 			c := scalingChain(4)
 			pl := model.Platform{Procs: P, MemPerProc: 1000}
 			for i := 0; i < b.N; i++ {
-				if _, err := dp.AssignReplicated(c, pl); err != nil {
+				if _, err := dp.MapChain(c, pl, dp.Options{DisableClustering: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

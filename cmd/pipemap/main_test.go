@@ -116,6 +116,9 @@ func TestRunErrors(t *testing.T) {
 		{"-grid", "nonsense"},  // bad grid
 		{"-grid", "0x4"},       // invalid grid
 		{"/no/such/file.json"}, // missing file
+		// Latency objectives cannot honour machine constraints.
+		{"-objective", "latency", "-grid", "2x2"},
+		{"-latency-bound", "100", "-grid", "8x8"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

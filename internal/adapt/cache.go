@@ -293,7 +293,7 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 		path string
 		err  error
 	)
-	if algo == core.DP && !opt.DisableClustering {
+	if algo == core.DP {
 		res, path, err = sc.solveDP(chain, pl, opt, hashes)
 	} else {
 		res, _, err = Resolve(chain, pl, ResolveOptions{
@@ -304,9 +304,6 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 			Metrics:            opt.Metrics,
 		})
 		path = PathGreedy
-		if algo == core.DP {
-			path = PathFullDP
-		}
 		sc.fullSolves++
 	}
 	if err != nil {
@@ -375,11 +372,11 @@ func (sc *SolveCache) execHashes(chain *model.Chain, P int) []uint64 {
 }
 
 // HasFrontier reports whether ResolveBudget serves (chain, pl, opt):
-// clustering is on and budget routing picks DP at pl.Procs. The routing
-// estimate grows with the processor count, so every smaller budget routes
-// to DP too and one table serves them all.
+// budget routing picks DP at pl.Procs. The routing estimate grows with the
+// processor count, so every smaller budget routes to DP too and one table
+// serves them all.
 func HasFrontier(chain *model.Chain, pl model.Platform, opt ResolveOptions) bool {
-	return !opt.DisableClustering && pickAlgorithm(chain, pl, opt) == core.DP
+	return pickAlgorithm(chain, pl, opt) == core.DP
 }
 
 // ResolveBudget returns the result a fresh Resolve of chain on budget
@@ -469,6 +466,7 @@ func (sc *SolveCache) solveFrontier(chain *model.Chain, pl model.Platform, opt R
 func (sc *SolveCache) solveDP(chain *model.Chain, pl model.Platform, opt ResolveOptions, hashes []uint64) (core.Result, string, error) {
 	dpOpt := dp.Options{
 		DisableReplication: opt.DisableReplication,
+		DisableClustering:  opt.DisableClustering,
 		Trace:              opt.Trace,
 		Metrics:            opt.Metrics,
 	}

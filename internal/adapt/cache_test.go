@@ -398,17 +398,44 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 		}
 	}
 
-	// Out-of-range budgets and instances without a frontier are refused.
+	// Out-of-range budgets and instances routed to greedy are refused.
 	for _, b := range []int{0, pl.Procs + 1} {
 		if _, _, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b); err == nil {
 			t.Errorf("budget %d accepted", b)
 		}
 	}
 	greedy := ResolveOptions{Budget: time.Nanosecond}
-	if HasFrontier(chain, pl, greedy) || HasFrontier(chain, pl, ResolveOptions{DisableClustering: true}) {
-		t.Error("HasFrontier true for an instance routed to greedy or without clustering")
+	if HasFrontier(chain, pl, greedy) {
+		t.Error("HasFrontier true for an instance routed to greedy")
 	}
 	if _, _, err := sc.ResolveBudget(chain, pl, greedy, CanonicalStructSig(chain, pl, greedy), CanonicalSpecKey(chain, pl, greedy), 3); err == nil {
 		t.Error("ResolveBudget served an instance routed to greedy")
+	}
+
+	// With clustering off the retained solver keeps one module per task,
+	// and its frontier serves every budget like any other DP instance.
+	noClust := ResolveOptions{Budget: time.Second, DisableClustering: true}
+	if !HasFrontier(chain, pl, noClust) {
+		t.Fatal("HasFrontier false for a DP-routed instance without clustering")
+	}
+	sc = NewSolveCache()
+	sig, key = CanonicalStructSig(chain, pl, noClust), CanonicalSpecKey(chain, pl, noClust)
+	for b := 1; b <= pl.Procs; b++ {
+		got, _, err := sc.ResolveBudget(chain, pl, noClust, sig, key, b)
+		fresh, _, freshErr := Resolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, noClust)
+		if (err != nil) != (freshErr != nil) {
+			t.Fatalf("clustering off, budget %d: error %v, fresh error %v", b, err, freshErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(got.Mapping.Modules, fresh.Mapping.Modules) ||
+			got.Throughput != fresh.Throughput || got.Latency != fresh.Latency ||
+			len(got.Mapping.Modules) != chain.Len() {
+			t.Fatalf("clustering off, budget %d: frontier %v, fresh %v", b, &got.Mapping, &fresh.Mapping)
+		}
+	}
+	if st := sc.Stats(); st.FullSolves != 1 {
+		t.Errorf("clustering off: %d full solves, want 1", st.FullSolves)
 	}
 }

@@ -147,6 +147,16 @@ func Map(req Request) (Result, error) {
 			req.Metrics.Observe("core.map_seconds", time.Since(start).Seconds())
 		}()
 	}
+	if req.Objective == MinLatency || req.Objective == ThroughputUnderLatency {
+		// The latency solvers search every clustering on the abstract
+		// platform; refuse what they would silently drop.
+		switch {
+		case req.Machine != nil:
+			return Result{}, fmt.Errorf("core: latency objectives do not support Machine constraints")
+		case req.DisableClustering:
+			return Result{}, fmt.Errorf("core: latency objectives do not support DisableClustering")
+		}
+	}
 	switch req.Objective {
 	case MinLatency:
 		m, err := dp.MinLatency(req.Chain, req.Platform)

@@ -218,6 +218,38 @@ func TestMapObjectives(t *testing.T) {
 	}
 }
 
+// TestMapLatencyObjectivesRefuseDroppedFields pins that a latency objective
+// combined with machine constraints or disabled clustering fails with an
+// error naming the combination: the latency solvers would otherwise map
+// onto the abstract platform with every clustering and drop the field.
+func TestMapLatencyObjectivesRefuseDroppedFields(t *testing.T) {
+	c, err := apps.FFTHist(256, apps.Message)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := &machine.Constraints{Grid: machine.Grid{Rows: 2, Cols: 2}}
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want string
+	}{
+		{"min latency on a grid", Request{Objective: MinLatency, Machine: grid}, "Machine"},
+		{"min latency without clustering", Request{Objective: MinLatency, DisableClustering: true}, "DisableClustering"},
+		{"bounded latency on a grid", Request{Objective: ThroughputUnderLatency, LatencyBound: 1, Machine: grid}, "Machine"},
+		{"bounded latency without clustering", Request{Objective: ThroughputUnderLatency, LatencyBound: 1, DisableClustering: true}, "DisableClustering"},
+	} {
+		tc.req.Chain, tc.req.Platform = c, apps.Platform()
+		res, err := Map(tc.req)
+		if err == nil {
+			t.Errorf("%s: accepted, mapped %v", tc.name, &res.Mapping)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "latency") || !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q does not name the latency objective and %s", tc.name, msg, tc.want)
+		}
+	}
+}
+
 func TestRemapDegradedPlatform(t *testing.T) {
 	c, err := apps.FFTHist(256, apps.Message)
 	if err != nil {

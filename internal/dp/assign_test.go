@@ -8,6 +8,14 @@ import (
 	"pipemap/internal/testutil"
 )
 
+// assignOpt and replicatedOpt restrict MapChain to one task per module:
+// the processor assignment of section 3.1 (no replication) and its
+// maximal-replication extension of section 3.2.
+var (
+	assignOpt     = Options{DisableClustering: true, DisableReplication: true}
+	replicatedOpt = Options{DisableClustering: true}
+)
+
 // balancedChain has two identical tasks and no communication: the optimal
 // exclusive assignment splits the processors evenly.
 func balancedChain() *model.Chain {
@@ -24,7 +32,7 @@ func balancedChain() *model.Chain {
 
 func TestAssignBalances(t *testing.T) {
 	c := balancedChain()
-	m, err := Assign(c, model.Platform{Procs: 8})
+	m, err := MapChain(c, model.Platform{Procs: 8}, assignOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +56,7 @@ func TestAssignUnevenLoad(t *testing.T) {
 		ECom: []model.CommFunc{model.ZeroComm()},
 	}
 	pl := model.Platform{Procs: 8}
-	m, err := Assign(c, pl)
+	m, err := MapChain(c, pl, assignOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +65,7 @@ func TestAssignUnevenLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !testutil.AlmostEqual(m.Throughput(), ref.Throughput(), 1e-9) {
-		t.Errorf("Assign throughput %g != brute force %g", m.Throughput(), ref.Throughput())
+		t.Errorf("assignment throughput %g != brute force %g", m.Throughput(), ref.Throughput())
 	}
 	if m.Modules[1].Procs <= m.Modules[0].Procs {
 		t.Errorf("heavier task got %d procs vs %d", m.Modules[1].Procs, m.Modules[0].Procs)
@@ -80,7 +88,7 @@ func TestAssignRespectsCommunication(t *testing.T) {
 		},
 	}
 	pl := model.Platform{Procs: 10}
-	m, err := Assign(c, pl)
+	m, err := MapChain(c, pl, assignOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +97,7 @@ func TestAssignRespectsCommunication(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !testutil.AlmostEqual(m.Throughput(), ref.Throughput(), 1e-9) {
-		t.Errorf("Assign throughput %g != brute force %g\n dp: %v\n bf: %v",
+		t.Errorf("assignment throughput %g != brute force %g\n dp: %v\n bf: %v",
 			m.Throughput(), ref.Throughput(), &m, &ref)
 	}
 	// Heavy overhead means the best mapping should not use all processors.
@@ -106,7 +114,7 @@ func TestAssignAllowsUnusedProcessors(t *testing.T) {
 			{Name: "a", Exec: model.PolyExec{C2: 4, C3: 0.3}},
 		},
 	}
-	m, err := Assign(c, model.Platform{Procs: 16})
+	m, err := MapChain(c, model.Platform{Procs: 16}, assignOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +141,7 @@ func TestAssignReplicatedPrefersReplication(t *testing.T) {
 		},
 	}
 	pl := model.Platform{Procs: 4}
-	m, err := AssignReplicated(c, pl)
+	m, err := MapChain(c, pl, replicatedOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +162,7 @@ func TestAssignReplicatedHonorsMemoryMinimum(t *testing.T) {
 		},
 	}
 	pl := model.Platform{Procs: 8, MemPerProc: 1000}
-	m, err := AssignReplicated(c, pl)
+	m, err := MapChain(c, pl, replicatedOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +174,7 @@ func TestAssignReplicatedHonorsMemoryMinimum(t *testing.T) {
 
 func TestAssignErrors(t *testing.T) {
 	c := balancedChain()
-	if _, err := Assign(c, model.Platform{Procs: 0}); err == nil {
+	if _, err := MapChain(c, model.Platform{Procs: 0}, assignOpt); err == nil {
 		t.Error("zero processors accepted")
 	}
 	c2 := &model.Chain{
@@ -178,7 +186,7 @@ func TestAssignErrors(t *testing.T) {
 		ECom: []model.CommFunc{model.ZeroComm()},
 	}
 	// Each task needs 5 processors; only 8 available.
-	if _, err := Assign(c2, model.Platform{Procs: 8, MemPerProc: 1000}); err == nil {
+	if _, err := MapChain(c2, model.Platform{Procs: 8, MemPerProc: 1000}, assignOpt); err == nil {
 		t.Error("infeasible chain accepted")
 	}
 	c3 := &model.Chain{
@@ -186,11 +194,11 @@ func TestAssignErrors(t *testing.T) {
 			{Name: "a", Exec: model.PolyExec{C2: 1}, Mem: model.Memory{Fixed: 2000}},
 		},
 	}
-	if _, err := Assign(c3, model.Platform{Procs: 8, MemPerProc: 1000}); err == nil {
+	if _, err := MapChain(c3, model.Platform{Procs: 8, MemPerProc: 1000}, assignOpt); err == nil {
 		t.Error("memory-unfittable task accepted")
 	}
 	bad := &model.Chain{}
-	if _, err := Assign(bad, model.Platform{Procs: 8}); err == nil {
+	if _, err := MapChain(bad, model.Platform{Procs: 8}, assignOpt); err == nil {
 		t.Error("invalid chain accepted")
 	}
 }
@@ -201,13 +209,7 @@ func TestAssignMatchesBruteForceRandom(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		c, pl := testutil.RandChain(rng, cfg, 6+rng.Intn(6))
 		opt := Options{DisableClustering: true, DisableReplication: trial%2 == 0}
-		var m model.Mapping
-		var err error
-		if opt.DisableReplication {
-			m, err = Assign(c, pl)
-		} else {
-			m, err = AssignReplicated(c, pl)
-		}
+		m, err := MapChain(c, pl, opt)
 		ref, refErr := BruteForce(c, pl, opt)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("trial %d: dp err=%v, brute err=%v", trial, err, refErr)
@@ -233,7 +235,7 @@ func TestAssignMonotoneInProcessors(t *testing.T) {
 	prev := -1.0
 	for P := 4; P <= 20; P++ {
 		pl.Procs = P
-		m, err := AssignReplicated(c, pl)
+		m, err := MapChain(c, pl, replicatedOpt)
 		if err != nil {
 			continue
 		}
@@ -251,7 +253,7 @@ func TestAssignSingleTask(t *testing.T) {
 	c := &model.Chain{
 		Tasks: []model.Task{{Name: "only", Exec: model.PolyExec{C2: 6}, Replicable: true}},
 	}
-	m, err := Assign(c, model.Platform{Procs: 3})
+	m, err := MapChain(c, model.Platform{Procs: 3}, assignOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +268,7 @@ func TestRandomAssignmentsNeverBeatDP(t *testing.T) {
 	cfg := testutil.DefaultRandChainConfig()
 	for trial := 0; trial < 15; trial++ {
 		c, pl := testutil.RandChain(rng, cfg, 6+rng.Intn(4))
-		opt, err := AssignReplicated(c, pl)
+		opt, err := MapChain(c, pl, replicatedOpt)
 		if err != nil {
 			continue
 		}

@@ -20,103 +20,24 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// spanTables extends taskTables with per-module-span data: for every
-// contiguous task range [a, b) the composed execution cost, minimum
-// processors, and replication split at each raw processor count.
-type spanTables struct {
-	k, P int
-	// min[a][b], replicable[a][b] describe module [a, b).
-	min        [][]int
-	replicable [][]bool
-	// eff[a][b][p], rep[a][b][p], execEff[a][b][p] are the effective
-	// processor count, replication degree and execution time of module
-	// [a, b) holding p raw processors (eff == 0 if infeasible).
-	eff     [][][]int
-	rep     [][][]int
-	execEff [][][]float64
-	// ecomV[e][ps*(P+1)+pr] is the raw external transfer table of edge e at
-	// *effective* endpoint counts ps, pr (not raw counts: module spans
-	// differ, so effective counts are resolved by the caller).
-	ecomV [][]float64
-}
-
-func newSpanTables(c *model.Chain, pl model.Platform, opt Options) (*spanTables, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	k, P := c.Len(), pl.Procs
-	s := &spanTables{
-		k: k, P: P,
-		min:        make([][]int, k),
-		replicable: make([][]bool, k),
-		eff:        make([][][]int, k),
-		rep:        make([][][]int, k),
-		execEff:    make([][][]float64, k),
-		ecomV:      make([][]float64, k-1),
-	}
-	for a := 0; a < k; a++ {
-		s.min[a] = make([]int, k+1)
-		s.replicable[a] = make([]bool, k+1)
-		s.eff[a] = make([][]int, k+1)
-		s.rep[a] = make([][]int, k+1)
-		s.execEff[a] = make([][]float64, k+1)
-		for b := a + 1; b <= k; b++ {
-			min := c.ModuleMinProcs(a, b, pl.MemPerProc)
-			if min < 0 || min > P {
-				// The span cannot be a module on this platform; mark it
-				// infeasible rather than failing: other clusterings may
-				// avoid it. A fully infeasible chain surfaces in the DP.
-				s.min[a][b] = P + 1
-				continue
-			}
-			s.min[a][b] = min
-			s.replicable[a][b] = c.ModuleReplicable(a, b) && !opt.DisableReplication
-			exec := c.ModuleExec(a, b)
-			eff := make([]int, P+1)
-			rep := make([]int, P+1)
-			ex := make([]float64, P+1)
-			for p := 0; p <= P; p++ {
-				r := model.SplitReplicas(p, min, s.replicable[a][b])
-				if r.Replicas == 0 {
-					ex[p] = inf
-					continue
-				}
-				eff[p] = r.ProcsPerInstance
-				rep[p] = r.Replicas
-				ex[p] = exec.Eval(r.ProcsPerInstance)
-			}
-			s.eff[a][b] = eff
-			s.rep[a][b] = rep
-			s.execEff[a][b] = ex
-		}
-	}
-	for e := 0; e < k-1; e++ {
-		tab := make([]float64, (P+1)*(P+1))
-		for ps := 1; ps <= P; ps++ {
-			for pr := 1; pr <= P; pr++ {
-				tab[ps*(P+1)+pr] = c.ECom[e].Eval(ps, pr)
-			}
-		}
-		s.ecomV[e] = tab
-	}
-	return s, nil
-}
-
 // MapChain computes the optimal mapping of the chain — clustering tasks
 // into modules, replicating modules, and assigning processors — per
-// section 3.3 of the paper. Time is O(P^4 k^3) and memory O(P^3 k^2) in
-// this implementation (the paper reports O(P^4 k^2); the extra factor of k
-// comes from carrying the span of the open module explicitly, which keeps
-// the recurrence direct). Practical for k <= 8 on P <= 64; use the greedy
-// heuristic beyond that.
+// section 3.3 of the paper, on a fresh Solver. Options.DisableClustering
+// restricts the modules to single tasks, which is the processor
+// assignment of sections 3.1 (with DisableReplication) and 3.2. Time is
+// O(P^4 k^3) and memory O(P^3 k^2) in the worst case (the paper reports
+// O(P^4 k^2); the extra factor of k comes from carrying the span of the
+// open module explicitly, which keeps the recurrence direct). Practical
+// for k <= 8 on P <= 64; use the greedy heuristic beyond that.
 func MapChain(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, error) {
-	if opt.DisableClustering {
-		return assignEngine(c, pl, !opt.DisableReplication, opt)
-	}
-	s, err := NewSolver(c, pl, opt)
+	return solveOnce(c, pl, opt, nil)
+}
+
+// solveOnce solves a fresh solver restricted to spans (nil: newSolver's
+// default) and detaches the mapping from the solver's scratch, so the
+// solver and its arenas can be collected.
+func solveOnce(c *model.Chain, pl model.Platform, opt Options, spans []model.Span) (model.Mapping, error) {
+	s, err := newSolver(c, pl, opt, spans)
 	if err != nil {
 		return model.Mapping{}, err
 	}
@@ -124,15 +45,13 @@ func MapChain(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, er
 	if err != nil {
 		return model.Mapping{}, err
 	}
-	// The solve result aliases solver-owned scratch; detach it so the
-	// solver (and its arenas) can be collected.
 	m.Modules = append([]model.Module(nil), m.Modules...)
 	return m, nil
 }
 
 // MapExhaustive enumerates all 2^(k-1) clusterings of the chain and solves
-// each with the assignment DP over modules, returning the best mapping. It
-// is exponential in k and exists to cross-validate MapChain.
+// each with AssignClustered, returning the best mapping. It is
+// exponential in k and exists to cross-validate MapChain.
 func MapExhaustive(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, error) {
 	var best model.Mapping
 	bestThr := -1.0
@@ -154,25 +73,11 @@ func MapExhaustive(c *model.Chain, pl model.Platform, opt Options) (model.Mappin
 }
 
 // AssignClustered solves optimal processor assignment (with replication
-// unless disabled) for a fixed clustering, by collapsing each module into a
-// synthetic task and running the assignment DP on the module chain.
+// unless disabled) for a fixed clustering: the Solver with its modules
+// restricted to the clustering's spans.
 func AssignClustered(c *model.Chain, pl model.Platform, spans []model.Span, opt Options) (model.Mapping, error) {
 	if !model.ValidClustering(spans, c.Len()) {
 		return model.Mapping{}, fmt.Errorf("dp: invalid clustering %v for %d tasks", spans, c.Len())
 	}
-	mc := model.CollapseClustering(c, spans)
-	m, err := assignEngine(mc, pl, !opt.DisableReplication, opt)
-	if err != nil {
-		return model.Mapping{}, err
-	}
-	// Translate module-chain task indices back to original task spans.
-	mods := make([]model.Module, len(m.Modules))
-	for i, mod := range m.Modules {
-		mods[i] = model.Module{
-			Lo: spans[i].Lo, Hi: spans[i].Hi,
-			Procs:    mod.Procs,
-			Replicas: mod.Replicas,
-		}
-	}
-	return model.Mapping{Chain: c, Modules: mods}, nil
+	return solveOnce(c, pl, opt, spans)
 }

@@ -122,12 +122,7 @@ func TestMapChainThroughputAtLeastAssignment(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			var plain model.Mapping
-			if disableRep {
-				plain, err = Assign(c, pl)
-			} else {
-				plain, err = AssignReplicated(c, pl)
-			}
+			plain, err := MapChain(c, pl, Options{DisableClustering: true, DisableReplication: disableRep})
 			if err != nil {
 				continue
 			}

@@ -1,30 +1,36 @@
 // Package dp implements the optimal dynamic programming mapping algorithms
 // from section 3 of Subhlok & Vondran (PPoPP 1995).
 //
-// Three levels are provided, mirroring the paper's presentation:
+// The paper builds its algorithm in three steps: processor assignment for
+// a fixed clustering (section 3.1), maximal replication under memory
+// constraints (section 3.2), and clustering (section 3.3). Here the three
+// are one engine, the incremental Solver, run on three sets of module
+// spans:
 //
-//   - Assign solves optimal processor assignment for a fixed clustering
-//     with no replication (section 3.1), in O(P^4 k) time.
-//   - AssignReplicated adds maximal replication under memory constraints
-//     (section 3.2) by substituting effective processor counts and
-//     effective response times; same complexity.
-//   - MapChain solves the full mapping problem — clustering, replication
-//     and assignment together (section 3.3).
+//   - MapChain allows every contiguous task span, so it clusters,
+//     replicates and assigns together.
+//   - MapChain with Options.DisableClustering allows the singleton spans
+//     only: the processor assignment of section 3.1 with replication
+//     disabled, or of section 3.2 with it on.
+//   - AssignClustered allows the spans of one given clustering.
 //
-// MapExhaustive cross-checks MapChain by enumerating all 2^(k-1)
-// clusterings and solving each with the assignment DP; the two must agree
-// on the optimal throughput.
+// Replication is maximal unless Options.DisableReplication is set: a
+// replicable module holding p processors runs floor(p/min) instances of
+// floor(p/r) processors each. All three tabulate the chain once per span,
+// in the tables MinLatency and AssignNoComm read too. A span outside the
+// allowed set is marked like a span that does not fit the platform, so
+// the Solver's recurrence, dominance pruning, incremental Resolve and
+// per-budget Frontier are the same for every span set.
 //
-// The DP value function follows Lemma 1: V_j(p_total, p_last, p_next) is
-// the minimal bottleneck response time over tasks t_1..t_j when the
-// subchain holds p_total processors, t_j holds p_last and t_{j+1} holds
-// p_next. Since p_next is part of the state, the response time of t_j is
-// computable and the recurrence minimizes over the processor count q of
-// t_{j-1}:
+// The Solver's state is (b, l, pt, pcur, peffPrev): tasks [0, b) covered,
+// the open module [b-l, b) holding pcur raw processors, pt processors used
+// in total, and the previous module's per-instance count peffPrev. Its
+// value is the minimal bottleneck response time over the closed modules;
+// since peffPrev and the next module's count fix the open module's
+// response, a transition closes it (Lemma 1 of the paper). See Solver for
+// the layer layout, invalidation rule and pruning argument.
 //
-//	V_j(pt, pl, pn) = min over q of max( V_{j-1}(pt-pl, q, pl), resp_j(q, pl, pn) )
-//
-// Layers are parallelized across goroutines over the p_total dimension;
-// all cost functions are pre-tabulated so the inner loop is flat float
-// arithmetic.
+// BruteForce and MapExhaustive are test oracles: BruteForce enumerates
+// every clustering, processor vector and replication, and MapExhaustive
+// runs AssignClustered on every clustering.
 package dp

@@ -44,10 +44,18 @@ func checkFrontier(t *testing.T, seed int64, what string, fr []model.Mapping, c 
 // the frontier of the re-solved tables too.
 func checkFrontierMatchesFresh(t *testing.T, seed int64) {
 	t.Helper()
+	checkFrontierWith(t, seed, Options{})
+}
+
+// checkFrontierWith is checkFrontierMatchesFresh on a solver built with
+// base's DisableClustering; DisableReplication is drawn from the seed.
+func checkFrontierWith(t *testing.T, seed int64, base Options) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	procs := 2 + rng.Intn(23) // 2..24
 	c, pl := testutil.RandChain(rng, diffConfig, procs)
-	opt := Options{DisableReplication: rng.Intn(4) == 0}
+	opt := base
+	opt.DisableReplication = rng.Intn(4) == 0
 
 	s, err := NewSolver(c, pl, opt)
 	if err != nil {
@@ -114,6 +122,19 @@ func TestFrontierMatchesFreshTable(t *testing.T) {
 	}
 	for seed := int64(0); seed < n; seed++ {
 		checkFrontierMatchesFresh(t, seed)
+	}
+}
+
+// TestFrontierMatchesFreshNoClustering checks the frontier of solvers
+// restricted to one module per task, fresh and after a Resolve, against a
+// fresh clustering-off MapChain at every budget.
+func TestFrontierMatchesFreshNoClustering(t *testing.T) {
+	n := int64(150)
+	if testing.Short() {
+		n = 20
+	}
+	for seed := int64(0); seed < n; seed++ {
+		checkFrontierWith(t, seed, Options{DisableClustering: true})
 	}
 }
 

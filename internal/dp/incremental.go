@@ -2,19 +2,27 @@ package dp
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"pipemap/internal/model"
 )
 
-// Solver is a reusable, incrementally-updatable engine for the full
-// mapping DP of MapChain (clustering + replication + assignment). It
-// exists because the adaptive controller re-solves the same instance on
-// every refit tick with only a few module cost estimates moved; a fresh
-// solve re-derives every layer table from scratch, while the Solver
-// snapshots per-layer DP tables and recomputes only the layers a cost
-// change can actually reach.
+// inf is the sentinel for infeasible states.
+var inf = math.Inf(1)
+
+// Solver is the package's one throughput DP: a reusable,
+// incrementally-updatable engine for the mapping DP of MapChain
+// (clustering + replication + assignment) over a set of allowed module
+// spans — every span, the singletons under Options.DisableClustering, or
+// one clustering for AssignClustered. It is incremental because the
+// adaptive controller re-solves the same instance on every refit tick
+// with only a few module cost estimates moved; a fresh solve re-derives
+// every layer table from scratch, while the Solver snapshots per-layer DP
+// tables and recomputes only the layers a cost change can actually reach.
 //
 // # State and invalidation
 //
@@ -78,26 +86,12 @@ import (
 // A Solver is NOT safe for concurrent use; callers serialize access (the
 // adapt memo cache holds one solver under its lock).
 type Solver struct {
+	tables
 	pl  model.Platform
 	opt Options
 	// chain is the most recently supplied cost view (NewSolver's chain
 	// until a Resolve supplies a newer one); returned mappings carry it.
 	chain *model.Chain
-
-	k, P, stride int
-
-	// Structural per-span tables, flattened at [a*(k+1)+b]; these depend
-	// on memory models, MinProcs and Replicable flags only and never
-	// change across Resolve calls.
-	minP []int // minimum procs of span [a,b); P+1 = infeasible span
-	// eff, rep, execEff are per raw processor count: index
-	// (a*(k+1)+b)*(P+1)+p.
-	eff     []int32
-	rep     []int32
-	execEff []float64 // the only table an exec-cost update touches
-	// ecomV[(e*(P+1)+ps)*(P+1)+pr] is edge e's external transfer cost at
-	// effective endpoint counts (ps, pr).
-	ecomV []float64
 
 	// Layer arena: k(k+1)/2 layers stored back to back, ordinal
 	// b(b-1)/2 + (l-1) for layer (b, l), 1 <= l <= b <= k; layer ord
@@ -142,52 +136,84 @@ func choiceUnpack(c uint64) (l, pcur, cls int) {
 	return int(c >> 42), int(c >> 21 & (1<<21 - 1)), int(c & (1<<21 - 1))
 }
 
-// NewSolver validates the instance and builds all tables and arenas. The
-// chain's execution costs are tabulated as given; later Resolve calls
-// retabulate only the spans whose tasks are reported changed.
-func NewSolver(c *model.Chain, pl model.Platform, opt Options) (*Solver, error) {
+// tables is the one cost tabulation every DP in this package reads: per
+// module span [a, b) of the chain, its minimum processors and, at every
+// raw processor count p, its replication split and execution time, plus
+// every edge's external transfer cost at effective endpoint counts. Span
+// [a, b) lives at index a*(k+1)+b; per-count entries at
+// (a*(k+1)+b)*(P+1)+p.
+//
+// A span that cannot be a module — it does not fit the platform, or it
+// lies outside the allowed span set — has minP = P+1 and no entries, so
+// the DPs reading the tables never place it.
+type tables struct {
+	k, P, stride int
+
+	minP []int
+	// eff and rep are an instance's processor count and the replication
+	// degree at p raw processors; eff is 0 where the span does not fit.
+	eff []int32
+	rep []int32
+	// execEff is the span's execution time at eff (+Inf where eff is 0):
+	// the only table an exec-cost update touches.
+	execEff []float64
+	// ecomV[(e*(P+1)+ps)*(P+1)+pr] is edge e's external transfer cost at
+	// effective endpoint counts (ps, pr).
+	ecomV []float64
+}
+
+// newTables validates the instance and tabulates the spans a module may
+// take: those of the clustering spans when it is non-nil, otherwise the
+// singletons under opt.DisableClustering and every span without it.
+// Replication is maximal unless opt.DisableReplication is set. Only a
+// restricted span set allocates a membership table.
+func newTables(c *model.Chain, pl model.Platform, opt Options, spans []model.Span) (tables, error) {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return tables{}, err
 	}
 	if err := pl.Validate(); err != nil {
-		return nil, err
+		return tables{}, err
 	}
 	k, P := c.Len(), pl.Procs
 	stride := P + 1
-	s := &Solver{
-		pl: pl, opt: opt, chain: c,
+	if spans == nil && opt.DisableClustering {
+		spans = model.Singletons(k)
+	}
+	var allowed []bool // nil: every span
+	if spans != nil {
+		allowed = make([]bool, k*(k+1))
+		for _, sp := range spans {
+			allowed[sp.Lo*(k+1)+sp.Hi] = true
+		}
+	}
+	t := tables{
 		k: k, P: P, stride: stride,
 		minP:    make([]int, k*(k+1)),
 		eff:     make([]int32, k*(k+1)*stride),
 		rep:     make([]int32, k*(k+1)*stride),
 		execEff: make([]float64, k*(k+1)*stride),
 		ecomV:   make([]float64, (k-1)*stride*stride),
-		changed: make([]bool, k),
-		tgts:    make([]int, 0, k),
-		mods:    make([]model.Module, 0, k),
 	}
-	fill(s.execEff, inf)
-
-	// Structural span tables (min procs, replication splits).
+	fill(t.execEff, inf)
 	for a := 0; a < k; a++ {
 		for b := a + 1; b <= k; b++ {
+			span := a*(k+1) + b
 			min := c.ModuleMinProcs(a, b, pl.MemPerProc)
-			if min < 0 || min > P {
-				// Infeasible as a module on this platform; other
-				// clusterings may avoid the span, so mark rather than fail.
-				s.minP[a*(k+1)+b] = P + 1
+			if min < 0 || min > P || (allowed != nil && !allowed[span]) {
+				// Not a module here; other clusterings may avoid the
+				// span, so mark rather than fail.
+				t.minP[span] = P + 1
 				continue
 			}
-			s.minP[a*(k+1)+b] = min
+			t.minP[span] = min
 			repl := c.ModuleReplicable(a, b) && !opt.DisableReplication
-			base := (a*(k+1) + b) * stride
 			for p := 0; p <= P; p++ {
 				r := model.SplitReplicas(p, min, repl)
 				if r.Replicas == 0 {
 					continue
 				}
-				s.eff[base+p] = int32(r.ProcsPerInstance)
-				s.rep[base+p] = int32(r.Replicas)
+				t.eff[span*stride+p] = int32(r.ProcsPerInstance)
+				t.rep[span*stride+p] = int32(r.Replicas)
 			}
 		}
 	}
@@ -195,12 +221,77 @@ func NewSolver(c *model.Chain, pl model.Platform, opt Options) (*Solver, error) 
 		base := e * stride * stride
 		for ps := 1; ps <= P; ps++ {
 			for pr := 1; pr <= P; pr++ {
-				s.ecomV[base+ps*stride+pr] = c.ECom[e].Eval(ps, pr)
+				t.ecomV[base+ps*stride+pr] = c.ECom[e].Eval(ps, pr)
 			}
 		}
 	}
+	t.tabulateExecAll(c)
+	return t, nil
+}
+
+// spanExec evaluates the composed execution cost of span [a, b) at
+// per-instance processor count pe without materializing a SumCost: the
+// member tasks' execution costs plus the internal redistributions, added
+// in model.Chain.ModuleExec's order so the sum is bit-identical.
+func spanExec(c *model.Chain, a, b, pe int) float64 {
+	t := 0.0
+	for i := a; i < b; i++ {
+		t += c.Tasks[i].Exec.Eval(pe)
+		if i+1 < b {
+			t += c.ICom[i].Eval(pe)
+		}
+	}
+	return t
+}
+
+// tabulateSpanExec refreshes execEff for one span from the chain's
+// current execution costs.
+func (t *tables) tabulateSpanExec(c *model.Chain, a, b int) {
+	base := (a*(t.k+1) + b) * t.stride
+	for p := 0; p <= t.P; p++ {
+		pe := int(t.eff[base+p])
+		if pe == 0 {
+			t.execEff[base+p] = inf
+			continue
+		}
+		t.execEff[base+p] = spanExec(c, a, b, pe)
+	}
+}
+
+func (t *tables) tabulateExecAll(c *model.Chain) {
+	for a := 0; a < t.k; a++ {
+		for b := a + 1; b <= t.k; b++ {
+			if t.minP[a*(t.k+1)+b] > t.P {
+				continue
+			}
+			t.tabulateSpanExec(c, a, b)
+		}
+	}
+}
+
+// NewSolver validates the instance and builds all tables and arenas. The
+// chain's execution costs are tabulated as given; later Resolve calls
+// retabulate only the spans whose tasks are reported changed. With
+// opt.DisableClustering every module is a single task.
+func NewSolver(c *model.Chain, pl model.Platform, opt Options) (*Solver, error) {
+	return newSolver(c, pl, opt, nil)
+}
+
+// newSolver builds a solver whose modules are restricted to the spans of
+// the clustering spans; nil spans leave NewSolver's span set.
+func newSolver(c *model.Chain, pl model.Platform, opt Options, spans []model.Span) (*Solver, error) {
+	t, err := newTables(c, pl, opt, spans)
+	if err != nil {
+		return nil, err
+	}
+	s := &Solver{
+		tables: t,
+		pl:     pl, opt: opt, chain: c,
+		changed: make([]bool, t.k),
+		tgts:    make([]int, 0, t.k),
+		mods:    make([]model.Module, 0, t.k),
+	}
 	s.classify()
-	s.tabulateExecAll(c)
 	s.seed()
 	return s, nil
 }
@@ -250,45 +341,6 @@ func (s *Solver) classify() {
 	s.live = make([][]int32, nLayers)
 	s.colMin = make([]float64, stride*maxE)
 	fill(s.val, inf)
-}
-
-// spanExec evaluates the composed execution cost of span [a, b) at
-// per-instance processor count pe without materializing a SumCost: the
-// member tasks' execution costs plus the internal redistributions.
-func spanExec(c *model.Chain, a, b, pe int) float64 {
-	t := 0.0
-	for i := a; i < b; i++ {
-		t += c.Tasks[i].Exec.Eval(pe)
-		if i+1 < b {
-			t += c.ICom[i].Eval(pe)
-		}
-	}
-	return t
-}
-
-// tabulateSpanExec refreshes execEff for one span from the chain's
-// current execution costs.
-func (s *Solver) tabulateSpanExec(c *model.Chain, a, b int) {
-	base := (a*(s.k+1) + b) * s.stride
-	for p := 0; p <= s.P; p++ {
-		pe := int(s.eff[base+p])
-		if pe == 0 {
-			s.execEff[base+p] = inf
-			continue
-		}
-		s.execEff[base+p] = spanExec(c, a, b, pe)
-	}
-}
-
-func (s *Solver) tabulateExecAll(c *model.Chain) {
-	for a := 0; a < s.k; a++ {
-		for b := a + 1; b <= s.k; b++ {
-			if s.minP[a*(s.k+1)+b] > s.P {
-				continue
-			}
-			s.tabulateSpanExec(c, a, b)
-		}
-	}
 }
 
 // ord is the arena ordinal of layer (b, l), 1 <= l <= b <= k.
@@ -455,7 +507,7 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 	for _, l2 := range s.tgts {
 		pruned += s.buildLive(b+l2, l2)
 	}
-	ins.layer("map_chain", b, layerT0, states, transitions, pruned)
+	ins.layer(b, layerT0, states, transitions, pruned)
 }
 
 // scan closes the chain: every layer (k, l) charges its open module's
@@ -560,7 +612,7 @@ func (s *Solver) run(m int, par bool, ins instrument) (model.Mapping, error) {
 	if ins.on {
 		ins.metrics.Add("dp.incremental.layers_cleared", int64(cleared))
 		ins.metrics.Add("dp.incremental.layers_reused", int64(s.k*(s.k+1)/2-cleared))
-		ins.done("map_chain", s.k, s.P, solveT0)
+		ins.done(s.k, s.P, solveT0)
 	}
 	s.solved = true
 	s.solves++
@@ -641,4 +693,41 @@ func (s *Solver) Resolve(chain *model.Chain, changed []int) (model.Mapping, erro
 		m = s.k - 1 // nothing changed: reuse every layer, re-scan only
 	}
 	return s.run(m, false, ins)
+}
+
+func fill(s []float64, v float64) {
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS goroutines.
+// The DP layers it is used on have independent iterations.
+func parallelFor(n int, f func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	next := make(chan int, n)
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -19,18 +19,18 @@ import (
 // are single-instance: replication can only increase latency (smaller
 // instances, same per-data-set path), so the latency optimum never
 // replicates. Internal redistributions inside a module are part of its
-// composed execution cost.
+// composed execution cost. The DP reads the span tables the Solver
+// builds, tabulated without replication.
 func MinLatency(c *model.Chain, pl model.Platform) (model.Mapping, error) {
-	s, err := newSpanTables(c, pl, Options{DisableReplication: true})
+	t, err := newTables(c, pl, Options{DisableReplication: true}, nil)
 	if err != nil {
 		return model.Mapping{}, err
 	}
-	k, P := s.k, s.P
+	k, P, stride := t.k, t.P, t.stride
 
 	// L[b][p][u] = minimal latency of tasks [0, b) when the module ending
 	// at b holds p processors and u processors are used in total.
 	// Flattened as (b*(P+1)+p)*(P+1)+u.
-	stride := P + 1
 	size := (k + 1) * stride * stride
 	idx := func(b, p, u int) int { return (b*stride+p)*stride + u }
 	L := make([]float64, size)
@@ -38,13 +38,15 @@ func MinLatency(c *model.Chain, pl model.Platform) (model.Mapping, error) {
 	type choiceRec struct{ a, pPrev, uPrev int }
 	choice := make([]choiceRec, size)
 
-	// Seed: first module [0, b) with p processors.
+	// Seed: first module [0, b) with p processors. Without replication a
+	// module's instance holds all p raw processors.
 	for b := 1; b <= k; b++ {
-		if s.min[0][b] > P {
+		min := t.minP[0*(k+1)+b]
+		if min > P {
 			continue
 		}
-		exec := s.execEff[0][b]
-		for p := s.min[0][b]; p <= P; p++ {
+		exec := t.execEff[(0*(k+1)+b)*stride:]
+		for p := min; p <= P; p++ {
 			v := exec[p]
 			i := idx(b, p, p)
 			if v < L[i] {
@@ -58,12 +60,12 @@ func MinLatency(c *model.Chain, pl model.Platform) (model.Mapping, error) {
 	// with p processors.
 	for b := 1; b < k; b++ {
 		for b2 := b + 1; b2 <= k; b2++ {
-			min2 := s.min[b][b2]
+			min2 := t.minP[b*(k+1)+b2]
 			if min2 > P {
 				continue
 			}
-			exec2 := s.execEff[b][b2]
-			edge := s.ecomV[b-1]
+			exec2 := t.execEff[(b*(k+1)+b2)*stride:]
+			edge := t.ecomV[(b-1)*stride*stride:]
 			for p := 1; p <= P; p++ {
 				for u := p; u <= P; u++ {
 					v := L[idx(b, p, u)]

@@ -14,23 +14,34 @@ import (
 // giving a processor to the slowest task. Communication costs in the
 // chain are ignored; the result is optimal for the comm-free relaxation
 // and a (possibly loose) mapping otherwise. Replication is applied
-// maximally, as in AssignReplicated.
+// maximally, as in MapChain; the costs are read from the span tables at
+// singleton spans.
 func AssignNoComm(c *model.Chain, pl model.Platform) (model.Mapping, error) {
-	t, err := newTaskTables(c, pl, true)
+	t, err := newTables(c, pl, Options{DisableClustering: true}, nil)
 	if err != nil {
 		return model.Mapping{}, err
 	}
 	k, P := t.k, t.P
-
+	// base[i] indexes task i's singleton span in the per-count tables.
+	base := make([]int, k)
 	raw := make([]int, k)
 	used := 0
 	for i := 0; i < k; i++ {
-		raw[i] = t.min[i]
+		span := i*(k+1) + i + 1
+		if t.minP[span] > P {
+			return model.Mapping{}, fmt.Errorf("dp: task %q does not fit on %d processors",
+				c.Tasks[i].Name, P)
+		}
+		base[i] = span * t.stride
+		raw[i] = t.minP[span]
 		used += raw[i]
+	}
+	if used > P {
+		return model.Mapping{}, fmt.Errorf("dp: chain needs at least %d processors, platform has %d", used, P)
 	}
 	// Effective response of task i at raw processors p (exec only).
 	resp := func(i, p int) float64 {
-		return t.execEff[i][p] / float64(t.rep[i][p])
+		return t.execEff[base[i]+p] / float64(t.rep[base[i]+p])
 	}
 
 	h := &respHeap{}
@@ -58,8 +69,8 @@ func AssignNoComm(c *model.Chain, pl model.Platform) (model.Mapping, error) {
 	for i := 0; i < k; i++ {
 		m.Modules[i] = model.Module{
 			Lo: i, Hi: i + 1,
-			Procs:    t.eff[i][best[i]],
-			Replicas: t.rep[i][best[i]],
+			Procs:    int(t.eff[base[i]+best[i]]),
+			Replicas: int(t.rep[base[i]+best[i]]),
 		}
 	}
 	return m, nil

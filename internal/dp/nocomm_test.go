@@ -39,7 +39,7 @@ func TestAssignNoCommMatchesDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := AssignReplicated(c, pl)
+		exact, err := MapChain(c, pl, replicatedOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestAssignNoCommNonMonotoneExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := Assign(c, pl)
+	exact, err := MapChain(c, pl, assignOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +89,18 @@ func TestAssignNoCommErrors(t *testing.T) {
 	}
 	if _, err := AssignNoComm(&model.Chain{}, model.Platform{Procs: 4}); err == nil {
 		t.Error("empty chain accepted")
+	}
+	// Task b needs 5 processors on its own: it cannot fit 4, and with a
+	// and c at one processor each the chain needs 7 of 6.
+	c.Tasks[1].MinProcs = 5
+	if _, err := AssignNoComm(c, model.Platform{Procs: 4}); err == nil {
+		t.Error("task that cannot fit accepted")
+	}
+	if _, err := AssignNoComm(c, model.Platform{Procs: 6}); err == nil {
+		t.Error("chain whose task minima exceed P accepted")
+	}
+	if _, err := AssignNoComm(c, model.Platform{Procs: 7}); err != nil {
+		t.Errorf("chain fitting its task minima exactly: %v", err)
 	}
 }
 

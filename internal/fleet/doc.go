@@ -16,9 +16,9 @@
 // allocation cap, and its family's adapt.SolveCache solves it there once:
 // that DP table holds the optimum at every smaller budget too, so every
 // re-placement reads the new allocation's mapping from the memoized
-// per-budget frontier, with no hashing and no solve. Specs without a
-// frontier (greedy-routed at the cap, or DisableClustering) solve per
-// allocation through the same caches.
+// per-budget frontier, with no hashing and no solve. That holds with
+// clustering off too. Specs routed to greedy at the cap have no frontier
+// and solve per allocation through the same caches.
 //
 // # Packing policy (normative)
 //

@@ -112,58 +112,73 @@ func TestChurnScriptSolvesOncePerCostState(t *testing.T) {
 	}
 }
 
-// TestSpecsWithoutFrontierSolvePerAllocation covers the specs the cap's
-// frontier cannot serve — greedy-routed at the cap, or with clustering
-// off — which keep a solve per allocation: after admissions and a
-// failure, every placement still equals a fresh adapt.Resolve at its
-// allocation.
-func TestSpecsWithoutFrontierSolvePerAllocation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		pool int
-		opt  adapt.ResolveOptions
-	}{
-		// Uncapped 7-task specs on 96 processors route to greedy at the
-		// cap but to DP at their smaller shared allocations.
-		{"greedy at the cap", 96, adapt.ResolveOptions{}},
-		{"clustering off", 32, adapt.ResolveOptions{DisableClustering: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f, err := New(Config{Pool: model.Platform{Procs: tc.pool}, Solve: tc.opt})
+// placeFourSpecs admits four 7-task specs, two per distinct chain, on a
+// pool under opt, then fails an eighth of the pool. After every step each
+// placement must equal a fresh adapt.Resolve at its allocation. frontier
+// is whether the specs are served by the frontier of their cap solve.
+func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier bool) *Fleet {
+	t.Helper()
+	f, err := New(Config{Pool: model.Platform{Procs: pool}, Solve: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capPl := model.Platform{Procs: pool}
+	chains := map[int64]*model.Chain{}
+	check := func(step string) {
+		t.Helper()
+		for _, p := range f.Placements() {
+			want, _, err := adapt.Resolve(chains[p.ID], model.Platform{Procs: p.Alloc}, opt)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: fresh solve of pipeline %d: %v", step, p.ID, err)
 			}
-			capPl := model.Platform{Procs: tc.pool}
-			chains := map[int64]*model.Chain{}
-			check := func(step string) {
-				t.Helper()
-				for _, p := range f.Placements() {
-					want, _, err := adapt.Resolve(chains[p.ID], model.Platform{Procs: p.Alloc}, tc.opt)
-					if err != nil {
-						t.Fatalf("%s: fresh solve of pipeline %d: %v", step, p.ID, err)
-					}
-					if !reflect.DeepEqual(p.Mapping.Modules, want.Mapping.Modules) || p.Throughput != want.Throughput {
-						t.Fatalf("%s: pipeline %d at %d processors placed %v, fresh solve %v",
-							step, p.ID, p.Alloc, &p.Mapping, &want.Mapping)
-					}
-				}
+			if !reflect.DeepEqual(p.Mapping.Modules, want.Mapping.Modules) || p.Throughput != want.Throughput {
+				t.Fatalf("%s: pipeline %d at %d processors placed %v, fresh solve %v",
+					step, p.ID, p.Alloc, &p.Mapping, &want.Mapping)
 			}
-			for i := 0; i < 4; i++ {
-				c := genChain(rand.New(rand.NewSource(int64(i%2))), 7)
-				if adapt.HasFrontier(c, capPl, tc.opt) {
-					t.Fatalf("spec %d has a frontier at cap %d; the case does not exercise the fallback", i, tc.pool)
-				}
-				p, err := f.Admit(Spec{Tenant: "t", Chain: c})
-				if err != nil {
-					t.Fatal(err)
-				}
-				chains[p.ID] = c
-				check("admission")
-			}
-			if err := f.FailProcs(tc.pool / 8); err != nil {
-				t.Fatal(err)
-			}
-			check("failure")
-		})
+		}
+	}
+	for i := 0; i < 4; i++ {
+		c := genChain(rand.New(rand.NewSource(int64(i%2))), 7)
+		if got := adapt.HasFrontier(c, capPl, opt); got != frontier {
+			t.Fatalf("spec %d: HasFrontier = %v at cap %d, want %v", i, got, pool, frontier)
+		}
+		p, err := f.Admit(Spec{Tenant: "t", Chain: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains[p.ID] = c
+		check("admission")
+	}
+	if err := f.FailProcs(pool / 8); err != nil {
+		t.Fatal(err)
+	}
+	check("failure")
+	return f
+}
+
+// TestSpecsWithoutFrontierSolvePerAllocation covers the specs the cap's
+// frontier cannot serve, which keep a solve per allocation: uncapped
+// 7-task specs on 96 processors route to greedy at the cap but to DP at
+// their smaller shared allocations.
+func TestSpecsWithoutFrontierSolvePerAllocation(t *testing.T) {
+	t.Run("greedy at the cap", func(t *testing.T) {
+		placeFourSpecs(t, 96, adapt.ResolveOptions{}, false)
+	})
+}
+
+// TestClusteringOffSpecsPlaceFromFrontier: with clustering off, a
+// DP-routed spec is placed from the frontier of its cap solve like any
+// other. Every placement keeps one module per task, and each distinct
+// spec solves once however often its allocation moves.
+func TestClusteringOffSpecsPlaceFromFrontier(t *testing.T) {
+	f := placeFourSpecs(t, 32, adapt.ResolveOptions{DisableClustering: true}, true)
+	for _, p := range f.Placements() {
+		if len(p.Mapping.Modules) != 7 {
+			t.Errorf("pipeline %d placed %v with clustering off", p.ID, &p.Mapping)
+		}
+	}
+	if cs := f.Cache().Stats(); cs.FullSolves+cs.IncrementalSolves != 2 {
+		t.Errorf("DP solves = %d full, %d incremental; want 2, one per distinct spec",
+			cs.FullSolves, cs.IncrementalSolves)
 	}
 }

@@ -46,8 +46,9 @@ func Feasible(m model.Mapping, cons Constraints) (Layout, bool) {
 // FeasibleOptimal finds the best mapping that satisfies the machine
 // constraints: candidate mappings are enumerated per clustering
 // (exhaustively over processor vectors when the module count is small,
-// otherwise around the DP optimum), ranked by predicted throughput, and
-// the best feasible one is returned with its layout.
+// otherwise around the DP optimum), ranked by predicted throughput and
+// then by fewest processors, and the best feasible one is returned with
+// its layout.
 func FeasibleOptimal(c *model.Chain, pl model.Platform, cons Constraints, opt dp.Options) (model.Mapping, Layout, error) {
 	if err := c.Validate(); err != nil {
 		return model.Mapping{}, Layout{}, err
@@ -60,8 +61,10 @@ func FeasibleOptimal(c *model.Chain, pl model.Platform, cons Constraints, opt dp
 	}
 
 	type cand struct {
-		m   model.Mapping
-		thr float64
+		m     model.Mapping
+		thr   float64
+		procs int
+		key   string
 	}
 	var cands []cand
 	seen := map[string]bool{}
@@ -71,7 +74,7 @@ func FeasibleOptimal(c *model.Chain, pl model.Platform, cons Constraints, opt dp
 			return
 		}
 		seen[key] = true
-		cands = append(cands, cand{m, m.Throughput()})
+		cands = append(cands, cand{m, m.Throughput(), m.TotalProcs(), key})
 	}
 
 	clusterings := model.AllClusterings(c.Len())
@@ -155,7 +158,19 @@ func FeasibleOptimal(c *model.Chain, pl model.Platform, cons Constraints, opt dp
 		return model.Mapping{}, Layout{}, fmt.Errorf("machine: no candidate mappings for %d tasks on %d processors",
 			c.Len(), pl.Procs)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].thr > cands[j].thr })
+	// Exact throughput ties go to the fewest processors, then to the
+	// mapping string, which is unique among the deduplicated candidates:
+	// the pick never depends on enumeration order.
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := &cands[i], &cands[j]
+		if a.thr != b.thr {
+			return a.thr > b.thr
+		}
+		if a.procs != b.procs {
+			return a.procs < b.procs
+		}
+		return a.key < b.key
+	})
 	for _, cd := range cands {
 		if layout, ok := Feasible(cd.m, cons); ok {
 			return cd.m, layout, nil

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pipemap/internal/apps"
 	"pipemap/internal/dp"
 	"pipemap/internal/model"
 )
@@ -174,15 +175,15 @@ func TestFeasibleOptimalAdjustsInfeasibleOptimum(t *testing.T) {
 		ECom: []model.CommFunc{model.ZeroComm()},
 	}
 	pl := model.Platform{Procs: 16}
-	um, err := dp.Assign(c, pl)
+	opt := dp.Options{DisableClustering: true, DisableReplication: true}
+	um, err := dp.MapChain(c, pl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if um.Modules[1].Procs != 13 {
 		t.Fatalf("unconstrained optimum gave %d procs, test wants 13", um.Modules[1].Procs)
 	}
-	fm, layout, err := FeasibleOptimal(c, pl, Constraints{Grid: Grid{Rows: 4, Cols: 4}},
-		dp.Options{DisableClustering: true, DisableReplication: true})
+	fm, layout, err := FeasibleOptimal(c, pl, Constraints{Grid: Grid{Rows: 4, Cols: 4}}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +195,41 @@ func TestFeasibleOptimalAdjustsInfeasibleOptimum(t *testing.T) {
 	}
 	if len(layout.Instances) == 0 {
 		t.Error("no layout returned")
+	}
+}
+
+// TestFeasibleOptimalTiesPreferFewestProcessors pins the tie-break among
+// candidates of equal throughput on the radar and stereo chains of
+// specs/radar64.json and specs/stereo128.json. Replicating radar's first
+// module past 3 instances, or splitting stereo's last two tasks, leaves
+// the throughput unchanged; every grid must get the variant with the
+// fewest processors, not whichever the enumeration met first.
+func TestFeasibleOptimalTiesPreferFewestProcessors(t *testing.T) {
+	radar := model.Platform{Procs: 64, MemPerProc: 0.5}
+	stereo := model.Platform{Procs: 64, MemPerProc: 4}
+	for _, tc := range []struct {
+		name  string
+		c     *model.Chain
+		pl    model.Platform
+		grid  Grid
+		procs int
+	}{
+		{"radar64 8x8", apps.Radar(), radar, Grid{Rows: 8, Cols: 8}, 13},
+		{"radar64 8x4", apps.Radar(), radar, Grid{Rows: 8, Cols: 4}, 13},
+		{"radar64 4x4", apps.Radar(), radar, Grid{Rows: 4, Cols: 4}, 13},
+		{"stereo128 8x8", apps.Stereo(), stereo, Grid{Rows: 8, Cols: 8}, 24},
+		{"stereo128 8x4", apps.Stereo(), stereo, Grid{Rows: 8, Cols: 4}, 24},
+		{"stereo128 4x4", apps.Stereo(), stereo, Grid{Rows: 4, Cols: 4}, 15},
+	} {
+		for _, systolic := range []bool{false, true} {
+			m, _, err := FeasibleOptimal(tc.c, tc.pl, Constraints{Grid: tc.grid, Systolic: systolic}, dp.Options{})
+			if err != nil {
+				t.Fatalf("%s systolic=%v: %v", tc.name, systolic, err)
+			}
+			if got := m.TotalProcs(); got != tc.procs {
+				t.Errorf("%s systolic=%v: %v uses %d processors, want %d", tc.name, systolic, &m, got, tc.procs)
+			}
+		}
 	}
 }
 

@@ -9,10 +9,14 @@
 // module response times of the mapping (model.Mapping.Latency).
 //
 // The implementation enumerates candidate mappings per clustering —
-// exhaustively over processor vectors when a clustering has at most three
-// modules, and around the throughput-optimal assignment otherwise — and
-// filters the Pareto-dominated ones. It is exact for the paper's
-// application sizes (k <= 4, P = 64) and a documented heuristic beyond.
+// exhaustively over processor vectors when a clustering has at most
+// MaxExhaustiveModules modules (3 by default), and within ±2 processors
+// per module of the throughput-optimal assignment otherwise — and
+// filters the Pareto-dominated ones. It is exact only for chains of at
+// most three tasks: the four-task radar and stereo chains get their
+// four-module points from the neighbourhood, a heuristic.
+// BestThroughputUnderLatency inherits the gap. Item 4 of ROADMAP.md
+// plans an exact period/latency DP to replace the enumeration.
 package tradeoff
 
 import (
@@ -51,13 +55,22 @@ func Frontier(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sort by latency ascending, then throughput descending; sweep keeping
-	// mappings that strictly improve throughput.
+	// Sort by latency ascending, then throughput descending; exact ties go
+	// to the fewest processors, then to the mapping string, which is
+	// unique among the deduplicated candidates. Sweep keeping mappings
+	// that strictly improve throughput.
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Latency != cands[j].Latency {
-			return cands[i].Latency < cands[j].Latency
+		a, b := &cands[i], &cands[j]
+		if a.Latency != b.Latency {
+			return a.Latency < b.Latency
 		}
-		return cands[i].Throughput > cands[j].Throughput
+		if a.Throughput != b.Throughput {
+			return a.Throughput > b.Throughput
+		}
+		if a.procs != b.procs {
+			return a.procs < b.procs
+		}
+		return a.key < b.key
 	})
 	gain := opt.MinThroughputGain
 	if gain <= 0 {
@@ -67,7 +80,7 @@ func Frontier(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
 	bestThr := -1.0
 	for _, p := range cands {
 		if p.Throughput > bestThr*(1+gain)+1e-12 {
-			frontier = append(frontier, p)
+			frontier = append(frontier, p.Point)
 			bestThr = p.Throughput
 		}
 	}
@@ -104,8 +117,16 @@ func BestThroughputUnderLatency(c *model.Chain, pl model.Platform, bound float64
 	return best.Mapping, nil
 }
 
+// candidate is one enumerated mapping with its processor count and its
+// string, the deduplication key.
+type candidate struct {
+	Point
+	procs int
+	key   string
+}
+
 // candidates enumerates mappings across clusterings.
-func candidates(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
+func candidates(c *model.Chain, pl model.Platform, opt Options) ([]candidate, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -116,7 +137,7 @@ func candidates(c *model.Chain, pl model.Platform, opt Options) ([]Point, error)
 	if maxEx <= 0 {
 		maxEx = 3
 	}
-	var out []Point
+	var out []candidate
 	seen := map[string]bool{}
 	add := func(m model.Mapping) {
 		key := m.String()
@@ -124,7 +145,10 @@ func candidates(c *model.Chain, pl model.Platform, opt Options) ([]Point, error)
 			return
 		}
 		seen[key] = true
-		out = append(out, Point{Mapping: m, Throughput: m.Throughput(), Latency: m.Latency()})
+		out = append(out, candidate{
+			Point: Point{Mapping: m, Throughput: m.Throughput(), Latency: m.Latency()},
+			procs: m.TotalProcs(), key: key,
+		})
 	}
 	for _, spans := range model.AllClusterings(c.Len()) {
 		l := len(spans)

@@ -210,3 +210,25 @@ func TestFrontierLargeClusteringPerturbationPath(t *testing.T) {
 		t.Errorf("perturbation frontier best %g far below optimum %g", best, opt.Throughput())
 	}
 }
+
+// TestFrontierTiesPreferFewestProcessors pins the tie-break among
+// candidates of equal latency and throughput. On the radar chain of
+// specs/radar64.json, the 79.323/s, 0.0438 s point is reached by
+// replicating the first module 3 times or up to 17 times; the frontier
+// reports the 14-processor variant.
+func TestFrontierTiesPreferFewestProcessors(t *testing.T) {
+	front, err := Frontier(apps.Radar(), model.Platform{Procs: 64, MemPerProc: 0.5}, Options{MinThroughputGain: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "[pulsecomp+doppler+cfar p=3 r=3] | [track p=5 r=1]"
+	for _, p := range front {
+		if mods := p.Mapping.Modules; len(mods) == 2 && mods[0].Procs == 3 && mods[1].Procs == 5 {
+			if got := p.Mapping.String(); got != want {
+				t.Errorf("frontier point %.3f/s, %.4f s is %s, want %s", p.Throughput, p.Latency, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("frontier lacks %s", want)
+}
