@@ -10,8 +10,8 @@ import (
 	"pipemap/internal/kernels"
 )
 
-// servedGolden is what 256 served requests per app computed, on the
-// servedApp inputs and DP mappings, with the kernels that rebuilt every
+// servedGolden is what 256 served radar requests computed, on the
+// radarServed inputs and DP mapping, with the kernels that rebuilt every
 // twiddle factor by recurrence and binned through math.Log10. It was
 // recorded once with those kernels and is never regenerated: it pins the
 // served results across kernel rewrites.
@@ -19,24 +19,13 @@ type servedGolden struct {
 	// Radar holds each request's detections, in order, as
 	// [doppler, range, power, threshold].
 	Radar [][][4]float64 `json:"radar"`
-	// FFTHist holds each request's histogram.
-	FFTHist []struct {
-		Bins  []int64 `json:"bins"`
-		Count int64   `json:"count"`
-		Sum   float64 `json:"sum"`
-		SumSq float64 `json:"sumsq"`
-		Min   float64 `json:"min"`
-		Max   float64 `json:"max"`
-	} `json:"ffthist"`
 }
 
-// TestServedResultsMatchParent serves the golden inputs and compares what
-// each request computed. Integers — detection cells and counts, histogram
-// counts and bins — must be identical. Floats may move by FFT rounding:
-// radar powers and thresholds within 1e-12 relative, and FFT-Hist's
-// magnitudes within 1e-12 of the data set's max, in their own units (the
-// minimum, maximum and mean in magnitudes, the mean square in squared
-// magnitudes).
+// TestServedResultsMatchParent serves the golden inputs and checks what
+// each request computed. Radar must match the golden file: detection cells
+// identical, powers and thresholds within 1e-12 relative. FFT-Hist serves
+// 256 seeded requests and must match the histogram of the full complex 2D
+// FFT of each decoded input (matchSpectrum).
 func TestServedResultsMatchParent(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "served_golden.json"))
 	if err != nil {
@@ -73,22 +62,15 @@ func TestServedResultsMatchParent(t *testing.T) {
 		}
 	}
 
-	for i, g := range serve(ffthistServed(t), len(want.FFTHist)) {
-		h, w := g.result.(kernels.Histogram), want.FFTHist[i]
-		if h.Count != w.Count || len(h.Bins) != len(w.Bins) {
-			t.Errorf("ffthist request %d: count %d over %d bins, want %d over %d", i, h.Count, len(h.Bins), w.Count, len(w.Bins))
-			continue
+	a := ffthistServed(t)
+	for i, g := range serve(a, 256) {
+		ds, err := a.codec.Decode(json.RawMessage(a.input(i)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for b := range h.Bins {
-			if h.Bins[b] != w.Bins[b] {
-				t.Errorf("ffthist request %d: bin %d holds %d, want %d", i, b, h.Bins[b], w.Bins[b])
-			}
-		}
-		n, tol := float64(w.Count), 1e-12*w.Max
-		if !near(h.Min, w.Min, tol) || !near(h.Max, w.Max, tol) || !near(h.Sum/n, w.Sum/n, tol) ||
-			!near(h.SumSq/n, w.SumSq/n, tol*w.Max) {
-			t.Errorf("ffthist request %d: min %v max %v sum %v sumsq %v, want %v %v %v %v",
-				i, h.Min, h.Max, h.Sum, h.SumSq, w.Min, w.Max, w.Sum, w.SumSq)
+		h := g.result.(kernels.Histogram)
+		if err := matchSpectrum(&h, fft2(t, ds.(kernels.Matrix))); err != nil {
+			t.Errorf("ffthist request %d: %v", i, err)
 		}
 	}
 }

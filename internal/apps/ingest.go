@@ -36,8 +36,11 @@ var _ ingest.Codec = FFTHistCodec{}
 func (c FFTHistCodec) App() string { return "ffthist" }
 
 // Decode implements ingest.Codec. An empty input synthesizes the seed-0
-// data set; {"seed": k} varies it; {"data": [...]} supplies the matrix's
-// real parts row-major (length N*N).
+// data set; {"seed": k} varies it; {"data": [...]} supplies the N*N real
+// values row-major. The data set keeps them in that order and reads it
+// column-major, so it holds the transpose of the submitted matrix, whose
+// spectrum has the same magnitudes, transposed: the histogram is the
+// submitted matrix's.
 func (c FFTHistCodec) Decode(input json.RawMessage) (fxrt.DataSet, error) {
 	var req struct {
 		Seed int       `json:"seed"`

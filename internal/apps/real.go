@@ -12,11 +12,16 @@ import (
 )
 
 // FFTHistRunner executes the FFT-Hist program for real on the fxrt
-// runtime: actual FFTs, transposes and histogram reductions on n x n
-// complex matrices, with the pipeline structure (clustering, workers,
-// replication) taken from a mapping. It implements estimate.Profiler, so
-// the whole feedback loop of the paper — profile, fit a model, predict the
-// optimal mapping, run it — can be exercised end to end on a real workload.
+// runtime: a real-input 2D FFT and a histogram of the spectrum's
+// magnitudes on n x n real matrices, with the pipeline structure
+// (clustering, workers, replication) taken from a mapping. A data set
+// holds its matrix column-major: row c of the kernels.Matrix is column c,
+// in its real parts. colffts keeps each column's half spectrum, rowffts
+// transforms the N/2+1 rows that leaves, and hist counts the missing
+// Hermitian mirrors by weight, so every data set counts N*N magnitudes.
+// It implements estimate.Profiler, so the whole feedback loop of the
+// paper — profile, fit a model, predict the optimal mapping, run it — can
+// be exercised end to end on a real workload.
 type FFTHistRunner struct {
 	// N is the matrix dimension (power of two).
 	N int
@@ -37,10 +42,11 @@ const (
 // Pipeline builds the fxrt pipeline realizing the mapping, along with the
 // inter-module edge transfers. The mapping must cover the 3-task FFT-Hist
 // chain (colffts, rowffts, hist). When the colffts/rowffts boundary
-// crosses modules, the transpose runs as a true edge transfer on the
-// receiving instance, which redistributes the matrix. The pipeline must
-// run with the returned edges: a module starting at rowffts recycles the
-// transposed matrix each attempt receives from its edge.
+// crosses modules, the transpose of the half spectra runs as a true edge
+// transfer on the receiving instance, which redistributes them. The
+// pipeline must run with the returned edges, and it owns every matrix
+// pushed into it: it returns each to the serving pool once done with it
+// (see runTasks).
 func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, error) {
 	if r.N < 2 || r.N&(r.N-1) != 0 {
 		return nil, nil, fmt.Errorf("apps: FFT-Hist size %d must be a power of two", r.N)
@@ -94,43 +100,47 @@ func (r FFTHistRunner) Pipeline(m model.Mapping) (*fxrt.Pipeline, []fxrt.Edge, e
 }
 
 // runTasks executes tasks [lo, hi) of the FFT-Hist chain on the instance's
-// group. Edge 0 (the transpose) is performed at the boundary between
-// colffts and rowffts regardless of which stage hosts it; edge 1 is the
-// histogram partial merge, folded into the hist task.
+// group. colffts writes the half spectra of the input's columns into a
+// fresh N x (N/2+1) matrix. Edge 0, the transpose to (N/2+1) x N, runs at
+// the boundary between colffts and rowffts regardless of which stage hosts
+// it. rowffts transforms its rows in place, and hist reduces them with the
+// mirror weights of kernels.Histogram.AccumulateHalfSpectrum; edge 1, the
+// histogram partial merge, is folded into hist.
+//
+// No task writes its stage's input, so every attempt works on buffers of
+// its own. A matrix made by this attempt — the half spectra and a
+// transpose destination — goes back to the pool as soon as the attempt is
+// done with it. The stage's input goes back once the attempt has succeeded
+// (no retry reads it again), unless the stage has a deadline: then an
+// abandoned attempt may still be reading it. A module starting at rowffts
+// takes its input from the transpose edge, which returns the edge's source
+// itself (fxrt.Edge.Release).
 func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet) (fxrt.DataSet, error) {
 	ds := in
-	// owned is set while ds is a transpose destination made for this
-	// attempt alone — by the incoming transpose edge (a module starting at
-	// rowffts) or by the internal transpose below — so no retry or other
-	// attempt can read it, and hist may recycle it.
-	owned := lo == 1
 	for t := lo; t < hi; t++ {
+		mat, ok := ds.(kernels.Matrix)
+		if !ok {
+			return nil, fmt.Errorf("apps: %s expects a matrix input", fftHistTasks[t])
+		}
 		switch t {
 		case 0:
-			mat, ok := ds.(kernels.Matrix)
-			if !ok {
-				return nil, fmt.Errorf("apps: colffts expects a matrix input")
-			}
+			out := getMatrix(mat.Rows, mat.Cols/2+1)
 			err := ctx.Rec.Time(opColFFTs, func() error {
-				return ctx.Group.ParallelFor(mat.Cols, func(c0, c1 int) error {
-					return kernels.FFTCols(mat, c0, c1)
+				// Pairs of columns, so every split pairs them alike.
+				return ctx.Group.ParallelFor(mat.Rows/2, func(p0, p1 int) error {
+					return kernels.HalfSpectra(mat, out, 2*p0, 2*p1)
 				})
 			})
 			if err != nil {
 				return nil, err
 			}
-			ds = mat
+			ds = out
 		case 1:
-			mat, ok := ds.(kernels.Matrix)
-			if !ok {
-				return nil, fmt.Errorf("apps: rowffts expects a matrix input")
-			}
 			out := mat
 			if lo == 0 {
-				// Edge 0 is internal to this module: redistribute from
-				// column-major to row-major blocks here.
+				// Edge 0 is internal to this module: redistribute the half
+				// spectra this attempt made, then recycle them.
 				out = getMatrix(mat.Cols, mat.Rows)
-				owned = true
 				err := ctx.Rec.Time(opTranspose, func() error {
 					return ctx.Group.ParallelFor(out.Rows, func(r0, r1 int) error {
 						return kernels.Transpose(mat, out, r0, r1)
@@ -139,6 +149,7 @@ func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet)
 				if err != nil {
 					return nil, err
 				}
+				putMatrix(mat)
 			}
 			err := ctx.Rec.Time(opRowFFTs, func() error {
 				return ctx.Group.ParallelFor(out.Rows, func(r0, r1 int) error {
@@ -150,10 +161,6 @@ func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet)
 			}
 			ds = out
 		case 2:
-			mat, ok := ds.(kernels.Matrix)
-			if !ok {
-				return nil, fmt.Errorf("apps: hist expects a matrix input")
-			}
 			w := ctx.Group.Workers()
 			partials := make([]*kernels.Histogram, w)
 			err := ctx.Rec.Time(opHist, func() error {
@@ -161,9 +168,7 @@ func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet)
 					for i := i0; i < i1; i++ {
 						h := kernels.NewHistogram(64, -6, 6)
 						r0, r1 := fxrt.BlockRange(mat.Rows, w, i)
-						if r0 < r1 {
-							h.AccumulateMatrix(mat, r0, r1)
-						}
+						h.AccumulateHalfSpectrum(mat, r0, r1)
 						partials[i] = h
 					}
 					return nil
@@ -184,14 +189,24 @@ func (r FFTHistRunner) runTasks(ctx *fxrt.StageCtx, lo, hi int, in fxrt.DataSet)
 			if err != nil {
 				return nil, err
 			}
-			if owned {
+			if lo < 2 {
+				// A transpose destination this attempt made.
 				putMatrix(mat)
 			}
 			ds = total
 		}
 	}
+	if lo != 1 && ctx.Deadline == 0 {
+		// The stage's input. A module starting at rowffts got its input
+		// from the transpose edge for this attempt alone, and its hist
+		// task or the next module returns it.
+		putMatrix(in.(kernels.Matrix))
+	}
 	return ds, nil
 }
+
+// fftHistTasks names the FFT-Hist tasks in chain order.
+var fftHistTasks = [3]string{"colffts", "rowffts", "hist"}
 
 // Run executes the mapping on the runtime and returns measured statistics.
 func (r FFTHistRunner) Run(m model.Mapping) (fxrt.Stats, error) {

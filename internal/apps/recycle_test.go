@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,12 +83,15 @@ func ffthistServed(t testing.TB) servedApp {
 		mapping: specMapping(t, "ffthist256"),
 		build:   r.Pipeline,
 		input:   func(i int) string { return fmt.Sprintf(`{"seed":%d}`, i) },
-		result: func(out fxrt.DataSet) any {
-			h := *out.(*kernels.Histogram)
-			h.Bins = append([]int64(nil), h.Bins...)
-			return h
-		},
+		result:  histResult,
 	}
+}
+
+// histResult copies the histogram an FFT-Hist request computed.
+func histResult(out fxrt.DataSet) any {
+	h := *out.(*kernels.Histogram)
+	h.Bins = append([]int64(nil), h.Bins...)
+	return h
 }
 
 // served is one request's outcome: what it computed, Encode's result, and
@@ -239,30 +243,56 @@ func TestServingBuffersSurviveFaults(t *testing.T) {
 	})
 
 	t.Run("deadline", func(t *testing.T) {
-		res := run(3, func(ai int, pl *fxrt.Pipeline) {
-			// Spare retries: a slow host may time out more attempts, which
-			// only leaves more of them detached.
-			pl.Retry = fxrt.RetryPolicy{MaxRetries: 3}
-			pl.StageDeadline = time.Minute
-			if apps[ai].name == "ffthist" {
-				// Abandon the first attempt at the transpose edge's receiver
-				// for data set 0: it sleeps past the stage's own deadline, then
-				// runs on detached while the retry completes the request.
-				pl.Stages[1].Deadline = 300 * time.Millisecond
-				pl.Faults = []fxrt.Fault{{Stage: 1, Instance: -1, DataSet: 0,
-					Kind: fxrt.FaultSlow, Attempts: 1, Delay: 400 * time.Millisecond}}
+		// Abandon FFT-Hist's first attempt for data set 0 at the transpose
+		// edge's receiver, then at colffts, which reads the decoded input:
+		// it sleeps past the stage's own deadline, then runs on detached
+		// while the retry completes the request.
+		for _, stage := range []int{1, 0} {
+			const maxRetries = 3
+			// finished receives one value per returned attempt of the
+			// stage, abandoned ones included; no data set makes more than
+			// 1+maxRetries attempts.
+			finished := make(chan struct{}, n*(1+maxRetries))
+			res := run(3, func(ai int, pl *fxrt.Pipeline) {
+				// Spare retries: a slow host may time out more attempts,
+				// which only leaves more of them detached.
+				pl.Retry = fxrt.RetryPolicy{MaxRetries: maxRetries}
+				pl.StageDeadline = time.Minute
+				if apps[ai].name == "ffthist" {
+					pl.Stages[stage].Deadline = 300 * time.Millisecond
+					pl.Faults = []fxrt.Fault{{Stage: stage, Instance: -1, DataSet: 0,
+						Kind: fxrt.FaultSlow, Attempts: 1, Delay: 400 * time.Millisecond}}
+					stageRun := pl.Stages[stage].Run
+					pl.Stages[stage].Run = func(ctx *fxrt.StageCtx, in fxrt.DataSet) (fxrt.DataSet, error) {
+						defer func() { finished <- struct{}{} }()
+						return stageRun(ctx, in)
+					}
+				}
+			})
+			// Outwait the detached attempts: each data set ran the stage
+			// once to completion and once per abandoned attempt, and an
+			// abandoned colffts attempt still takes a matrix from the pool,
+			// which would count against the next test's allocations.
+			st := res[1].stats
+			for i := range n - st.Dropped + st.Timeouts {
+				select {
+				case <-finished:
+				case <-time.After(time.Minute):
+					t.Fatalf("ffthist stage %d: %d attempts returned after a minute, want %d",
+						stage, i, n-st.Dropped+st.Timeouts)
+				}
 			}
-		})
-		check(t, res)
-		if got := res[1].stats.Timeouts; got < 1 {
-			t.Errorf("ffthist: %d timeouts, want an abandoned attempt", got)
-		}
-		if got := res[1].releases; got != 0 {
-			t.Errorf("ffthist: %d transpose sources released under stage deadlines, want 0", got)
-		}
-		for i, g := range res[0].got {
-			if rd := g.out.(*RadarData); rd.Cube.Data == nil {
-				t.Errorf("radar request %d: cube recycled under stage deadlines", i)
+			check(t, res)
+			if got := res[1].stats.Timeouts; got < 1 {
+				t.Errorf("ffthist stage %d: %d timeouts, want an abandoned attempt", stage, got)
+			}
+			if got := res[1].releases; got != 0 {
+				t.Errorf("ffthist stage %d: %d transpose sources released under stage deadlines, want 0", stage, got)
+			}
+			for i, g := range res[0].got {
+				if rd := g.out.(*RadarData); rd.Cube.Data == nil {
+					t.Errorf("radar request %d: cube recycled under stage deadlines", i)
+				}
 			}
 		}
 	})
@@ -270,16 +300,31 @@ func TestServingBuffersSurviveFaults(t *testing.T) {
 
 // TestServingGarbagePerRequest measures the heap one served request
 // allocates over decode, stream and encode, one request at a time after
-// the pools are warm: at most 8 KB on radar (16x256) and FFT-Hist
-// (N=128), where allocating every cube and matrix afresh costs about 134
-// and 525 KB. The collector is off across the measured requests: a cycle
-// there would empty the pools and charge their refill to the window.
+// the pools are warm: at most 8 KB on radar (16x256) and on FFT-Hist
+// (N=128) in each of its four clusterings, where allocating every cube and
+// matrix afresh costs about 134 and 525 KB. The collector is off across
+// the measured requests: a cycle there would empty the pools and charge
+// their refill to the window.
 func TestServingGarbagePerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
 	}
 	const warm, n = 16, 64
-	for _, a := range []servedApp{radarServed(t), ffthistServed(t)} {
+	served := []servedApp{radarServed(t)}
+	for _, cuts := range fftHistClusterings {
+		// The DP mapping serves its own clustering.
+		a := ffthistServed(t)
+		dpCuts := []int{0}
+		for _, mod := range a.mapping.Modules {
+			dpCuts = append(dpCuts, mod.Hi)
+		}
+		if !slices.Equal(cuts, dpCuts) {
+			a.mapping = clustered(a.mapping.Chain, cuts, 4, 2)
+		}
+		a.name += " " + a.mapping.String()
+		served = append(served, a)
+	}
+	for _, a := range served {
 		pl, edges, err := a.build(a.mapping)
 		if err != nil {
 			t.Fatal(err)

@@ -50,6 +50,21 @@ func BenchmarkFFTCols(b *testing.B) {
 	}
 }
 
+func BenchmarkHalfSpectra(b *testing.B) {
+	for _, n := range []int{64, 128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			in := randMatrix(n, 2)
+			out := NewMatrix(n, n/2+1)
+			b.SetBytes(int64(16 * n * n))
+			for i := 0; i < b.N; i++ {
+				if err := HalfSpectra(in, out, 0, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkTranspose(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -73,6 +88,21 @@ func BenchmarkHistogramAccumulate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := NewHistogram(64, -6, 6)
 				h.AccumulateMatrix(m, 0, n)
+			}
+		})
+	}
+}
+
+// BenchmarkHistogramHalfSpectrum reduces the n/2+1 rows of an n x n
+// half spectrum, the hist task's share of one served data set.
+func BenchmarkHistogramHalfSpectrum(b *testing.B) {
+	for _, n := range []int{128, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := randCube(n/2+1, n, 4)
+			b.SetBytes(int64(16 * (n/2 + 1) * n))
+			for i := 0; i < b.N; i++ {
+				h := NewHistogram(64, -6, 6)
+				h.AccumulateHalfSpectrum(m, 0, m.Rows)
 			}
 		})
 	}

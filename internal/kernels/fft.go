@@ -49,8 +49,9 @@ type fftPlan struct {
 	swaps [][2]int // index pairs (i, j), i < j, that bit reversal exchanges
 	fwd   []complex128
 	inv   []complex128 // the conjugates of fwd
-	// cols recycles FFTCols' gather buffers of colBlock columns of length
-	// n, so a warm FFTCols call allocates nothing.
+	// cols recycles scratch buffers of colBlock*n elements: FFTCols'
+	// gather buffers of colBlock columns of length n, and HalfSpectra's
+	// packed pair of rows. A warm call of either allocates nothing.
 	cols sync.Pool // *[]complex128
 }
 
@@ -184,11 +185,7 @@ func FFTCols(m Matrix, c0, c1 int) error {
 		return err
 	}
 	rows := m.Rows
-	bp, _ := p.cols.Get().(*[]complex128)
-	if bp == nil {
-		buf := make([]complex128, colBlock*rows)
-		bp = &buf
-	}
+	bp := p.scratch()
 	defer p.cols.Put(bp)
 	buf := *bp
 	for c := c0; c < c1; c += colBlock {
@@ -207,6 +204,65 @@ func FFTCols(m Matrix, c0, c1 int) error {
 			for j := range row {
 				row[j] = buf[j*rows+r]
 			}
+		}
+	}
+	return nil
+}
+
+// scratch returns a buffer of colBlock*n elements from the plan's pool; the
+// caller puts it back when done.
+func (p *fftPlan) scratch() *[]complex128 {
+	if bp, ok := p.cols.Get().(*[]complex128); ok {
+		return bp
+	}
+	buf := make([]complex128, colBlock*p.n)
+	return &buf
+}
+
+// HalfSpectra writes bins 0..n/2 of the FFT of the real parts of each of
+// rows [r0, r1) of in into the same row of out, where n is in.Cols and out
+// is in.Rows x (n/2+1). It only reads in. It is the colffts task of
+// FFT-Hist, whose data sets hold a real matrix column by column: the bins
+// past n/2 of a real sequence's transform are the conjugates of bins
+// n/2-1 down to 1, so they add nothing.
+//
+// Rows go through the FFT routine two at a time: the transform Z of
+// x + iy, for rows x and y, gives both half spectra,
+//
+//	X[k] = (Z[k] + conj Z[n-k]) / 2,    Y[k] = (Z[k] - conj Z[n-k]) / 2i,
+//
+// reading Z[n] as Z[0]. r0 and r1 must be even, so rows 2j and 2j+1 always
+// pair up and any split of the rows gives the same output.
+func HalfSpectra(in, out Matrix, r0, r1 int) error {
+	n := in.Cols
+	if out.Rows != in.Rows || out.Cols != n/2+1 {
+		return fmt.Errorf("kernels: half spectra of %dx%d into %dx%d, want %dx%d",
+			in.Rows, n, out.Rows, out.Cols, in.Rows, n/2+1)
+	}
+	if r0%2 != 0 || r1%2 != 0 {
+		return fmt.Errorf("kernels: half spectra of rows [%d, %d), want even bounds", r0, r1)
+	}
+	if r0 >= r1 {
+		return nil
+	}
+	p, err := planFor(n)
+	if p == nil {
+		return err
+	}
+	bp := p.scratch()
+	defer p.cols.Put(bp)
+	z := (*bp)[:n]
+	for r := r0; r < r1; r += 2 {
+		x, y := in.Row(r), in.Row(r+1)
+		for j := range z {
+			z[j] = complex(real(x[j]), real(y[j]))
+		}
+		p.transform(z, false)
+		xs, ys := out.Row(r), out.Row(r+1)
+		for k := range xs {
+			a, b := z[k], z[(n-k)&(n-1)]
+			xs[k] = complex((real(a)+real(b))*0.5, (imag(a)-imag(b))*0.5)
+			ys[k] = complex((imag(a)+imag(b))*0.5, (real(b)-real(a))*0.5)
 		}
 	}
 	return nil

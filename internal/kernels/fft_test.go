@@ -139,6 +139,17 @@ func TestFFTErrors(t *testing.T) {
 	if err := FFTCols(NewMatrix(0, 2), 0, 2); err != nil {
 		t.Errorf("FFTCols of empty columns failed: %v", err)
 	}
+	if err := HalfSpectra(m, NewMatrix(3, 3), 0, 2); err == nil {
+		t.Error("HalfSpectra accepted rows of length 5")
+	}
+	if err := HalfSpectra(NewMatrix(2, 8), NewMatrix(2, 8), 0, 2); err == nil {
+		t.Error("HalfSpectra accepted an output of full rows")
+	}
+	for _, band := range [][2]int{{0, 7}, {1, 4}, {3, 3}} {
+		if err := HalfSpectra(NewMatrix(7, 8), NewMatrix(7, 5), band[0], band[1]); err == nil {
+			t.Errorf("HalfSpectra accepted rows [%d, %d)", band[0], band[1])
+		}
+	}
 }
 
 func TestFFTRowsColsMatchFullTransform(t *testing.T) {
@@ -352,5 +363,106 @@ func TestFFTColsWarmAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("warm FFTCols allocates %v times per call, want 0", allocs)
+	}
+}
+
+// randReal returns a rows x n matrix of random real values scaled by scale,
+// with zero imaginary parts.
+func randReal(rows, n int, scale float64, rng *rand.Rand) Matrix {
+	m := NewMatrix(rows, n)
+	for i := range m.Data {
+		m.Data[i] = complex(rng.NormFloat64()*scale, 0)
+	}
+	return m
+}
+
+// FuzzHalfSpectraMatchesFFT checks HalfSpectra at every power-of-two length
+// from 2 to 1024, on an even number of random real rows, against FFT of
+// each row: bins 0..n/2 within FuzzFFTMatchesDFT's bound of 1e-11 * sum|z|,
+// where z = x + iy is the vector the row's pair goes through FFT as.
+func FuzzHalfSpectraMatchesFFT(f *testing.F) {
+	for e := uint8(0); e < 10; e++ {
+		f.Add(int64(e), e, e%4, int8(0))
+	}
+	f.Add(int64(7), uint8(9), uint8(1), int8(-100))
+	f.Add(int64(8), uint8(9), uint8(3), int8(100))
+	f.Fuzz(func(t *testing.T, seed int64, logn, pairs uint8, exp int8) {
+		n, rows := 2<<(logn%10), 2*(1+int(pairs%4))
+		rng := rand.New(rand.NewSource(seed))
+		in := randReal(rows, n, math.Pow(10, float64(exp%120)), rng)
+		out := NewMatrix(rows, n/2+1)
+		if err := HalfSpectra(in, out, 0, rows); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r += 2 {
+			var norm float64
+			for j := 0; j < n; j++ {
+				norm += math.Hypot(real(in.At(r, j)), real(in.At(r+1, j)))
+			}
+			for _, row := range []int{r, r + 1} {
+				want := append([]complex128(nil), in.Row(row)...)
+				if err := FFT(want); err != nil {
+					t.Fatal(err)
+				}
+				var worst float64
+				for k, v := range out.Row(row) {
+					worst = math.Max(worst, cmplx.Abs(v-want[k]))
+				}
+				if worst > 1e-11*norm {
+					t.Errorf("n=%d row %d: max error %g > 1e-11 * %g", n, row, worst, norm)
+				}
+			}
+		}
+	})
+}
+
+// TestHalfSpectraSplitInvariant splits the rows at every pair of even cut
+// points, as FFT-Hist's colffts does across workers, and requires every
+// split to leave the input untouched and match one band bit for bit.
+func TestHalfSpectraSplitInvariant(t *testing.T) {
+	const rows = 8
+	in := randReal(rows, 16, 1, rand.New(rand.NewSource(11)))
+	orig := append([]complex128(nil), in.Data...)
+	whole := NewMatrix(rows, 9)
+	if err := HalfSpectra(in, whole, 0, rows); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a <= rows; a += 2 {
+		for b := a; b <= rows; b += 2 {
+			out := NewMatrix(rows, 9)
+			for _, band := range [][2]int{{b, rows}, {0, a}, {a, b}} {
+				if err := HalfSpectra(in, out, band[0], band[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range out.Data {
+				if out.Data[i] != whole.Data[i] {
+					t.Fatalf("split at %d,%d: element %d = %v, one band gives %v",
+						a, b, i, out.Data[i], whole.Data[i])
+				}
+			}
+		}
+	}
+	for i := range orig {
+		if in.Data[i] != orig[i] {
+			t.Fatalf("HalfSpectra wrote its input at %d", i)
+		}
+	}
+}
+
+// TestHalfSpectraWarmAllocatesNothing pins the pooled scratch: a warm
+// HalfSpectra call allocates nothing.
+func TestHalfSpectraWarmAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	in := randReal(128, 128, 1, rand.New(rand.NewSource(12)))
+	out := NewMatrix(128, 65)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := HalfSpectra(in, out, 0, 128); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm HalfSpectra allocates %v times per call, want 0", allocs)
 	}
 }

@@ -37,14 +37,39 @@ func (h *Histogram) AccumulateMatrix(m Matrix, r0, r1 int) {
 	h.Accumulate(m.Data[r0*m.Cols : r1*m.Cols])
 }
 
-// Accumulate adds values to the histogram. Finite magnitudes are binned
+// AccumulateHalfSpectrum adds rows [r0, r1) of a half spectrum: rows 0 to
+// n/2 of the 2D FFT of a real matrix with n = 2(m.Rows-1) rows. Each row k
+// from 1 to n/2-1 counts twice, once more for its Hermitian mirror, row
+// n-k, whose magnitudes are row k's in another order; rows 0 and n/2 are
+// their own mirrors and count once. All m.Rows rows together count
+// n*m.Cols values, the whole spectrum.
+func (h *Histogram) AccumulateHalfSpectrum(m Matrix, r0, r1 int) {
+	last := m.Rows - 1
+	for r0 < r1 {
+		w, end := int64(2), min(r1, last)
+		if r0 == 0 || r0 == last {
+			w, end = 1, r0+1
+		}
+		h.accumulate(m.Data[r0*m.Cols:end*m.Cols], w)
+		r0 = end
+	}
+}
+
+// Accumulate adds values to the histogram, each once.
+func (h *Histogram) Accumulate(vals []complex128) { h.accumulate(vals, 1) }
+
+// accumulate adds values to the histogram as w occurrences each
+// (w >= 1). Bins, Count, Min and Max come out as w calls of Accumulate
+// would leave them; Sum and SumSq gain w*|v| and w*|v|*|v| per value,
+// which for w = 1 is |v| and |v|*|v| exactly. Finite magnitudes are binned
 // from a cached table when the shape allows (see binTable), which gives
 // the same bin as the formula on Histogram without a logarithm.
-func (h *Histogram) Accumulate(vals []complex128) {
+func (h *Histogram) accumulate(vals []complex128, w int64) {
 	n := len(h.Bins)
 	span := h.Hi - h.Lo
 	t := binTableFor(n, h.Lo, h.Hi)
 	bins := h.Bins
+	fw := float64(w)
 	count, sum, sumSq, mn, mx := h.Count, h.Sum, h.SumSq, h.Min, h.Max
 	for _, v := range vals {
 		mag := cmplx.Abs(v)
@@ -59,10 +84,10 @@ func (h *Histogram) Accumulate(vals []complex128) {
 		} else {
 			idx = bin(mag, n, h.Lo, span)
 		}
-		bins[idx]++
-		count++
-		sum += mag
-		sumSq += mag * mag
+		bins[idx] += w
+		count += w
+		sum += fw * mag
+		sumSq += fw * mag * mag
 		if mag < mn {
 			mn = mag
 		}

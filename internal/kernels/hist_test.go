@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,4 +164,65 @@ func FuzzHistogramMatchesFormula(f *testing.F) {
 		vals := []complex128{v, v * 0.5, v * 2, complex(math.Nextafter(re, 0), im)}
 		checkAgainstFormula(t, s.n, s.lo, s.hi, vals)
 	})
+}
+
+// TestHistogramWeightedMatchesRepeated checks that weight w gives the
+// bins, count, minimum and maximum of w repeated Accumulate calls exactly,
+// and their sums within rounding. Weight 1 is Accumulate itself, which
+// FuzzHistogramMatchesFormula pins.
+func TestHistogramWeightedMatchesRepeated(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var random []complex128 // finite, so the sums compare within rounding
+	for i := 0; i < 1000; i++ {
+		scale := math.Pow(10, 16*rng.Float64()-8)
+		random = append(random, complex(rng.NormFloat64()*scale, rng.NormFloat64()*scale))
+	}
+	for _, s := range tableShapes {
+		for _, w := range []int64{2, 3, 7} {
+			got, rep := NewHistogram(s.n, s.lo, s.hi), NewHistogram(s.n, s.lo, s.hi)
+			got.accumulate(random, w)
+			for range w {
+				rep.Accumulate(random)
+			}
+			if got.Count != rep.Count || got.Min != rep.Min || got.Max != rep.Max ||
+				!slices.Equal(got.Bins, rep.Bins) {
+				t.Errorf("shape (%d, %g, %g) weight %d: %+v, repeated Accumulate gives %+v", s.n, s.lo, s.hi, w, got, rep)
+			}
+			if math.Abs(got.Sum-rep.Sum) > 1e-12*rep.Sum || math.Abs(got.SumSq-rep.SumSq) > 1e-12*rep.SumSq {
+				t.Errorf("shape (%d, %g, %g) weight %d: sums %v %v, repeated Accumulate gives %v %v",
+					s.n, s.lo, s.hi, w, got.Sum, got.SumSq, rep.Sum, rep.SumSq)
+			}
+		}
+	}
+}
+
+// TestHistogramHalfSpectrumWeights pins the mirror weights: on a half
+// spectrum of n/2+1 rows, rows 0 and n/2 count once and the others twice,
+// however the rows are split.
+func TestHistogramHalfSpectrumWeights(t *testing.T) {
+	for _, n := range []int{2, 4, 16} {
+		m := NewMatrix(n/2+1, 3)
+		for r := 0; r < m.Rows; r++ {
+			for c := 0; c < m.Cols; c++ {
+				m.Set(r, c, complex(math.Pow(10, float64(r)-3), 0)) // one bin per row
+			}
+		}
+		for cut := 0; cut <= m.Rows; cut++ {
+			h := NewHistogram(64, -6, 6)
+			h.AccumulateHalfSpectrum(m, 0, cut)
+			h.AccumulateHalfSpectrum(m, cut, m.Rows)
+			if h.Count != int64(n*m.Cols) {
+				t.Errorf("n=%d cut %d: count %d, want %d", n, cut, h.Count, n*m.Cols)
+			}
+			for r := 0; r < m.Rows; r++ {
+				want := int64(2 * m.Cols)
+				if r == 0 || r == n/2 {
+					want = int64(m.Cols)
+				}
+				if b := bin(real(m.At(r, 0)), 64, -6, 12); h.Bins[b] != want {
+					t.Errorf("n=%d cut %d: row %d counted %d times, want %d", n, cut, r, h.Bins[b], want)
+				}
+			}
+		}
+	}
 }
