@@ -1,7 +1,7 @@
 // Command benchrun records the repo's performance trajectory: it times the
 // DP and greedy solvers on the committed chain specs, times one adaptive
 // controller decision cycle (ingest + refit + re-solve — the latency the
-// closed loop adds between stream segments), times the rebalances of a
+// closed loop adds per decision), times the rebalances of a
 // fixed fleet churn script, measures the fault-tolerant runtime's
 // throughput against the model bound, times the served applications'
 // kernels per data set, and writes the report to BENCH_solver.json.

@@ -125,17 +125,15 @@ func fleetRun(ctx context.Context, stdout io.Writer, fc fleetConfig, specPaths [
 	}
 	buildFor := func(t *fleetTenant, m model.Mapping) (*ingest.Plane, ingest.Codec, *live.Monitor, error) {
 		sc := serveConfig{ingestApp: t.app, ingestSize: fc.ingestSize}
-		pl, opts, codec, err := buildIngestApp(sc, m)
+		pl, opts, codec, err := buildIngestApp(sc, nil, m)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		mon := live.NewMonitor(live.ConfigFromMapping(m))
-		pl.Monitor = mon
 		plane, err := ingest.New(ingestConfig(), pl, opts)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return plane, codec, mon, nil
+		return plane, codec, pl.Monitor, nil
 	}
 	drainAll := func() {
 		mu.Lock()
@@ -200,12 +198,11 @@ func fleetRun(ctx context.Context, stdout io.Writer, fc fleetConfig, specPaths [
 				continue
 			}
 			sc := serveConfig{ingestApp: t.app, ingestSize: fc.ingestSize}
-			npl, nopts, _, err := buildIngestApp(sc, p.Mapping)
+			npl, nopts, _, err := buildIngestApp(sc, nil, p.Mapping)
 			if err != nil {
 				fmt.Fprintf(stdout, "fleet: tenant %s remap failed: %v\n", t.name, err)
 				continue
 			}
-			npl.Monitor = live.NewMonitor(live.ConfigFromMapping(p.Mapping))
 			if err := t.plane.Swap(npl, nopts); err != nil {
 				fmt.Fprintf(stdout, "fleet: tenant %s swap failed: %v\n", t.name, err)
 				continue

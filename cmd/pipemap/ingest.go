@@ -27,17 +27,27 @@ import (
 // deadline sheds, so the breaker rejects at the door instead.
 const ingestLivenessFloor = 0.5
 
-// buildIngestApp realizes the solved mapping as a real kernel pipeline for
-// the named application, with the fault-tolerance policy the data plane
-// expects, and returns the codec translating HTTP payloads to data sets.
-func buildIngestApp(sc serveConfig, m model.Mapping) (*fxrt.Pipeline, fxrt.StreamOptions, ingest.Codec, error) {
+// buildIngestApp realizes a mapping as the named application's pipeline,
+// with the fault-tolerance policy the data plane expects and a live
+// monitor attached, and returns the codec translating HTTP payloads to
+// data sets. No -ingest application is the model app: the mapping's
+// modules emulated on the spec chain (fxrt.ModelPipelineOn), stage times
+// compressed by -serve-speedup and the monitor's predictions with them. A
+// migrated mapping's chain carries the controller's refitted beliefs, so
+// emulating the spec keeps every generation's stage times the same truth.
+func buildIngestApp(sc serveConfig, spec *model.Chain, m model.Mapping) (*fxrt.Pipeline, fxrt.StreamOptions, ingest.Codec, error) {
 	var (
 		pl    *fxrt.Pipeline
 		opts  fxrt.StreamOptions
 		codec ingest.Codec
 		err   error
+		scale = 1.0
 	)
 	switch sc.ingestApp {
+	case "":
+		pl, err = fxrt.ModelPipelineOn(m, spec, sc.speedup)
+		codec = modelCodec{}
+		scale = sc.speedup
 	case "ffthist":
 		n := sc.ingestSize
 		if n == 0 {
@@ -64,22 +74,27 @@ func buildIngestApp(sc serveConfig, m model.Mapping) (*fxrt.Pipeline, fxrt.Strea
 	}
 	pl.Retry = fxrt.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond}
 	pl.DeadAfter = 2
+	pl.Monitor = live.NewMonitor(live.ConfigFromMapping(m).Scale(scale))
 	return pl, opts, codec, nil
 }
 
-// serveIngest runs the ingestion data plane: the solved mapping realized as
-// a real kernel pipeline behind a bounded admission queue, accepting data
-// sets as POST /v1/submit on the live observability server and returning
-// computed results or structured shed errors. SIGTERM (or -serve-for
-// elapsing) stops admission, flushes the backlog and every in-flight
-// request, and only then tears the pipeline down — zero accepted requests
-// are lost. With -adapt, the remapping controller observes pipeline health
-// plus ingest load each interval and live-migrates the plane onto a better
-// mapping via Plane.Swap.
+// serveIngest runs every -serve mode on the ingestion data plane: the
+// solved mapping realized as an app pipeline behind a bounded admission
+// queue, accepting data sets as POST /v1/submit on the live observability
+// server and returning computed results or structured shed errors. The
+// model app (no -ingest) also feeds the plane its -serve-n data sets from
+// an in-process source and reports the run before the serving window
+// starts. SIGTERM (or -serve-for elapsing) stops admission, flushes the
+// backlog and every in-flight request, and only then tears the pipeline
+// down — zero accepted requests are lost. With -adapt, the remapping
+// controller observes pipeline health plus ingest load each interval and
+// live-migrates the plane onto a better mapping via Plane.Swap.
 func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req core.Request, sc serveConfig) error {
+	if sc.n < 2 {
+		return fmt.Errorf("-serve-n must be >= 2, got %d", sc.n)
+	}
 	m := res.Mapping
-	mon := live.NewMonitor(live.ConfigFromMapping(m))
-	pl, opts, codec, err := buildIngestApp(sc, m)
+	pl, opts, codec, err := buildIngestApp(sc, req.Chain, m)
 	if err != nil {
 		return err
 	}
@@ -88,12 +103,22 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 		if err != nil {
 			return err
 		}
+		// A permanent failure on one instance of the first generation: it
+		// fails every attempt, is declared dead after DeadAfter consecutive
+		// failures, and its share of the stream requeues onto the survivors.
 		pl.Faults = append(pl.Faults, fxrt.Fault{
 			Stage: stage, Instance: inst, DataSet: -1, Kind: fxrt.FaultFail,
 		})
 		fmt.Fprintf(stdout, "injecting permanent failure: stage %d instance %d\n", stage, inst)
 	}
-	pl.Monitor = mon
+	modelApp := sc.ingestApp == ""
+	dispatchers, timeScale := sc.dispatchers, 1.0
+	if modelApp {
+		// A sleep-emulated stage needs every replica busy, and every mapping
+		// has sum(r_i) <= P: P dispatchers keep the emulation at its
+		// bottleneck rate.
+		dispatchers, timeScale = req.Platform.Procs, sc.speedup
+	}
 	reg := live.NewRegistry(live.Options{})
 
 	// Observability plumbing: flight recorder (always on — it is one ring
@@ -131,7 +156,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 
 	icfg := ingest.Config{
 		Queue:         ingest.QueueConfig{Depth: sc.queueDepth, Rate: sc.tenantRate},
-		Dispatchers:   sc.dispatchers,
+		Dispatchers:   dispatchers,
 		DefaultBudget: sc.shedDeadline,
 		LivenessFloor: ingestLivenessFloor,
 		Registry:      reg,
@@ -145,7 +170,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 
 	// The served monitor follows the current backend across live swaps.
 	var curMon atomic.Pointer[live.Monitor]
-	curMon.Store(mon)
+	curMon.Store(pl.Monitor)
 
 	srvOpts := live.ServerOptions{
 		Source:   func() *live.Monitor { return curMon.Load() },
@@ -168,7 +193,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 			Platform:  req.Platform,
 			Initial:   m,
 			Threshold: sc.adaptThreshold,
-			TimeScale: 1,
+			TimeScale: timeScale,
 			Trace:     req.Trace,
 			Metrics:   req.Metrics,
 			Flight:    flight,
@@ -192,7 +217,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 	fmt.Fprintf(stdout, "serving %s ingestion on http://%s via the fxrt executor (POST /v1/submit; /v1/ingest /pipeline /metrics /readyz)\n",
 		codec.App(), srv.Addr())
 	fmt.Fprintf(stdout, "admission: queue depth %d, deadline budget %s, rate %s, %d dispatcher(s)\n",
-		sc.queueDepth, sc.shedDeadline, rate, sc.dispatchers)
+		sc.queueDepth, sc.shedDeadline, rate, dispatchers)
 	spans := "off"
 	if sc.traceSpans != "" {
 		spans = sc.traceSpans
@@ -207,13 +232,24 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 		if interval <= 0 {
 			interval = 2 * time.Second
 		}
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
 		adaptWg.Add(1)
 		go func() {
 			defer adaptWg.Done()
-			ingestAdaptLoop(stdout, sc, plane, ctrl, &curMon, interval, adaptDone)
+			adaptLoop(stdout, sc, req.Chain, plane, ctrl, &curMon, tick.C, adaptDone)
 		}()
 	}
 
+	if modelApp {
+		// No more submissions outstanding than the queue holds: a shallow
+		// -queue-depth then slows the run instead of shedding most of it.
+		submitters := min(dispatchers, sc.queueDepth)
+		fmt.Fprintf(stdout, "feeding %d data sets from %d in-process submitter(s); stage times compressed %gx\n",
+			sc.n, submitters, sc.speedup)
+		fst := feed(ctx, plane, sc.n, submitters)
+		reportRun(stdout, fst, m, sc.speedup, curMon.Load().Health(), ctrl)
+	}
 	serveWait(ctx, stdout, sc.serveFor)
 	close(adaptDone)
 	adaptWg.Wait()
@@ -230,52 +266,74 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 	return nil
 }
 
-// ingestAdaptLoop drives the remapping controller against the live plane:
-// each interval it feeds pipeline health and ingest load evidence into
-// Step, and on a migrate or rollback decision rebuilds the kernel pipeline
-// on the controller's mapping and swaps the plane onto it without dropping
-// a request.
-func ingestAdaptLoop(stdout io.Writer, sc serveConfig, plane *ingest.Plane, ctrl *adapt.Controller,
-	curMon *atomic.Pointer[live.Monitor], interval time.Duration, done <-chan struct{}) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
+// adaptLoop drives the remapping controller against the live plane, one
+// decision per tick. Each decision observes the serving generation's
+// health, its capacity and the plane's load since the last decision; a
+// migrate or rollback decision rebuilds the app on the controller's
+// mapping and swaps the plane onto it without dropping a request. A tick
+// on which a stage of the serving generation has no latency samples in its
+// window is skipped: with no measurement, its period is only the
+// prediction.
+func adaptLoop(stdout io.Writer, sc serveConfig, spec *model.Chain, plane *ingest.Plane, ctrl *adapt.Controller,
+	curMon *atomic.Pointer[live.Monitor], ticks <-chan time.Time, done <-chan struct{}) {
 	var lastAdmit, lastShed int64
+	last := time.Now()
 	for {
+		var now time.Time
 		select {
 		case <-done:
 			return
-		case <-tick.C:
+		case now = <-ticks:
+		}
+		h := curMon.Load().Health()
+		capacity, ok := servedCapacity(h)
+		if !ok {
+			continue
 		}
 		st := plane.Stats()
 		var shed int64
 		for _, n := range st.Shed {
 			shed += n
 		}
+		secs := now.Sub(last).Seconds()
 		load := adapt.IngestLoad{
 			QueueDepth: st.QueueDepth,
 			InFlight:   st.Dispatching,
-			AdmitRate:  float64(st.Admitted-lastAdmit) / interval.Seconds(),
-			ShedRate:   float64(shed-lastShed) / interval.Seconds(),
+			AdmitRate:  float64(st.Admitted-lastAdmit) / secs,
+			ShedRate:   float64(shed-lastShed) / secs,
 		}
-		lastAdmit, lastShed = st.Admitted, shed
-		h := curMon.Load().Health()
-		d := ctrl.Step(adapt.Observation{Health: h, Throughput: h.ObservedThroughput, Ingest: &load})
+		lastAdmit, lastShed, last = st.Admitted, shed, now
+		d := ctrl.Step(adapt.Observation{Health: h, Throughput: capacity, Ingest: &load})
 		if d.Action == adapt.ActionHold {
 			continue
 		}
-		nm := ctrl.Mapping()
-		npl, nopts, _, err := buildIngestApp(sc, nm)
+		npl, nopts, _, err := buildIngestApp(sc, spec, ctrl.Mapping())
+		if err == nil {
+			err = plane.Swap(npl, nopts)
+		}
 		if err != nil {
 			fmt.Fprintf(stdout, "cycle %d: %s aborted: %v\n", d.Cycle, d.Action, err)
 			continue
 		}
-		nmon := live.NewMonitor(live.ConfigFromMapping(nm))
-		npl.Monitor = nmon
-		if err := plane.Swap(npl, nopts); err != nil {
-			fmt.Fprintf(stdout, "cycle %d: %s aborted: %v\n", d.Cycle, d.Action, err)
-			continue
-		}
-		curMon.Store(nmon)
+		curMon.Store(npl.Monitor)
 		fmt.Fprintf(stdout, "cycle %d: %s -> generation %d: %s\n", d.Cycle, d.Action, d.Generation, d.Reason)
 	}
+}
+
+// servedCapacity is the paper's throughput 1/max_i(f_i/r_i) on measured
+// periods: each stage's windowed mean attempt latency over its live
+// replicas. Unlike the sink rate, it does not fall with the offered load.
+// It reports false while a stage has no latency samples in its window.
+func servedCapacity(h live.Health) (float64, bool) {
+	worst := 0.0
+	for _, s := range h.Stages {
+		if s.Latency.Count == 0 {
+			return 0, false
+		}
+		worst = max(worst, s.ObservedPeriod)
+	}
+	if worst <= 0 {
+		return 0, false
+	}
+	return 1 / worst, true
 }

@@ -268,9 +268,10 @@ func TestServeContextCancelStopsServe(t *testing.T) {
 
 // TestServeStartupErrorsDoNotLeakGoroutines drives every startup error
 // path — bad kill spec (pre-listen), occupied address (listen failure),
-// unknown ingest app — plus a complete short serve, and checks the
-// goroutine count returns to baseline: no orphaned listeners, monitors or
-// dispatchers survive a failed or finished serve.
+// unknown ingest app — plus a complete short serve with and without
+// -adapt, and checks the goroutine count returns to baseline: no orphaned
+// listeners, monitors, dispatchers, submitters or adapt loops survive a
+// failed or finished serve.
 func TestServeStartupErrorsDoNotLeakGoroutines(t *testing.T) {
 	// Occupy a port so -serve on it fails at listen time.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -296,11 +297,17 @@ func TestServeStartupErrorsDoNotLeakGoroutines(t *testing.T) {
 			t.Fatal("occupied address accepted for ingest")
 		}
 	}
-	// A complete short serve must also return to baseline once closed.
+	// A complete short serve must also return to baseline once closed,
+	// with and without the adapt loop.
 	if err := run(context.Background(), []string{"-serve", "127.0.0.1:0", "-serve-n", "8",
 		"-serve-speedup", "400", "-serve-for", "1ms", "../../specs/threestage.json"},
 		strings.NewReader(""), io.Discard); err != nil {
 		t.Fatalf("short serve: %v", err)
+	}
+	if err := run(context.Background(), []string{"-serve", "127.0.0.1:0", "-serve-n", "8",
+		"-serve-speedup", "400", "-serve-for", "1ms", "-adapt", "-adapt-interval", "10ms",
+		"../../specs/threestage.json"}, strings.NewReader(""), io.Discard); err != nil {
+		t.Fatalf("short adaptive serve: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {

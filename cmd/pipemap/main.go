@@ -26,27 +26,31 @@
 // -memprofile write standard pprof profiles.
 //
 // Live observability: -serve addr runs the solved mapping on the
-// fault-tolerant runtime and serves /metrics (Prometheus text 0.0.4),
-// /healthz, /readyz, /pipeline (health-model JSON: per-stage observed
-// period vs predicted f_i/r_i, bottleneck, replica liveness), /events
-// (NDJSON) and /debug/pprof. -serve-n sets the number of data sets
-// streamed, -serve-speedup compresses the emulated stage times,
-// -serve-kill injects a permanent instance death ("auto" picks the first
-// replicated stage) to demonstrate the degraded path, and -serve-for
-// bounds how long the server stays up after the run (default: until
-// killed). Not combinable with -json. See DESIGN.md §9.
+// fault-tolerant runtime behind the ingestion data plane and serves
+// /metrics (Prometheus text 0.0.4), /healthz, /readyz, /pipeline
+// (health-model JSON: per-stage observed period vs predicted f_i/r_i,
+// bottleneck, replica liveness), /events (NDJSON), /debug/pprof and
+// POST /v1/submit. Without -ingest the pipeline is the model app: each
+// stage sleeps its module's response time on the spec, compressed by
+// -serve-speedup, and an in-process source submits -serve-n data sets
+// through the plane before the serving window starts. -serve-kill
+// injects a permanent instance death ("auto" picks the first replicated
+// stage) to demonstrate the degraded path, and -serve-for bounds how long
+// the server stays up after the run (default: until killed). Not
+// combinable with -json. See DESIGN.md §9 and §11.
 //
-// Adaptive remapping: -adapt closes the loop — the served pipeline streams
-// in bounded segments, and between segments a controller refits the cost
-// models from observed stage latencies, re-solves the mapping against the
-// surviving processors, and live-migrates (drain-and-switch) when the
-// predicted gain clears -adapt-threshold. -adapt-interval sets the target
-// wall-clock period between decisions (it sizes the drain segments).
-// Controller state (generation, last decision, refit residuals) is served
-// under the "controller" key of /pipeline and as adapt_* series on
-// /metrics; /readyz reports 503 during a migration drain. Combine with
-// -serve-kill to watch a death trigger a remap: the injected fault applies
-// to generation 0 only, so the migrated pipeline returns to nominal. See
+// Adaptive remapping: -adapt closes the loop — every -adapt-interval of
+// wall time a controller refits the cost models from observed stage
+// latencies, re-solves the mapping against the surviving processors, and
+// live-migrates the plane onto a new pipeline (Plane.Swap, which drains
+// the old one without dropping a request) when the predicted gain clears
+// -adapt-threshold. A migrated mapping that measures more than 20% below
+// the pre-migration capacity is rolled back. Controller state
+// (generation, last decision, refit residuals) is served under the
+// "controller" key of /pipeline and as adapt_* series on /metrics;
+// /readyz reports 503 during a migration drain. Combine with -serve-kill
+// to watch a death trigger a remap: the injected fault applies to
+// generation 0 only, so the migrated pipeline returns to nominal. See
 // DESIGN.md §10.
 package main
 
@@ -97,25 +101,25 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	metrics := fs.Bool("metrics", false, "print a solver metrics snapshot after the report")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	serveAddr := fs.String("serve", "", "after solving, run the mapping on the fault-tolerant runtime and serve live observability on this address (e.g. :9090 or 127.0.0.1:0)")
-	serveN := fs.Int("serve-n", 200, "with -serve: number of data sets to stream")
+	serveAddr := fs.String("serve", "", "after solving, run the mapping on the fault-tolerant runtime behind the ingestion data plane and serve live observability on this address (e.g. :9090 or 127.0.0.1:0)")
+	serveN := fs.Int("serve-n", 200, "with -serve: number of data sets the model app feeds through the plane")
 	serveSpeedup := fs.Float64("serve-speedup", 20, "with -serve: compress emulated stage times by this factor")
-	serveFor := fs.Duration("serve-for", 0, "with -serve: keep serving this long after the run, then exit (0 = serve until killed)")
+	serveFor := fs.Duration("serve-for", 0, "with -serve: keep serving this long after the model app's run (or after startup with -ingest), then exit (0 = serve until killed)")
 	serveKill := fs.String("serve-kill", "", "with -serve: permanently fail one stage instance (\"stage:instance\" or \"auto\")")
 	adapt := fs.Bool("adapt", false, "with -serve: run the adaptive remapping controller (refit cost models online, re-solve, migrate)")
-	adaptInterval := fs.Duration("adapt-interval", 2*time.Second, "with -serve -adapt: target wall-clock period between controller decisions")
+	adaptInterval := fs.Duration("adapt-interval", 2*time.Second, "with -serve -adapt: wall-clock period between controller decisions")
 	adaptThreshold := fs.Float64("adapt-threshold", 0.1, "with -serve -adapt: minimum predicted relative throughput gain before migrating")
 	ingestApp := fs.String("ingest", "", "with -serve: run the real application kernels (ffthist, radar, or stereo) behind an ingestion data plane with POST /v1/submit on the live server")
-	queueDepth := fs.Int("queue-depth", 64, "with -ingest: bounded admission queue depth (queue_full sheds beyond it)")
-	shedDeadline := fs.Duration("shed-deadline", 2*time.Second, "with -ingest: default per-request deadline budget; requests whose queue wait exceeds it are shed")
-	tenantRate := fs.Float64("tenant-rate", 0, "with -ingest: per-tenant admission rate limit in requests/s (0 = unlimited)")
+	queueDepth := fs.Int("queue-depth", 64, "with -serve: bounded admission queue depth (queue_full sheds beyond it)")
+	shedDeadline := fs.Duration("shed-deadline", 2*time.Second, "with -serve: default per-request deadline budget; requests whose queue wait exceeds it are shed")
+	tenantRate := fs.Float64("tenant-rate", 0, "with -serve: per-tenant admission rate limit in requests/s (0 = unlimited)")
 	ingestSize := fs.Int("ingest-size", 0, "with -ingest: problem size (ffthist matrix N, radar range gates, stereo image width; 0 = a serving default)")
-	ingestDispatchers := fs.Int("ingest-dispatchers", 4, "with -ingest: concurrent pipeline dispatchers")
-	traceSample := fs.Float64("trace-sample", 0, "with -ingest: head-sampling rate for request traces in [0,1] (0 = tracing off; client traceparent sampled flags always force)")
-	traceSpans := fs.String("trace-spans", "", "with -ingest: export finished sampled traces as NDJSON to this file")
-	flightSize := fs.Int("flight", 256, "with -ingest: flight recorder ring size (last N traces/sheds/adapt decisions at /debug/flightrecorder)")
-	sloP99 := fs.Duration("slo-p99", 0, "with -ingest: p99 end-to-end latency objective (0 = the -shed-deadline budget)")
-	sloAvailability := fs.Float64("slo-availability", 0.999, "with -ingest: availability objective target in (0,1]")
+	ingestDispatchers := fs.Int("ingest-dispatchers", 4, "with -ingest: concurrent pipeline dispatchers (the model app runs one per platform processor)")
+	traceSample := fs.Float64("trace-sample", 0, "with -serve: head-sampling rate for request traces in [0,1] (0 = tracing off; client traceparent sampled flags always force)")
+	traceSpans := fs.String("trace-spans", "", "with -serve: export finished sampled traces as NDJSON to this file")
+	flightSize := fs.Int("flight", 256, "with -serve: flight recorder ring size (last N traces/sheds/adapt decisions at /debug/flightrecorder)")
+	sloP99 := fs.Duration("slo-p99", 0, "with -serve: p99 end-to-end latency objective (0 = the -shed-deadline budget)")
+	sloAvailability := fs.Float64("slo-availability", 0.999, "with -serve: availability objective target in (0,1]")
 	fleetMode := fs.Bool("fleet", false, "with -serve: run every spec file argument as a tenant pipeline sharing one processor pool (fleet scheduler; POST /v1/<tenant>/submit, /fleet, POST /fleet/fail)")
 	fleetProcs := fs.Int("fleet-procs", 0, "with -fleet: shared pool size in processors (0 = the largest spec's processor count)")
 	fleetGrid := fs.String("fleet-grid", "", "with -fleet: pack pipeline allocations as disjoint rectangles on an RxC processor grid (e.g. 8x8)")
@@ -311,7 +315,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	}
 	if *serveAddr != "" {
 		fmt.Fprintln(stdout)
-		return serveRun(ctx, stdout, res, req, serveConfig{
+		return serveIngest(ctx, stdout, res, req, serveConfig{
 			addr: *serveAddr, n: *serveN, speedup: *serveSpeedup,
 			serveFor: *serveFor, kill: *serveKill,
 			adapt: *adapt, adaptInterval: *adaptInterval, adaptThreshold: *adaptThreshold,

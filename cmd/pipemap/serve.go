@@ -2,15 +2,18 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pipemap/internal/adapt"
-	"pipemap/internal/core"
 	"pipemap/internal/fxrt"
+	"pipemap/internal/ingest"
 	"pipemap/internal/model"
 	"pipemap/internal/obs/live"
 )
@@ -42,7 +45,7 @@ type serveConfig struct {
 }
 
 // serveWait blocks until the configured serving window elapses or the
-// process is signalled, then reports whether a drain is due to a signal.
+// process is signalled.
 func serveWait(ctx context.Context, stdout io.Writer, serveFor time.Duration) {
 	if serveFor > 0 {
 		select {
@@ -55,193 +58,100 @@ func serveWait(ctx context.Context, stdout io.Writer, serveFor time.Duration) {
 	<-ctx.Done()
 }
 
-// serveRun executes the solved mapping on the fault-tolerant runtime with a
-// live observability server attached: one emulated stage per module,
-// replicated per the mapping, with stage times compressed by the speedup
-// factor. The health model compares observed per-stage periods against the
-// model's f_i/r_i (scaled identically), so /pipeline shows the predicted
-// bottleneck reproducing live — and, with -serve-kill, how losing a replica
-// moves the pipeline to degraded.
-func serveRun(ctx context.Context, stdout io.Writer, res core.Result, req core.Request, sc serveConfig) error {
-	if sc.n < 2 {
-		return fmt.Errorf("-serve-n must be >= 2, got %d", sc.n)
-	}
-	if sc.ingestApp != "" {
-		return serveIngest(ctx, stdout, res, req, sc)
-	}
-	if sc.adapt {
-		return serveAdaptive(ctx, stdout, res, req, sc)
-	}
-	m, metrics := res.Mapping, req.Metrics
-	pl, err := fxrt.ModelPipeline(m, sc.speedup)
-	if err != nil {
-		return err
-	}
-	// Always run fault-tolerant: retries and death detection are what the
-	// live health model observes.
-	pl.Retry = fxrt.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond}
-	pl.DeadAfter = 2
-	if sc.kill != "" {
-		stage, inst, err := resolveKill(sc.kill, m)
-		if err != nil {
-			return err
-		}
-		// A permanent failure on one instance: it fails every attempt, is
-		// declared dead after DeadAfter consecutive failures, and its share
-		// of the stream requeues onto the surviving replicas.
-		pl.Faults = append(pl.Faults, fxrt.Fault{
-			Stage: stage, Instance: inst, DataSet: -1, Kind: fxrt.FaultFail,
-		})
-		fmt.Fprintf(stdout, "injecting permanent failure: stage %d instance %d\n", stage, inst)
-	}
-	mon := live.NewMonitor(live.ConfigFromMapping(m).Scale(sc.speedup))
-	pl.Monitor = mon
+// modelCodec carries the model app's data sets over POST /v1/submit: the
+// emulated stages pass an int through, and an empty input is data set 0.
+type modelCodec struct{}
 
-	opts := live.ServerOptions{Monitor: mon}
-	if metrics != nil {
-		opts.Static = metrics.Snapshot
-	}
-	srv := live.NewServer(opts)
-	if err := srv.Start(sc.addr); err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(stdout, "serving live observability on http://%s (/metrics /pipeline /healthz /readyz /events)\n", srv.Addr())
+func (modelCodec) App() string { return "model" }
 
-	stats, err := pl.Run(func(i int) fxrt.DataSet { return i }, sc.n, 0)
-	if err != nil {
-		return err
+func (modelCodec) Decode(in json.RawMessage) (fxrt.DataSet, error) {
+	if len(in) == 0 {
+		return 0, nil
 	}
-	h := mon.Health()
+	var v int
+	if err := json.Unmarshal(in, &v); err != nil {
+		return nil, fmt.Errorf("model input: want an integer: %w", err)
+	}
+	return v, nil
+}
+
+func (modelCodec) Encode(out fxrt.DataSet) (any, error) { return out, nil }
+
+// feedStats summarizes one in-process feed of the plane.
+type feedStats struct {
+	// completed and failed count the data sets that came back with and
+	// without a result (a shed counts as failed).
+	completed, failed int
+	// throughput is measured as fxrt's batch runs measure it: the
+	// completions after the first n/5, over their window.
+	throughput float64
+}
+
+// feed submits data sets 0..n-1 through the plane from workers concurrent
+// submitters and returns once every submission has its outcome, or ctx
+// ends.
+func feed(ctx context.Context, plane *ingest.Plane, n, workers int) feedStats {
+	warmup := n / 5
+	var (
+		next                   atomic.Int64
+		wg                     sync.WaitGroup
+		mu                     sync.Mutex
+		st                     feedStats
+		windowStart, windowEnd time.Time
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				out, err := plane.Submit(ctx, "", i, 0)
+				now := time.Now()
+				mu.Lock()
+				if err != nil || out.Err != nil {
+					st.failed++
+				} else {
+					st.completed++
+					windowEnd = now
+					if st.completed == warmup+1 {
+						windowStart = now
+					}
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if window := windowEnd.Sub(windowStart); st.completed > warmup+1 && window > 0 {
+		st.throughput = float64(st.completed-warmup-1) / window.Seconds()
+	}
+	return st
+}
+
+// reportRun prints the model app's run summary: the fed throughput beside
+// the model's prediction, the serving generation's health, and with -adapt
+// the controller's generations.
+func reportRun(stdout io.Writer, st feedStats, m model.Mapping, speedup float64, h live.Health, ctrl *adapt.Controller) {
 	fmt.Fprintf(stdout, "run complete: %d data sets, %.4f data sets/s observed (model predicts %.4f at %gx speedup)\n",
-		stats.DataSets, stats.Throughput, m.Throughput()*sc.speedup, sc.speedup)
+		st.completed, st.throughput, m.Throughput()*speedup, speedup)
 	fmt.Fprintf(stdout, "health: %s", h.Status)
 	if h.Reason != "" {
 		fmt.Fprintf(stdout, " (%s)", h.Reason)
 	}
 	fmt.Fprintf(stdout, "; bottleneck stage %d (%s), predicted %d\n",
 		h.BottleneckStage, h.Stages[h.BottleneckStage].Name, h.PredictedBottleneck)
-	if stats.Retried+stats.Dropped+stats.Dead > 0 {
-		fmt.Fprintf(stdout, "faults: %d retried, %d dropped, %d instance death(s)\n",
-			stats.Retried, stats.Dropped, stats.Dead)
+	if st.failed+int(h.Retries+h.Drops+h.Deaths) > 0 {
+		fmt.Fprintf(stdout, "faults: %d failed or shed, %d retried, %d dropped, %d instance death(s)\n",
+			st.failed, h.Retries, h.Drops, h.Deaths)
 	}
-	serveWait(ctx, stdout, sc.serveFor)
-	return nil
-}
-
-// serveAdaptive runs the closed loop: the solved mapping executes in
-// bounded segments on the fault-tolerant runtime, and between segments the
-// adaptive controller refits the cost models from observed stage
-// latencies, re-solves on the surviving processors, and live-migrates when
-// the predicted gain clears the threshold. The observability server
-// follows the current generation's monitor and serves the controller state
-// under /pipeline's "controller" key. An injected -serve-kill fault
-// applies to generation 0 only, so a death-triggered remap visibly returns
-// the pipeline to nominal.
-func serveAdaptive(ctx context.Context, stdout io.Writer, res core.Result, req core.Request, sc serveConfig) error {
-	m := res.Mapping
-	ctrl, err := adapt.NewController(adapt.Config{
-		Chain:     req.Chain,
-		Platform:  req.Platform,
-		Initial:   m,
-		Threshold: sc.adaptThreshold,
-		TimeScale: sc.speedup,
-		Trace:     req.Trace,
-		Metrics:   req.Metrics,
-	})
-	if err != nil {
-		return err
+	if ctrl != nil {
+		cs := ctrl.Status()
+		fmt.Fprintf(stdout, "adapt: %d generation(s); %d migration(s), %d rollback(s), %d processor(s) lost; serving %s\n",
+			cs.Generation+1, cs.Migrations, cs.Rollbacks, cs.LostProcs, cs.Mapping)
 	}
-
-	killStage, killInst := -1, -1
-	if sc.kill != "" {
-		killStage, killInst, err = resolveKill(sc.kill, m)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "injecting permanent failure: stage %d instance %d (generation 0 only)\n",
-			killStage, killInst)
-	}
-
-	rt := &adapt.Runtime{
-		Controller: ctrl,
-		Factory: func(gm model.Mapping, gen int) (*fxrt.Pipeline, error) {
-			pl, err := fxrt.ModelPipeline(gm, sc.speedup)
-			if err != nil {
-				return nil, err
-			}
-			pl.Retry = fxrt.RetryPolicy{MaxRetries: 2, Backoff: time.Millisecond}
-			pl.DeadAfter = 2
-			if gen == 0 && killStage >= 0 {
-				pl.Faults = append(pl.Faults, fxrt.Fault{
-					Stage: killStage, Instance: killInst, DataSet: -1, Kind: fxrt.FaultFail,
-				})
-			}
-			return pl, nil
-		},
-		MonitorConfig: func(gm model.Mapping) live.Config {
-			return live.ConfigFromMapping(gm).Scale(sc.speedup)
-		},
-		SegmentSize: adaptSegmentSize(m, sc),
-		OnSegment: func(gen, segment int, stats fxrt.Stats, d adapt.Decision) {
-			if d.Action != adapt.ActionHold {
-				fmt.Fprintf(stdout, "cycle %d: %s -> generation %d: %s\n",
-					d.Cycle, d.Action, d.Generation, d.Reason)
-			}
-		},
-	}
-
-	opts := live.ServerOptions{
-		Source:     rt.Monitor,
-		Controller: func() any { return ctrl.Status() },
-	}
-	if req.Metrics != nil {
-		opts.Static = req.Metrics.Snapshot
-	}
-	srv := live.NewServer(opts)
-	if err := srv.Start(sc.addr); err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(stdout, "serving adaptive pipeline on http://%s (segment size %d; /pipeline carries controller state)\n",
-		srv.Addr(), rt.SegmentSize)
-
-	stats, err := rt.Run(sc.n)
-	if err != nil {
-		return err
-	}
-	st := ctrl.Status()
-	fmt.Fprintf(stdout, "run complete: %d data sets across %d generation(s); %d migration(s), %d rollback(s), %d processor(s) lost\n",
-		stats.DataSets, len(stats.Generations), stats.Migrations, stats.Rollbacks, st.LostProcs)
-	for _, g := range stats.Generations {
-		tag := ""
-		if g.Rollback {
-			tag = " (rollback)"
-		}
-		fmt.Fprintf(stdout, "  gen %d%s: %d data sets, %.4f data sets/s observed — %s\n",
-			g.Generation, tag, g.DataSets, g.Throughput, g.Mapping)
-	}
-	serveWait(ctx, stdout, sc.serveFor)
-	return nil
-}
-
-// adaptSegmentSize targets one controller decision per -adapt-interval of
-// wall time: the mapping's predicted runtime throughput times the interval,
-// clamped to [8, 256] so a drain never strands an unbounded number of
-// in-flight data sets and a decision always has a few observations.
-func adaptSegmentSize(m model.Mapping, sc serveConfig) int {
-	interval := sc.adaptInterval.Seconds()
-	if interval <= 0 {
-		interval = 2
-	}
-	n := int(m.Throughput() * sc.speedup * interval)
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	return n
 }
 
 // resolveKill parses -serve-kill: "auto" picks instance 0 of the first

@@ -250,6 +250,9 @@ func TestServeAdaptiveAcceptance(t *testing.T) {
 	}()
 	addr := waitFor(t, buf, addrRe, done)
 	waitFor(t, buf, regexp.MustCompile(`run complete`), done)
+	// Decisions follow -adapt-interval in wall time, so the migration may
+	// land after the run.
+	waitFor(t, buf, regexp.MustCompile(`migrate -> generation`), done)
 
 	code, body, _ := httpGet(t, "http://"+addr[1]+"/pipeline")
 	if code != http.StatusOK {

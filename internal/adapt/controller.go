@@ -27,7 +27,7 @@ type Config struct {
 	// relative throughput gain of at least this much (default 0.10).
 	Threshold float64
 	// RollbackTolerance triggers a rollback when the first post-migration
-	// segment's observed throughput falls more than this fraction below the
+	// observation's throughput falls more than this fraction below the
 	// pre-migration observation (default 0.20).
 	RollbackTolerance float64
 	// MinStageSamples gates refitting on the monitor window: a stage's
@@ -151,8 +151,7 @@ type Decision struct {
 	CandidatePredicted float64 `json:"candidatePredicted"`
 	// PredictedGain is (candidate - current) / current.
 	PredictedGain float64 `json:"predictedGain"`
-	// ObservedThroughput is the segment's observed throughput in model
-	// units.
+	// ObservedThroughput is the observation's throughput in model units.
 	ObservedThroughput float64 `json:"observedThroughput"`
 }
 
@@ -185,7 +184,7 @@ type Status struct {
 	PredictedThroughput float64 `json:"predictedThroughput"`
 	// PredictedGain is the last migration's predicted relative gain;
 	// ObservedGain is the measured relative gain of its first
-	// post-migration segment (0 until evaluated).
+	// post-migration observation (0 until evaluated).
 	PredictedGain float64 `json:"predictedGain"`
 	ObservedGain  float64 `json:"observedGain"`
 	// Refits is the per-stage refit state of the current generation.
@@ -194,8 +193,8 @@ type Status struct {
 	Memo *SolveCacheStats `json:"memo,omitempty"`
 	// LastDecision is the most recent cycle's decision.
 	LastDecision *Decision `json:"lastDecision,omitempty"`
-	// Ingest is the most recent observation's ingestion load, when the
-	// runtime serves an ingestion plane.
+	// Ingest is the most recent observation's ingestion load, when it
+	// carried one.
 	Ingest *IngestLoad `json:"ingest,omitempty"`
 }
 
@@ -212,21 +211,25 @@ type IngestLoad struct {
 	ShedRate  float64 `json:"shedRate"`
 }
 
-// Observation is one completed segment's runtime evidence.
+// Observation is one decision's runtime evidence from the serving
+// generation.
 type Observation struct {
-	// Health is the live monitor's health model after the segment.
+	// Health is the serving generation's live health model.
 	Health live.Health
-	// Throughput is the segment's observed sink throughput in runtime
-	// (wall-clock) units; the controller divides by TimeScale.
+	// Throughput is the serving generation's observed throughput in
+	// runtime (wall-clock) units; the controller divides by TimeScale and
+	// judges a migration by it. The serving loop passes the capacity
+	// 1/max_i StageHealth.ObservedPeriod, which does not fall with the
+	// offered load as the sink rate does.
 	Throughput float64
-	// Ingest, when the segment served an ingestion plane, carries its load
-	// evidence.
+	// Ingest, when the generation serves an ingestion plane, carries its
+	// load evidence.
 	Ingest *IngestLoad
 }
 
 // Controller is the closed-loop decision engine. Drive it with Step once
-// per segment; it assumes the caller (Runtime) executes every migrate and
-// rollback decision it returns. All methods are safe for concurrent use
+// per decision; it assumes the caller (the serving loop) executes every
+// migrate and rollback decision it returns. All methods are safe for concurrent use
 // with a running Step (status readers never block the loop for long).
 type Controller struct {
 	mu  sync.Mutex
@@ -423,9 +426,9 @@ func (c *Controller) Status() Status {
 	return st
 }
 
-// Step ingests one completed segment's observation and decides: hold,
-// migrate, or roll back. The caller must execute migrate/rollback
-// decisions (rebuild the data plane on Mapping()) before the next Step.
+// Step ingests one observation and decides: hold, migrate, or roll back.
+// The caller must execute migrate/rollback decisions (rebuild the data
+// plane on Mapping()) before the next Step.
 func (c *Controller) Step(o Observation) Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -505,8 +508,8 @@ func (c *Controller) Step(o Observation) Decision {
 	return d
 }
 
-// decideEvaluation judges the first post-migration segment: keep the new
-// mapping or roll back to the previous one.
+// decideEvaluation judges the first post-migration observation: keep the
+// new mapping or roll back to the previous one.
 func (c *Controller) decideEvaluation(d *Decision) {
 	post := d.ObservedThroughput
 	c.evalPending = false
@@ -563,8 +566,8 @@ func (c *Controller) migrate(d *Decision, modules []model.Module, action, reason
 // per-instance processor count of that stage — accounting against any
 // other generation's mapping is exactly the drift Remap agreement tests
 // guard against. Per generation a stage can lose at most Replicas-1
-// instances (the runtime never removes the last live one); deaths beyond
-// that are re-kills of a rebuilt segment run, not new processor loss.
+// instances, because the runtime never removes a stage's last live one, so
+// the count is clamped there.
 func (c *Controller) ingestDeaths(h live.Health) {
 	n := len(h.Stages)
 	if n > len(c.cur.Modules) {

@@ -12,15 +12,14 @@
 //	         processor count, under a decision-latency budget (DP when it
 //	         fits the budget, greedy otherwise)
 //	migrate  when the predicted throughput gain clears a hysteresis
-//	         threshold: drain-and-switch on the fxrt executor with a
-//	         bounded number of in-flight data sets, generation-tagged
-//	         stats, and rollback if the new mapping underperforms
+//	         threshold: the caller swaps the serving ingest plane onto a
+//	         pipeline of the new mapping (ingest.Plane.Swap drains the old
+//	         one without dropping a request), and rolls back if the new
+//	         mapping's measured capacity falls short
 //
-// Controller holds the decision logic and is driven one segment at a time
-// through Step, which makes it deterministic and unit-testable. Runtime is
-// the execution harness: it streams data sets through the current
-// generation's pipeline in bounded segments, calls Step at each segment
-// boundary (a natural drain point: every in-flight data set of the old
-// generation completes before the swap), and executes the returned
-// decision.
+// Controller holds the decision logic and is driven one decision at a time
+// through Step, which makes it deterministic and unit-testable. The
+// serving loop lives in cmd/pipemap: on each tick of -adapt-interval it
+// steps the controller with the serving generation's health and capacity
+// and executes the returned decision.
 package adapt

@@ -29,7 +29,7 @@ type ResolveOptions struct {
 // Resolve re-solves the mapping for a (refitted) chain on the surviving
 // platform under a decision-latency budget, returning the solution and the
 // measured solve time. The controller cannot afford a multi-second DP
-// stall between segments, so instances whose estimated DP cost exceeds the
+// stall between decisions, so instances whose estimated DP cost exceeds the
 // budget are routed to the greedy heuristic.
 func Resolve(chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, time.Duration, error) {
 	req := core.Request{

@@ -63,8 +63,8 @@ type SpecPerf struct {
 	// AdaptDecisionSeconds is the median wall time of one *warm* adaptive
 	// controller decision cycle (ingest observations, refit the cost
 	// models, re-solve, decide) on a tick where one stage's cost belief
-	// moved — the steady-state latency the closed loop adds between stream
-	// segments, riding the incremental solver rather than a cold full DP.
+	// moved — the steady-state latency the closed loop adds per decision,
+	// riding the incremental solver rather than a cold full DP.
 	AdaptDecisionSeconds float64 `json:"adaptDecisionSeconds"`
 	// IncrementalSolveSeconds is the median wall time of one incremental
 	// DP re-solve (warm solver, last task's execution cost drifted) — the

@@ -56,18 +56,6 @@ func TestHistogramMergeEquivalentToSequential(t *testing.T) {
 	}
 }
 
-func TestHistogramMatrixAccumulate(t *testing.T) {
-	m := NewMatrix(4, 4)
-	for i := range m.Data {
-		m.Data[i] = 2
-	}
-	h := NewHistogram(8, -6, 6)
-	h.AccumulateMatrix(m, 1, 3)
-	if h.Count != 8 {
-		t.Errorf("Count = %d, want 8 (two rows)", h.Count)
-	}
-}
-
 func TestRadarDetectsInjectedTarget(t *testing.T) {
 	const pulses, gates = 16, 64
 	rng := rand.New(rand.NewSource(5))

@@ -87,7 +87,7 @@ func BenchmarkHistogramAccumulate(b *testing.B) {
 			b.SetBytes(int64(16 * n * n))
 			for i := 0; i < b.N; i++ {
 				h := NewHistogram(64, -6, 6)
-				h.AccumulateMatrix(m, 0, n)
+				h.Accumulate(m.Data)
 			}
 		})
 	}

@@ -32,11 +32,6 @@ func NewHistogram(n int, lo, hi float64) *Histogram {
 	}
 }
 
-// AccumulateMatrix adds the elements of rows [r0, r1) of m.
-func (h *Histogram) AccumulateMatrix(m Matrix, r0, r1 int) {
-	h.Accumulate(m.Data[r0*m.Cols : r1*m.Cols])
-}
-
 // AccumulateHalfSpectrum adds rows [r0, r1) of a half spectrum: rows 0 to
 // n/2 of the 2D FFT of a real matrix with n = 2(m.Rows-1) rows. Each row k
 // from 1 to n/2-1 counts twice, once more for its Hermitian mirror, row

@@ -288,8 +288,9 @@ func NewLiveServer(opt LiveServerOptions) *LiveServer { return live.NewServer(op
 // LiveMonitor's health model, incrementally refits the cost models online,
 // periodically re-solves the mapping against the refitted models and the
 // surviving processor count, and decides hold / migrate / rollback under a
-// hysteresis threshold. An AdaptRuntime executes those decisions on the
-// fault-tolerant runtime with bounded-segment drain-and-switch migration.
+// hysteresis threshold. The caller executes each migrate or rollback,
+// typically by building the new mapping's pipeline and handing it to an
+// IngestPlane's Swap, which migrates live without dropping a request.
 type (
 	// AdaptConfig configures the controller (chain, platform, initial
 	// mapping, thresholds, decision-latency budget).
@@ -300,11 +301,8 @@ type (
 	AdaptDecision = adapt.Decision
 	// AdaptStatus is the controller state served on /pipeline.
 	AdaptStatus = adapt.Status
-	// AdaptObservation is one segment's runtime evidence for Step.
+	// AdaptObservation is one decision's runtime evidence for Step.
 	AdaptObservation = adapt.Observation
-	// AdaptRuntime executes controller decisions on the fault-tolerant
-	// runtime with segment-bounded live migration.
-	AdaptRuntime = adapt.Runtime
 )
 
 // NewAdaptController validates the configuration and returns a controller
