@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -121,9 +122,10 @@ type PerfReport struct {
 }
 
 // KernelPerf is the kernel compute cost of one served application: the
-// median wall time of one data set through all of the app's tasks on a
+// wall time of one data set through all of the app's tasks on a
 // one-module, one-processor mapping, so no transfer edge, replica or
-// parallel split enters it.
+// parallel split enters it, read at the host's quiet part (see
+// quietPush).
 type KernelPerf struct {
 	App     string  `json:"app"`
 	Shape   string  `json:"shape"`
@@ -153,7 +155,7 @@ func RunPerf(specPaths []string, opt PerfOptions) (PerfReport, error) {
 		}
 		rep.Specs = append(rep.Specs, sp)
 	}
-	kernels, err := timeKernels(opt.Runs)
+	kernels, err := timeKernels()
 	if err != nil {
 		return PerfReport{}, fmt.Errorf("bench: kernels: %w", err)
 	}
@@ -163,7 +165,9 @@ func RunPerf(specPaths []string, opt PerfOptions) (PerfReport, error) {
 
 // timeKernels times the served applications' kernels at the shapes
 // perfbench serves them: FFT-Hist at N=128 and radar on a 16x256 cube.
-func timeKernels(runs int) ([]KernelPerf, error) {
+// Quick and full runs time them alike, so a quick run's reading compares
+// with a full run's baseline.
+func timeKernels() ([]KernelPerf, error) {
 	ffthist := apps.FFTHistRunner{N: 128}
 	radar := apps.RadarRunner{Pulses: 16, Gates: 256}
 	cases := []struct {
@@ -179,10 +183,6 @@ func timeKernels(runs int) ([]KernelPerf, error) {
 				return pl, nil, err
 			}},
 	}
-	iters := 20 * runs
-	if iters < 40 {
-		iters = 40
-	}
 	var out []KernelPerf
 	for _, c := range cases {
 		m := model.Mapping{Chain: c.chain, Modules: []model.Module{{Lo: 0, Hi: c.chain.Len(), Procs: 1, Replicas: 1}}}
@@ -190,7 +190,7 @@ func timeKernels(runs int) ([]KernelPerf, error) {
 		if err != nil {
 			return nil, err
 		}
-		sec, err := medianPush(pl, edges, c.codec, iters)
+		sec, err := quietPush(pl, edges, c.codec)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.app, err)
 		}
@@ -199,20 +199,30 @@ func timeKernels(runs int) ([]KernelPerf, error) {
 	return out, nil
 }
 
-// medianPush streams seeded data sets through pl one at a time and
-// returns the median wall time from push to result over iters of them.
-// Each data set is decoded and encoded by codec, as a served request is,
-// outside the timed push; the first few warm the caches and buffer pools
-// and are not timed.
-func medianPush(pl *fxrt.Pipeline, edges []fxrt.Edge, codec ingest.Codec, iters int) (float64, error) {
+// The kernels reading is the smallest of kernelBlocks medians, each over
+// kernelBlockLen consecutive pushes. The shared host's speed moves in
+// phases, some shorter than a run: a median over every push mixes them,
+// while the quietest block's median reads the kernels whenever a run
+// sees a quiet phase.
+const (
+	kernelBlocks   = 12
+	kernelBlockLen = 16
+)
+
+// quietPush streams seeded data sets through pl one at a time, times each
+// from push to result, and returns the smallest median over blocks of
+// kernelBlockLen of them. Each data set is decoded and encoded by codec,
+// as a served request is, outside the timed push; the first few warm the
+// caches and buffer pools and are not timed.
+func quietPush(pl *fxrt.Pipeline, edges []fxrt.Edge, codec ingest.Codec) (float64, error) {
 	const warm = 5
 	s, err := pl.Stream(fxrt.StreamOptions{Edges: edges})
 	if err != nil {
 		return 0, err
 	}
 	defer s.Close()
-	times := make([]float64, 0, iters)
-	for i := 0; i < warm+iters; i++ {
+	times := make([]float64, 0, kernelBlocks*kernelBlockLen)
+	for i := 0; i < warm+cap(times); i++ {
 		ds, err := codec.Decode(json.RawMessage(fmt.Sprintf(`{"seed":%d}`, i)))
 		if err != nil {
 			return 0, err
@@ -234,8 +244,13 @@ func medianPush(pl *fxrt.Pipeline, edges []fxrt.Edge, codec ingest.Codec, iters 
 			times = append(times, d.Seconds())
 		}
 	}
-	sort.Float64s(times)
-	return times[len(times)/2], nil
+	quiet := math.Inf(1)
+	for b := 0; b < kernelBlocks; b++ {
+		block := times[b*kernelBlockLen : (b+1)*kernelBlockLen]
+		sort.Float64s(block)
+		quiet = math.Min(quiet, block[kernelBlockLen/2])
+	}
+	return quiet, nil
 }
 
 func perfSpec(path string, opt PerfOptions) (SpecPerf, error) {

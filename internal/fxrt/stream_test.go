@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pipemap/internal/obs/live"
 )
 
 // echoPipeline returns a pipeline that increments an int data set at every
@@ -182,15 +184,45 @@ func TestStreamInstanceDeathFailsOver(t *testing.T) {
 	p.Retry = RetryPolicy{MaxRetries: 3}
 	p.DeadAfter = 2
 	p.Faults = []Fault{{Stage: 0, Instance: 0, DataSet: -1, Kind: FaultFail}}
+	// Instance 1 holds its first attempt until the monitor reports instance
+	// 0's death, so the faulty instance takes a data set however the
+	// scheduler runs the two.
+	p.Monitor = live.NewMonitor(live.Config{Stages: []live.StageInfo{{Name: "s0", Replicas: 2}}})
+	events, _, cancel := p.Monitor.Events().Subscribe(8)
+	defer cancel()
+	var hold sync.Once
+	p.Stages[0].Run = func(ctx *StageCtx, in DataSet) (DataSet, error) {
+		if ctx.Instance == 1 {
+			hold.Do(func() {
+				// Without a death, go on and fail on the count below.
+				timeout := time.After(10 * time.Second)
+				for {
+					select {
+					case ev := <-events:
+						if ev.Kind == "death" {
+							return
+						}
+					case <-timeout:
+						return
+					}
+				}
+			})
+		}
+		return in.(int) + 1, nil
+	}
 	s, err := p.Stream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		res, err := s.Push(context.Background(), i)
-		if err != nil {
+	// Push every data set before waiting on any: instance 1 may hold one
+	// until instance 0 has taken another and died.
+	results := make([]<-chan StreamResult, 20)
+	for i := range results {
+		if results[i], err = s.Push(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i, res := range results {
 		if r := <-res; r.Err != nil {
 			t.Fatalf("data set %d lost to a failing instance: %v (survivor should absorb)", i, r.Err)
 		}

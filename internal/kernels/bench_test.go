@@ -22,6 +22,34 @@ func randCube(rows, cols int, seed int64) Matrix {
 // The 128 sizes are the served FFT-Hist shape (N=128); the 16x256 radar
 // benchmarks are the served radar cube.
 
+// BenchmarkFFT times one transform of each served length: 16 (radar's
+// Doppler columns), 128 (FFT-Hist's rows and column pairs) and 256
+// (radar's matched filter, whose inverse runs at 256 too). Each iteration
+// transforms a fresh copy of one input: transforming in place again and
+// again would scale it by sqrt(n) per pass, forward up to overflow and
+// inverse down into subnormals, which run far slower.
+func BenchmarkFFT(b *testing.B) {
+	for _, c := range []struct {
+		n       int
+		inverse bool
+	}{{16, false}, {128, false}, {256, false}, {256, true}} {
+		name, transform := fmt.Sprintf("n=%d", c.n), FFT
+		if c.inverse {
+			name, transform = name+"/inverse", IFFT
+		}
+		b.Run(name, func(b *testing.B) {
+			src, x := randCube(1, c.n, 6).Data, make([]complex128, c.n)
+			b.SetBytes(int64(16 * c.n))
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				if err := transform(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFFTRows(b *testing.B) {
 	for _, n := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -13,10 +13,11 @@ import (
 	"sync"
 )
 
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x. len(x) must be a power of two; an empty x is left as is.
-// Every transform of one length runs on a plan built once and cached: the
-// bit-reversal swaps and each stage's twiddle factors from math.Sincos.
+// FFT computes the in-place fast Fourier transform of x: decimation in
+// time, in radix-4 passes finished by one radix-2 pass when log2 len(x) is
+// odd. len(x) must be a power of two; an empty x is left as is. Every
+// transform of one length runs on a plan built once and cached: the
+// bit-reversal swaps and each pass's twiddle factors from math.Sincos.
 func FFT(x []complex128) error {
 	p, err := planFor(len(x))
 	if p == nil {
@@ -42,17 +43,21 @@ func IFFT(x []complex128) error {
 
 // fftPlan is everything a length-n transform needs besides its data: the
 // bit-reversal permutation as swap pairs, and the twiddle factors of every
-// stage from the third on, laid out stage by stage so each butterfly pass
-// reads them contiguously. The first two stages' twiddles are 1 and -i.
+// pass after the first, laid out pass by pass so each pass reads them
+// contiguously. The transform runs radix-4 passes on sub-transforms of
+// length h = 1, 4, 16, ... while 4h <= n, then, when log2 n is odd, one
+// radix-2 pass with h = n/2. The first radix-4 pass's twiddles are all 1.
+// Each later one reads the triples (w^k, w^2k, w^3k), k < h, for
+// w = e^(-2πi/4h), stored as three runs of h factors; the radix-2 pass
+// reads w^k, k < h, for w = e^(-2πi/n).
 type fftPlan struct {
 	n     int
 	swaps [][2]int // index pairs (i, j), i < j, that bit reversal exchanges
 	fwd   []complex128
 	inv   []complex128 // the conjugates of fwd
-	// cols recycles scratch buffers of colBlock*n elements: FFTCols'
-	// gather buffers of colBlock columns of length n, and HalfSpectra's
-	// packed pair of rows. A warm call of either allocates nothing.
-	cols sync.Pool // *[]complex128
+	// packed recycles HalfSpectra's packed vector of n elements, so a warm
+	// call allocates nothing.
+	packed sync.Pool // *[]complex128
 }
 
 // plans caches one plan per transform length.
@@ -78,54 +83,84 @@ func planFor(n int) (*fftPlan, error) {
 			p.swaps = append(p.swaps, [2]int{i, j})
 		}
 	}
-	for size := 8; size <= n; size <<= 1 {
-		for k := 0; k < size/2; k++ {
-			sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(size))
-			p.fwd = append(p.fwd, complex(cos, sin))
-			p.inv = append(p.inv, complex(cos, -sin))
+	twiddle := func(k, size int) {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(size))
+		p.fwd = append(p.fwd, complex(cos, sin))
+		p.inv = append(p.inv, complex(cos, -sin))
+	}
+	for h := 4; 4*h <= n; h *= 4 {
+		for j := 1; j <= 3; j++ {
+			for k := 0; k < h; k++ {
+				twiddle(j*k, 4*h)
+			}
+		}
+	}
+	if bits.TrailingZeros(uint(n))%2 == 1 {
+		for k := 0; k < n/2; k++ {
+			twiddle(k, n)
 		}
 	}
 	q, _ := plans.LoadOrStore(n, p)
 	return q.(*fftPlan), nil
 }
 
+// radix4 is the butterfly of a radix-4 pass. Its inputs are the four
+// points k, k+h, k+2h, k+3h of one group, the last three already
+// multiplied by their twiddles w^2k, w^k and w^3k (bit reversal leaves the
+// sub-transforms of residues 0, 2, 1, 3 in that order). Its outputs are
+// the forward transform's points k, k+h, k+2h, k+3h. The inverse, whose
+// twiddles are the conjugates, is the same butterfly with outputs 1 and 3
+// stored the other way round.
+func radix4(a0, a1, a2, a3 complex128) (y0, y1, y2, y3 complex128) {
+	b0, b1 := a0+a1, a0-a1
+	c0, c1 := a2+a3, a2-a3
+	c1 = complex(imag(c1), -real(c1)) // c1 * -i
+	return b0 + c0, b1 + c1, b0 - c0, b1 - c1
+}
+
 // transform runs the unnormalized forward or inverse transform of x in
-// place; len(x) must be the plan's length. It is the one FFT routine every
-// kernel uses.
+// place; len(x) must be the plan's length. It is the FFT routine of every
+// kernel on contiguous vectors; FFTCols runs the same swaps, passes and
+// twiddles across the columns of a row band.
 func (p *fftPlan) transform(x []complex128, inverse bool) {
-	x = x[:p.n]
+	n := p.n
+	x = x[:n]
 	for _, s := range p.swaps {
 		x[s[0]], x[s[1]] = x[s[1]], x[s[0]]
 	}
-	// Stages 1 and 2: butterflies of span 1 with twiddle 1, then of span
-	// 2 with twiddles 1 and -i (+i for the inverse).
-	for y := x; len(y) >= 2; y = y[2:] {
-		a, b := y[0], y[1]
-		y[0], y[1] = a+b, a-b
-	}
-	for y := x; len(y) >= 4; y = y[4:] {
-		a0, a1, b0, c := y[0], y[1], y[2], y[3]
-		b1 := complex(imag(c), -real(c)) // c * -i
-		if inverse {
-			b1 = -b1 // c * +i
-		}
-		y[0], y[2] = a0+b0, a0-b0
-		y[1], y[3] = a1+b1, a1-b1
-	}
-	tw := p.fwd
+	tw, q1, q3 := p.fwd, 1, 3 // q1, q3: where outputs 1 and 3 go, in units of h
 	if inverse {
-		tw = p.inv
+		tw, q1, q3 = p.inv, 3, 1
 	}
-	for half := 4; half < len(x); half <<= 1 {
-		w := tw[:half]
-		tw = tw[half:]
-		for s := 0; s < len(x); s += 2 * half {
-			lo, hi := x[s:], x[s+half:]
-			lo, hi = lo[:len(w)], hi[:len(w)]
-			for k, wk := range w {
-				a, b := lo[k], hi[k]*wk
-				lo[k], hi[k] = a+b, a-b
+	h := 1
+	if n >= 4 {
+		for s := 0; s < n; s += 4 {
+			y := x[s : s+4]
+			y0, y1, y2, y3 := radix4(y[0], y[1], y[2], y[3])
+			y[0], y[q1], y[2], y[q3] = y0, y1, y2, y3
+		}
+		h = 4
+	}
+	for ; 4*h <= n; h *= 4 {
+		w1, w2, w3 := tw[:h], tw[h:2*h], tw[2*h:3*h]
+		tw = tw[3*h:]
+		for s := 0; s < n; s += 4 * h {
+			g := x[s : s+4*h]
+			p0, p1, p2, p3 := g[:h], g[h:2*h], g[2*h:3*h], g[3*h:]
+			o1, o3 := g[q1*h:(q1+1)*h], g[q3*h:(q3+1)*h]
+			p1, p2, p3, o1, o3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)], o1[:len(p0)], o3[:len(p0)]
+			w1, w2, w3 := w1[:len(p0)], w2[:len(p0)], w3[:len(p0)]
+			for k := range p0 {
+				y0, y1, y2, y3 := radix4(p0[k], p1[k]*w2[k], p2[k]*w1[k], p3[k]*w3[k])
+				p0[k], o1[k], p2[k], o3[k] = y0, y1, y2, y3
 			}
+		}
+	}
+	if h < n {
+		lo, hi := x[:h], x[h:]
+		for k, w := range tw[:h] {
+			a, b := lo[k], hi[k]*w
+			lo[k], hi[k] = a+b, a-b
 		}
 	}
 }
@@ -167,15 +202,12 @@ func FFTRows(m Matrix, r0, r1 int) error {
 	return nil
 }
 
-// colBlock is how many adjacent columns FFTCols gathers per pass: four
-// complex128s are one 64-byte cache line of each row.
-const colBlock = 4
-
-// FFTCols transforms columns [c0, c1) of the matrix in place (the colffts
-// task). It gathers up to four adjacent columns per pass into a pooled
-// scratch buffer, transforms each as a contiguous vector with the same
-// routine FFT uses, and scatters them back, so every column's result is
-// the same whichever way the column range is split.
+// FFTCols transforms columns [c0, c1) of the matrix in place; radar's
+// DopplerFFT runs it. It makes the plan's swaps and passes on whole row
+// segments [c0, c1), in transform's order and with its twiddles, each
+// read once per butterfly and applied across the band. Every column goes
+// through the operations FFT makes on it, so each comes out bit-identical
+// to FFT of that column whichever way the column range is split.
 func FFTCols(m Matrix, c0, c1 int) error {
 	if c0 >= c1 {
 		return nil
@@ -184,39 +216,50 @@ func FFTCols(m Matrix, c0, c1 int) error {
 	if p == nil {
 		return err
 	}
-	rows := m.Rows
-	bp := p.scratch()
-	defer p.cols.Put(bp)
-	buf := *bp
-	for c := c0; c < c1; c += colBlock {
-		w := min(colBlock, c1-c)
-		for r := 0; r < rows; r++ {
-			row := m.Data[r*m.Cols+c : r*m.Cols+c+w]
-			for j, v := range row {
-				buf[j*rows+r] = v
+	n, band := p.n, m.Data[c0:]
+	row := func(r int) []complex128 { return band[r*m.Cols : r*m.Cols+c1-c0] }
+	for _, s := range p.swaps {
+		a, b := row(s[0]), row(s[1])
+		b = b[:len(a)]
+		for j := range a {
+			a[j], b[j] = b[j], a[j]
+		}
+	}
+	tw, h := p.fwd, 1
+	if n >= 4 {
+		for s := 0; s < n; s += 4 {
+			p0, p1, p2, p3 := row(s), row(s+1), row(s+2), row(s+3)
+			p1, p2, p3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)]
+			for j := range p0 {
+				p0[j], p1[j], p2[j], p3[j] = radix4(p0[j], p1[j], p2[j], p3[j])
 			}
 		}
-		for j := 0; j < w; j++ {
-			p.transform(buf[j*rows:(j+1)*rows], false)
+		h = 4
+	}
+	for ; 4*h <= n; h *= 4 {
+		for s := 0; s < n; s += 4 * h {
+			for k := 0; k < h; k++ {
+				w1, w2, w3 := tw[k], tw[h+k], tw[2*h+k]
+				p0, p1, p2, p3 := row(s+k), row(s+k+h), row(s+k+2*h), row(s+k+3*h)
+				p1, p2, p3 = p1[:len(p0)], p2[:len(p0)], p3[:len(p0)]
+				for j := range p0 {
+					p0[j], p1[j], p2[j], p3[j] = radix4(p0[j], p1[j]*w2, p2[j]*w1, p3[j]*w3)
+				}
+			}
 		}
-		for r := 0; r < rows; r++ {
-			row := m.Data[r*m.Cols+c : r*m.Cols+c+w]
-			for j := range row {
-				row[j] = buf[j*rows+r]
+		tw = tw[3*h:]
+	}
+	if h < n {
+		for k, w := range tw[:h] {
+			lo, hi := row(k), row(k+h)
+			hi = hi[:len(lo)]
+			for j, a := range lo {
+				b := hi[j] * w
+				lo[j], hi[j] = a+b, a-b
 			}
 		}
 	}
 	return nil
-}
-
-// scratch returns a buffer of colBlock*n elements from the plan's pool; the
-// caller puts it back when done.
-func (p *fftPlan) scratch() *[]complex128 {
-	if bp, ok := p.cols.Get().(*[]complex128); ok {
-		return bp
-	}
-	buf := make([]complex128, colBlock*p.n)
-	return &buf
 }
 
 // HalfSpectra writes bins 0..n/2 of the FFT of the real parts of each of
@@ -249,9 +292,13 @@ func HalfSpectra(in, out Matrix, r0, r1 int) error {
 	if p == nil {
 		return err
 	}
-	bp := p.scratch()
-	defer p.cols.Put(bp)
-	z := (*bp)[:n]
+	bp, _ := p.packed.Get().(*[]complex128)
+	if bp == nil {
+		buf := make([]complex128, n)
+		bp = &buf
+	}
+	defer p.packed.Put(bp)
+	z := *bp
 	for r := r0; r < r1; r += 2 {
 		x, y := in.Row(r), in.Row(r+1)
 		for j := range z {

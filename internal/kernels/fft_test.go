@@ -350,6 +350,51 @@ func TestFFTColsPartitionInvariant(t *testing.T) {
 	}
 }
 
+// FuzzFFTColsMatchFFT runs FFTCols on a random column band at every
+// power-of-two row count from 2 to 1024 and requires each column of the
+// band to be bit-identical to FFT of that column, and every other column
+// to be left as it was.
+func FuzzFFTColsMatchFFT(f *testing.F) {
+	for e := uint8(0); e < 10; e++ {
+		f.Add(int64(e), e, uint8(5+e), e%3, uint8(4+e), int8(0))
+	}
+	f.Add(int64(7), uint8(9), uint8(16), uint8(0), uint8(16), int8(-100))
+	f.Add(int64(8), uint8(3), uint8(1), uint8(0), uint8(1), int8(100))
+	f.Fuzz(func(t *testing.T, seed int64, logn, width, lo, hi uint8, exp int8) {
+		rows, cols := 2<<(logn%10), 1+int(width%16)
+		c0, c1 := int(lo)%(cols+1), int(hi)%(cols+1)
+		if c0 > c1 {
+			c0, c1 = c1, c0
+		}
+		rng := rand.New(rand.NewSource(seed))
+		scale := math.Pow(10, float64(exp%120))
+		src := NewMatrix(rows, cols)
+		for i := range src.Data {
+			src.Data[i] = complex(rng.NormFloat64()*scale, rng.NormFloat64()*scale)
+		}
+		m := Matrix{Rows: rows, Cols: cols, Data: append([]complex128(nil), src.Data...)}
+		if err := FFTCols(m, c0, c1); err != nil {
+			t.Fatal(err)
+		}
+		col := make([]complex128, rows)
+		for c := 0; c < cols; c++ {
+			for r := range col {
+				col[r] = src.At(r, c)
+			}
+			if c0 <= c && c < c1 {
+				if err := FFT(col); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r, v := range col {
+				if got := m.At(r, c); got != v {
+					t.Fatalf("%dx%d band [%d, %d): (%d,%d) = %v, want %v", rows, cols, c0, c1, r, c, got, v)
+				}
+			}
+		}
+	})
+}
+
 // TestFFTColsWarmAllocatesNothing pins the pooled scratch: a warm FFTCols
 // call allocates nothing.
 func TestFFTColsWarmAllocatesNothing(t *testing.T) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Smoke test for the live serving modes. Three phases, selectable by the
+# Smoke test for the live serving modes. Five phases, selectable by the
 # first argument (default: all):
 #
 #   serve   start `pipemap -serve` on the fft+histogram spec with an
