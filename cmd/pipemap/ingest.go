@@ -119,7 +119,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 		// bottleneck rate.
 		dispatchers, timeScale = req.Platform.Procs, sc.speedup
 	}
-	reg := live.NewRegistry(live.Options{})
+	reg := req.Metrics // the run's one registry, shared with the solver
 
 	// Observability plumbing: flight recorder (always on — it is one ring
 	// of pointers), span exporter (only with -trace-spans), request tracer
@@ -183,9 +183,6 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 			"/v1/ingest": ingest.StatusHandler(plane),
 		},
 	}
-	if req.Metrics != nil {
-		srvOpts.Static = req.Metrics.Snapshot
-	}
 	var ctrl *adapt.Controller
 	if sc.adapt {
 		ctrl, err = adapt.NewController(adapt.Config{
@@ -195,7 +192,7 @@ func serveIngest(ctx context.Context, stdout io.Writer, res core.Result, req cor
 			Threshold: sc.adaptThreshold,
 			TimeScale: timeScale,
 			Trace:     req.Trace,
-			Metrics:   req.Metrics,
+			Metrics:   reg,
 			Flight:    flight,
 		})
 		if err != nil {

@@ -22,8 +22,10 @@
 // Observability: -trace writes the solver's span trace (per-DP-layer
 // timing, states evaluated, prune counts) as Chrome trace_event JSON,
 // viewable in chrome://tracing or https://ui.perfetto.dev; -metrics
-// appends a counters/histograms snapshot to the report; -cpuprofile and
-// -memprofile write standard pprof profiles.
+// appends the run's metrics registry to the report in the Prometheus text
+// format that /metrics serves (one registry per run: under -serve the
+// solver, the plane, the SLO engine and the controller all record into
+// it); -cpuprofile and -memprofile write standard pprof profiles.
 //
 // Live observability: -serve addr runs the solved mapping on the
 // fault-tolerant runtime behind the ingestion data plane and serves
@@ -72,6 +74,7 @@ import (
 	"pipemap/internal/greedy"
 	"pipemap/internal/machine"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 	"pipemap/internal/tradeoff"
 )
 
@@ -98,7 +101,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	frontier := fs.Bool("frontier", false, "print the latency-throughput Pareto frontier")
 	failProcs := fs.Int("fail-procs", 0, "also report the degraded remapping after losing N processors")
 	tracePath := fs.String("trace", "", "write the solver trace as Chrome trace_event JSON to this file")
-	metrics := fs.Bool("metrics", false, "print a solver metrics snapshot after the report")
+	metrics := fs.Bool("metrics", false, "print the run's metrics (solver counters and timings) after the report, in the Prometheus text format /metrics serves")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	serveAddr := fs.String("serve", "", "after solving, run the mapping on the fault-tolerant runtime behind the ingestion data plane and serve live observability on this address (e.g. :9090 or 127.0.0.1:0)")
@@ -210,13 +213,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	if *tracePath != "" {
 		req.Trace = obs.NewTracer()
 	}
-	if *metrics {
-		req.Metrics = obs.NewRegistry()
-	}
-	if *serveAddr != "" && req.Metrics == nil {
-		// Collect solver metrics so /metrics merges them into the live
-		// exposition even without -metrics.
-		req.Metrics = obs.NewRegistry()
+	if *metrics || *serveAddr != "" {
+		// One registry per run: the solver records into it, and under -serve
+		// the plane, the SLO engine and the controller share it, so -metrics
+		// and /metrics print the same instruments.
+		req.Metrics = live.NewRegistry(live.Options{})
 	}
 	switch *objective {
 	case "throughput":
@@ -302,7 +303,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	}
 	if *metrics {
 		fmt.Fprintf(stdout, "\nmetrics:\n")
-		if err := req.Metrics.Snapshot().WriteText(stdout); err != nil {
+		if err := live.WriteProm(stdout, nil, req.Metrics); err != nil {
 			return err
 		}
 	}

@@ -59,7 +59,8 @@ func checkChromeTrace(t *testing.T, path string) chromeTraceFile {
 
 // TestRunTraceAndMetrics is the acceptance check: -trace on the FFT/
 // histogram spec must produce valid Chrome trace JSON with solver spans,
-// and -metrics must append a snapshot with DP counters.
+// and -metrics must append the run's registry, as a valid exposition,
+// with the DP counters and the one core.Map timing.
 func TestRunTraceAndMetrics(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "out.json")
 	var out bytes.Buffer
@@ -90,12 +91,16 @@ func TestRunTraceAndMetrics(t *testing.T) {
 	}
 
 	report := out.String()
-	if !strings.Contains(report, "metrics:") {
-		t.Errorf("report missing metrics section:\n%s", report)
+	_, section, ok := strings.Cut(report, "\nmetrics:\n")
+	if !ok {
+		t.Fatalf("report missing metrics section:\n%s", report)
 	}
-	for _, want := range []string{"dp.map_chain.states", "dp.map_chain.pruned", "core.map_seconds.count"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("metrics missing %q:\n%s", want, report)
+	section, _, _ = strings.Cut(section, "\ntrace written to")
+	// -metrics prints the registry in the exposition /metrics serves.
+	lintExposition(t, section)
+	for _, want := range []string{"dp_map_chain_states_total ", "dp_map_chain_pruned_total ", "core_map_seconds_count 1\n"} {
+		if !strings.Contains(section, want) {
+			t.Errorf("metrics missing %q:\n%s", want, section)
 		}
 	}
 	if !strings.Contains(report, "trace written to") {

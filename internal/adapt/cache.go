@@ -9,7 +9,7 @@ import (
 	"pipemap/internal/core"
 	"pipemap/internal/dp"
 	"pipemap/internal/model"
-	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 )
 
 // Solve paths reported by SolveCache.Resolve: how the answer was obtained,
@@ -62,9 +62,9 @@ type SolveCache struct {
 	results  map[uint64]memoEntry
 	order    []uint64 // FIFO eviction order
 
-	stats            obs.CacheStats
-	fullSolves       int64
-	incrementalSolve int64
+	// Counters behind Stats, guarded by mu like the rest of the cache.
+	hits, misses, invalidations   int64
+	fullSolves, incrementalSolves int64
 
 	scratch []uint64 // per-tick exec hashes
 	changed []int    // changed-task scratch
@@ -118,27 +118,32 @@ func (sc *SolveCache) Stats() SolveCacheStats {
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return SolveCacheStats{
-		Hits:              sc.stats.Hits(),
-		Misses:            sc.stats.Misses(),
-		Invalidations:     sc.stats.Invalidations(),
-		HitRate:           sc.stats.HitRate(),
+	st := SolveCacheStats{
+		Hits:              sc.hits,
+		Misses:            sc.misses,
+		Invalidations:     sc.invalidations,
 		FullSolves:        sc.fullSolves,
-		IncrementalSolves: sc.incrementalSolve,
+		IncrementalSolves: sc.incrementalSolves,
 	}
+	if n := st.Hits + st.Misses; n > 0 {
+		st.HitRate = float64(st.Hits) / float64(n)
+	}
+	return st
 }
 
-// Publish copies the cache counters into reg under adapt.memo.* gauges.
-func (sc *SolveCache) Publish(reg *obs.Registry) {
+// Publish copies the cache counters into reg as adapt.memo.* gauges:
+// absolute totals, so publishing again overwrites rather than re-adds.
+func (sc *SolveCache) Publish(reg *live.Registry) {
 	if sc == nil || reg == nil {
 		return
 	}
-	sc.stats.Publish(reg, "adapt.memo")
-	sc.mu.Lock()
-	full, incr := sc.fullSolves, sc.incrementalSolve
-	sc.mu.Unlock()
-	reg.Set("adapt.memo.full_solves", float64(full))
-	reg.Set("adapt.memo.incremental_solves", float64(incr))
+	st := sc.Stats()
+	reg.Gauge("adapt.memo.hits").Set(float64(st.Hits))
+	reg.Gauge("adapt.memo.misses").Set(float64(st.Misses))
+	reg.Gauge("adapt.memo.invalidations").Set(float64(st.Invalidations))
+	reg.Gauge("adapt.memo.hit_rate").Set(st.HitRate)
+	reg.Gauge("adapt.memo.full_solves").Set(float64(st.FullSolves))
+	reg.Gauge("adapt.memo.incremental_solves").Set(float64(st.IncrementalSolves))
 }
 
 // FNV-1a folded word-wise over 64-bit values: cheap, deterministic, and
@@ -283,10 +288,10 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 
 	sc.reset(sig)
 	if ent, ok := sc.results[key]; ok {
-		sc.stats.Hit()
+		sc.hits++
 		return ent.result(chain), time.Since(start), PathMemo, nil
 	}
-	sc.stats.Miss()
+	sc.misses++
 
 	var (
 		res  core.Result
@@ -327,7 +332,7 @@ func (sc *SolveCache) reset(sig uint64) {
 		return
 	}
 	if sc.sig != 0 {
-		sc.stats.Invalidate()
+		sc.invalidations++
 	}
 	sc.sig = sig
 	sc.solver = nil
@@ -405,9 +410,9 @@ func (sc *SolveCache) ResolveBudget(chain *model.Chain, pl model.Platform, opt R
 	path := PathMemo
 	ent, ok := sc.results[key]
 	if ok && ent.frontier != nil {
-		sc.stats.Hit()
+		sc.hits++
 	} else {
-		sc.stats.Miss()
+		sc.misses++
 		if err := chain.Validate(); err != nil {
 			return core.Result{}, "", err
 		}
@@ -494,7 +499,7 @@ func (sc *SolveCache) solveDP(chain *model.Chain, pl model.Platform, opt Resolve
 		}
 		m, err = sc.solver.Resolve(chain, sc.changed)
 		path = PathIncremental
-		sc.incrementalSolve++
+		sc.incrementalSolves++
 	default:
 		// The solver exists but the last attempt failed, so its tables may
 		// hold a mix of cost states; mark every task changed to force a

@@ -9,6 +9,7 @@ import (
 
 	"pipemap/internal/core"
 	"pipemap/internal/model"
+	"pipemap/internal/obs/live"
 	"pipemap/internal/testutil"
 )
 
@@ -332,9 +333,44 @@ func TestSolveCacheConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	if st := sc.Stats(); st.Hits == 0 {
+	st := sc.Stats()
+	if st.Hits == 0 {
 		t.Error("concurrent hammer never hit the memo")
 	}
+	// Every lookup is counted once, under the cache lock.
+	if st.Hits+st.Misses != 8*25 {
+		t.Errorf("hits+misses = %d+%d, want %d lookups", st.Hits, st.Misses, 8*25)
+	}
+}
+
+// TestSolveCachePublish checks the adapt.memo.* gauges: absolute totals,
+// so publishing twice does not double them, and a nil cache or registry
+// is a no-op.
+func TestSolveCachePublish(t *testing.T) {
+	sc := NewSolveCache()
+	if st := sc.Stats(); st.HitRate != 0 {
+		t.Errorf("hit rate before any lookup = %v, want 0", st.HitRate)
+	}
+	chain, pl := cacheChain(nil)
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := live.NewRegistry(live.Options{})
+	sc.Publish(reg)
+	sc.Publish(reg)
+	g := reg.Snapshot().Gauges
+	for name, want := range map[string]float64{
+		"adapt.memo.hits": 1, "adapt.memo.misses": 1, "adapt.memo.hit_rate": 0.5,
+		"adapt.memo.invalidations": 0, "adapt.memo.full_solves": 1, "adapt.memo.incremental_solves": 0,
+	} {
+		if got, ok := g[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	sc.Publish(nil)
+	(*SolveCache)(nil).Publish(reg)
 }
 
 // TestSolveCacheResolveBudget: one solve at the cap serves every budget

@@ -73,7 +73,7 @@ type Config struct {
 	Trace *obs.Tracer
 	// Metrics receives controller counters and gauges (adapt.* names);
 	// nil disables.
-	Metrics *obs.Registry
+	Metrics *live.Registry
 	// Flight, when set, records every migrate/rollback decision into the
 	// flight recorder so /debug/flightrecorder interleaves controller
 	// actions with request traces and sheds; nil disables.
@@ -468,7 +468,7 @@ func (c *Controller) Step(o Observation) Decision {
 	})
 	d.SolvePath = path
 	d.ResolveSeconds = solveTime.Seconds()
-	c.cfg.Metrics.Observe("adapt.resolve_seconds", d.ResolveSeconds)
+	c.cfg.Metrics.Histogram("adapt.resolve_seconds").Observe(d.ResolveSeconds)
 	c.cfg.Cache.Publish(c.cfg.Metrics)
 	if err != nil {
 		d.Reason = fmt.Sprintf("re-solve failed: %v", err)
@@ -515,7 +515,7 @@ func (c *Controller) decideEvaluation(d *Decision) {
 	c.evalPending = false
 	if c.preObserved > 0 {
 		c.obsGain = (post - c.preObserved) / c.preObserved
-		c.cfg.Metrics.Set("adapt.observed_gain", c.obsGain)
+		c.cfg.Metrics.Gauge("adapt.observed_gain").Set(c.obsGain)
 	}
 	if c.preObserved > 0 && post < c.preObserved*(1-c.cfg.RollbackTolerance) {
 		prev := c.prevMapping
@@ -530,7 +530,7 @@ func (c *Controller) decideEvaluation(d *Decision) {
 			fmt.Sprintf("observed %.4f/s vs %.4f/s pre-migration (%.1f%% regression > %.0f%% tolerance)",
 				post, c.preObserved, -100*c.obsGain, 100*c.cfg.RollbackTolerance))
 		c.rollbacks++
-		c.cfg.Metrics.Inc("adapt.rollbacks")
+		c.cfg.Metrics.Counter("adapt.rollbacks").Inc()
 		return
 	}
 	d.Reason = fmt.Sprintf("migration evaluated: observed %.4f/s vs %.4f/s pre-migration; keeping",
@@ -547,7 +547,7 @@ func (c *Controller) migrate(d *Decision, modules []model.Module, action, reason
 	d.Action = action
 	d.Reason = reason
 	d.Generation = c.gen
-	c.cfg.Metrics.Inc("adapt.migrations")
+	c.cfg.Metrics.Counter("adapt.migrations").Inc()
 	if c.cfg.Trace.Enabled() {
 		c.cfg.Trace.InstantArgs("adapt", action, 0, time.Now(), map[string]any{
 			"generation": c.gen, "mapping": c.cur.String(), "reason": reason,
@@ -586,7 +586,7 @@ func (c *Controller) ingestDeaths(h live.Health) {
 	if max := c.cfg.Platform.Procs - 1; c.lost > max {
 		c.lost = max // never remap onto zero processors
 	}
-	c.cfg.Metrics.Set("adapt.lost_procs", float64(c.lost))
+	c.cfg.Metrics.Gauge("adapt.lost_procs").Set(float64(c.lost))
 }
 
 // ingestLatencies feeds each stage's windowed mean service time (converted
@@ -668,9 +668,9 @@ func (c *Controller) finishCycle(d *Decision, start time.Time) {
 	d.Mapping = c.cur.String()
 	copyD := *d
 	c.lastDecision = &copyD
-	c.cfg.Metrics.Inc("adapt.cycles")
-	c.cfg.Metrics.Set("adapt.generation", float64(c.gen))
-	c.cfg.Metrics.Set("adapt.predicted_gain", d.PredictedGain)
+	c.cfg.Metrics.Counter("adapt.cycles").Inc()
+	c.cfg.Metrics.Gauge("adapt.generation").Set(float64(c.gen))
+	c.cfg.Metrics.Gauge("adapt.predicted_gain").Set(d.PredictedGain)
 	if c.cfg.Trace.Enabled() {
 		c.cfg.Trace.SpanArgs("adapt", "cycle", 0, start, time.Since(start), map[string]any{
 			"cycle": d.Cycle, "action": d.Action, "generation": d.Generation,

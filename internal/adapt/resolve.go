@@ -6,6 +6,7 @@ import (
 	"pipemap/internal/core"
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 )
 
 // dpOpsPerSecond calibrates the DP cost estimate P^4·k^3 to wall time; it
@@ -23,7 +24,7 @@ type ResolveOptions struct {
 	DisableClustering  bool
 	// Trace and Metrics receive solver spans and counters; nil disables.
 	Trace   *obs.Tracer
-	Metrics *obs.Registry
+	Metrics *live.Registry
 }
 
 // Resolve re-solves the mapping for a (refitted) chain on the surviving

@@ -17,6 +17,7 @@ import (
 	"pipemap/internal/machine"
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 	"pipemap/internal/tradeoff"
 )
 
@@ -89,7 +90,7 @@ type Request struct {
 	// prune counts; greedy phase spans); nil disables tracing.
 	Trace *obs.Tracer
 	// Metrics receives solver counters and timing histograms; nil disables.
-	Metrics *obs.Registry
+	Metrics *live.Registry
 }
 
 // Result is the outcome of a mapping request.
@@ -144,7 +145,7 @@ func Map(req Request) (Result, error) {
 		defer func() {
 			req.Trace.SpanArgs("core", "map", 0, start, time.Since(start),
 				map[string]any{"k": req.Chain.Len(), "P": req.Platform.Procs})
-			req.Metrics.Observe("core.map_seconds", time.Since(start).Seconds())
+			req.Metrics.Histogram("core.map_seconds").Observe(time.Since(start).Seconds())
 		}()
 	}
 	if req.Objective == MinLatency || req.Objective == ThroughputUnderLatency {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 	"pipemap/internal/testutil"
 )
 
@@ -77,7 +78,7 @@ func TestMapInstrumentedIdentical(t *testing.T) {
 		c, pl := testutil.RandChain(rng, cfg, 4+rng.Intn(6))
 		plain, errPlain := Map(Request{Chain: c, Platform: pl})
 		tr := obs.NewTracer()
-		reg := obs.NewRegistry()
+		reg := live.NewRegistry(live.Options{})
 		inst, errInst := Map(Request{Chain: c, Platform: pl, Trace: tr, Metrics: reg})
 		if (errPlain == nil) != (errInst == nil) {
 			t.Fatalf("trial %d: error disagreement: plain=%v instrumented=%v", trial, errPlain, errInst)

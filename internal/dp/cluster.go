@@ -5,6 +5,7 @@ import (
 
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 )
 
 // Options configures the full mapping DP.
@@ -17,7 +18,7 @@ type Options struct {
 	// evaluated, prune counts); nil disables tracing.
 	Trace *obs.Tracer
 	// Metrics receives solver counters and timing histograms; nil disables.
-	Metrics *obs.Registry
+	Metrics *live.Registry
 }
 
 // MapChain computes the optimal mapping of the chain — clustering tasks

@@ -7,6 +7,7 @@ import (
 
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 	"pipemap/internal/testutil"
 )
 
@@ -83,7 +84,7 @@ func TestInstrumentedSolveIdentical(t *testing.T) {
 		c, pl := diffCase(seed)
 		plain, errPlain := MapChain(c, pl, Options{})
 		tr := obs.NewTracer()
-		reg := obs.NewRegistry()
+		reg := live.NewRegistry(live.Options{})
 		inst, errInst := MapChain(c, pl, Options{Trace: tr, Metrics: reg})
 		if (errPlain == nil) != (errInst == nil) {
 			t.Fatalf("seed %d: error disagreement: plain=%v instrumented=%v", seed, errPlain, errInst)
@@ -101,7 +102,7 @@ func TestInstrumentedSolveIdentical(t *testing.T) {
 		// Single-task chains skip the layer loop, so counters only appear
 		// for k > 1.
 		s := reg.Snapshot()
-		if c.Len() > 1 && s.Counters["dp.map_chain.states"] == 0 {
+		if c.Len() > 1 && s.Counters["dp.map_chain.states"].Total == 0 {
 			t.Errorf("seed %d: metrics registry collected no state counts: %+v", seed, s.Counters)
 		}
 	}

@@ -610,8 +610,8 @@ func (s *Solver) run(m int, par bool, ins instrument) (model.Mapping, error) {
 		return model.Mapping{}, err
 	}
 	if ins.on {
-		ins.metrics.Add("dp.incremental.layers_cleared", int64(cleared))
-		ins.metrics.Add("dp.incremental.layers_reused", int64(s.k*(s.k+1)/2-cleared))
+		ins.metrics.Counter("dp.incremental.layers_cleared").Add(int64(cleared))
+		ins.metrics.Counter("dp.incremental.layers_reused").Add(int64(s.k*(s.k+1)/2 - cleared))
 		ins.done(s.k, s.P, solveT0)
 	}
 	s.solved = true

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 )
 
 // instrument bundles the solver's optional tracing/metrics sinks. The zero
@@ -13,7 +14,7 @@ import (
 type instrument struct {
 	on      bool
 	trace   *obs.Tracer
-	metrics *obs.Registry
+	metrics *live.Registry
 }
 
 func (o Options) instrument() instrument {
@@ -35,11 +36,11 @@ func (in instrument) layer(layer int, start time.Time, states, transitions, prun
 	d := time.Since(start)
 	in.trace.SpanArgs("dp", fmt.Sprintf("map_chain layer %d", layer), 0, start, d,
 		map[string]any{"layer": layer, "states": states, "transitions": transitions, "pruned": pruned})
-	in.metrics.Inc("dp.map_chain.layers")
-	in.metrics.Add("dp.map_chain.states", states)
-	in.metrics.Add("dp.map_chain.transitions", transitions)
-	in.metrics.Add("dp.map_chain.pruned", pruned)
-	in.metrics.Observe("dp.map_chain.layer_seconds", d.Seconds())
+	in.metrics.Counter("dp.map_chain.layers").Inc()
+	in.metrics.Counter("dp.map_chain.states").Add(states)
+	in.metrics.Counter("dp.map_chain.transitions").Add(transitions)
+	in.metrics.Counter("dp.map_chain.pruned").Add(pruned)
+	in.metrics.Histogram("dp.map_chain.layer_seconds").Observe(d.Seconds())
 }
 
 // done records the overall solve span for one DP invocation.
@@ -49,5 +50,5 @@ func (in instrument) done(k, P int, start time.Time) {
 	}
 	d := time.Since(start)
 	in.trace.SpanArgs("dp", "map_chain", 0, start, d, map[string]any{"k": k, "P": P})
-	in.metrics.Observe("dp.map_chain.solve_seconds", d.Seconds())
+	in.metrics.Histogram("dp.map_chain.solve_seconds").Observe(d.Seconds())
 }

@@ -196,7 +196,7 @@ func TestChurnEndToEnd(t *testing.T) {
 
 	// And the Prometheus exposition must agree with both.
 	var buf strings.Builder
-	if err := live.WriteProm(&buf, nil, reg, nil); err != nil {
+	if err := live.WriteProm(&buf, nil, reg); err != nil {
 		t.Fatalf("WriteProm: %v", err)
 	}
 	samples := promFleetSamples(t, buf.String())

@@ -220,22 +220,22 @@ func TestSlowFaultVisibleInOpStats(t *testing.T) {
 					return nil
 				})
 			}}},
-		// Slow down instance 1 on every data set; Recorder max should sit
-		// far above the mean.
+		// Slow down instance 1 on data set 4.
 		Faults: []Fault{{Stage: 0, Instance: 1, DataSet: 4, Kind: FaultSlow, Delay: 30 * time.Millisecond}},
 	}
-	// The injected delay happens before st.Run, so record inside the stage
-	// only shows base time; instead check OpStats plumbing end to end.
+	// The injected delay happens before st.Run, so the stage's own exec:s
+	// samples show only its 1 ms of work; check that they reach Stats.Ops
+	// end to end.
 	stats, err := p.Run(func(i int) DataSet { return i }, 20, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := stats.OpStats["exec:s"]
+	mean, ok := stats.Ops["exec:s"]
 	if !ok {
-		t.Fatalf("OpStats missing exec:s: %v", stats.OpStats)
+		t.Fatalf("Ops missing exec:s: %v", stats.Ops)
 	}
-	if st.Count != 20 || st.Min <= 0 || st.Max < st.Min || st.Mean < st.Min || st.Mean > st.Max {
-		t.Errorf("inconsistent OpStat: %+v", st)
+	if mean < 1e-3 {
+		t.Errorf("exec:s mean = %gs, want >= 1ms", mean)
 	}
 }
 

@@ -238,29 +238,33 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
-func TestRecorderMinMax(t *testing.T) {
+// TestRecorderTimeRecordsErrorsSeparately is the regression test for the
+// bug where Recorder.Time recorded failed operations under the bare name,
+// silently mixing failed-attempt costs into the success samples. Failures
+// must land under name+"/error".
+func TestRecorderTimeRecordsErrorsSeparately(t *testing.T) {
 	r := NewRecorder()
-	for _, v := range []float64{2.0, 0.5, 3.5, 1.0} {
-		r.Observe("op", v)
+	if err := r.Time("op", func() error {
+		time.Sleep(time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	s := r.Summary()["op"]
-	if s.Min != 0.5 || s.Max != 3.5 {
-		t.Errorf("min/max = %g/%g, want 0.5/3.5", s.Min, s.Max)
+	wantErr := fmt.Errorf("boom")
+	if err := r.Time("op", func() error { return wantErr }); err != wantErr {
+		t.Fatalf("Time swallowed the error: got %v", err)
 	}
-	if s.Count != 4 {
-		t.Errorf("count = %d, want 4", s.Count)
+	means := r.Means()
+	if len(means) != 2 {
+		t.Fatalf("recorded ops = %v, want op and op/error", means)
 	}
-	if want := (2.0 + 0.5 + 3.5 + 1.0) / 4; s.Mean != want {
-		t.Errorf("mean = %g, want %g", s.Mean, want)
+	if _, ok := means["op/error"]; !ok {
+		t.Error("failed attempt lost: no op/error entry")
 	}
-	// A single sample is its own min, max and mean.
-	r2 := NewRecorder()
-	r2.Observe("one", 7)
-	if s := r2.Summary()["one"]; s.Min != 7 || s.Max != 7 || s.Mean != 7 || s.Count != 1 {
-		t.Errorf("single sample summary = %+v", s)
-	}
-	if len(NewRecorder().Summary()) != 0 {
-		t.Error("empty recorder has non-empty summary")
+	// The failure returned at once; had it joined the success samples, the
+	// mean of op would have halved.
+	if means["op"] < float64(time.Millisecond)/float64(time.Second) {
+		t.Errorf("op mean = %gs, want >= 1ms (success sample only)", means["op"])
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"pipemap/internal/obs"
 	"pipemap/internal/obs/live"
 )
 
@@ -60,9 +59,6 @@ type Stats struct {
 	// Ops maps operation names (as recorded by stages) to mean durations
 	// in seconds.
 	Ops map[string]float64
-	// OpStats maps operation names to mean/min/max summaries; a Max far
-	// above the Mean flags a straggling or slowed instance.
-	OpStats map[string]OpStat
 	// Retried is the total number of retry attempts across all stages.
 	Retried int
 	// Dropped is the number of data sets abandoned after exhausting their
@@ -75,16 +71,10 @@ type Stats struct {
 	Dead int
 }
 
-// OpStat summarizes the samples of one recorded operation.
-type OpStat struct {
-	Mean, Min, Max float64
-	Count          int
-}
-
-// opAgg is the running aggregate behind one OpStat.
+// opAgg is the running sum behind one operation's mean.
 type opAgg struct {
-	sum, min, max float64
-	n             int
+	sum float64
+	n   int
 }
 
 // Recorder accumulates named operation durations across stage instances.
@@ -103,17 +93,11 @@ func (r *Recorder) Observe(name string, seconds float64) {
 	r.mu.Lock()
 	a := r.ops[name]
 	if a == nil {
-		a = &opAgg{min: seconds, max: seconds}
+		a = &opAgg{}
 		r.ops[name] = a
 	}
 	a.sum += seconds
 	a.n++
-	if seconds < a.min {
-		a.min = seconds
-	}
-	if seconds > a.max {
-		a.max = seconds
-	}
 	r.mu.Unlock()
 }
 
@@ -137,17 +121,6 @@ func (r *Recorder) Means() map[string]float64 {
 	out := make(map[string]float64, len(r.ops))
 	for k, a := range r.ops {
 		out[k] = a.sum / float64(a.n)
-	}
-	return out
-}
-
-// Summary returns mean, min and max of every recorded operation.
-func (r *Recorder) Summary() map[string]OpStat {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]OpStat, len(r.ops))
-	for k, a := range r.ops {
-		out[k] = OpStat{Mean: a.sum / float64(a.n), Min: a.min, Max: a.max, Count: a.n}
 	}
 	return out
 }
@@ -178,10 +151,6 @@ type Pipeline struct {
 	DeadAfter int
 	// Faults injects deterministic failures for testing (see Fault).
 	Faults []Fault
-	// Obs receives one trace span per data set × stage × attempt, plus
-	// instant events for instance deaths and dropped data sets; nil
-	// disables tracing with no overhead.
-	Obs *obs.Tracer
 	// Monitor receives live per-attempt observations (completions with
 	// latency, retries, timeouts, drops, instance deaths) from every run
 	// and stream, feeding the health model served by obs/live. nil

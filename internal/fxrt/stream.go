@@ -136,21 +136,14 @@ func (p *Pipeline) Stream(opts StreamOptions) (*Stream, error) {
 		}
 		s.inbox[i] = make(chan sEnvelope, capacity)
 	}
-	// Every instance traces on its own viewer row: instance b of stage i on
-	// tid b plus the replica count of the earlier stages.
-	tid := 0
 	for i := 0; i < l; i++ {
 		s.live[i].Store(int32(p.Stages[i].Replicas))
 		for b := 0; b < p.Stages[i].Replicas; b++ {
-			if p.Obs != nil {
-				p.Obs.NameThread(tid, fmt.Sprintf("%s/%d", p.Stages[i].Name, b))
-			}
 			s.wg.Add(1)
-			go func(i, b, tid int) {
+			go func(i, b int) {
 				defer s.wg.Done()
-				s.instance(i, b, tid)
-			}(i, b, tid)
-			tid++
+				s.instance(i, b)
+			}(i, b)
 		}
 	}
 	s.wg.Add(1)
@@ -266,7 +259,6 @@ func (s *Stream) Stats() Stats {
 		DataSets: int(completed + dropped),
 		Elapsed:  time.Since(s.start),
 		Ops:      s.rec.Means(),
-		OpStats:  s.rec.Summary(),
 		Retried:  int(s.retried.Load()),
 		Dropped:  int(dropped),
 		Timeouts: int(s.timeouts.Load()),
@@ -281,7 +273,6 @@ func (s *Stream) Stats() Stats {
 // replica is the state of one stage instance.
 type replica struct {
 	i, b int // stage and replica index
-	tid  int // trace row
 	st   Stage
 	ctx  *StageCtx
 	// attempts tracks attempts abandoned at their deadline, so the group
@@ -290,11 +281,11 @@ type replica struct {
 	consecFail int
 }
 
-// instance is the body of instance b of stage i, tracing on row tid.
-func (s *Stream) instance(i, b, tid int) {
+// instance is the body of instance b of stage i.
+func (s *Stream) instance(i, b int) {
 	st := s.p.Stages[i]
 	g, _ := NewGroup(st.Workers) // Workers >= 1 was validated in Stream
-	r := &replica{i: i, b: b, tid: tid, st: st,
+	r := &replica{i: i, b: b, st: st,
 		ctx: &StageCtx{Group: g, Instance: b, Rec: s.rec, Deadline: s.p.deadlineFor(i)}}
 	// Abandoned (timed-out) attempts may still be running on the group;
 	// close it only after they finish, without blocking shutdown.
@@ -325,7 +316,7 @@ func (s *Stream) process(r *replica, env sEnvelope) bool {
 		s.forward(i, env)
 		return false
 	}
-	mon, tr := s.p.Monitor, s.p.Obs
+	mon := s.p.Monitor
 	for {
 		t0 := time.Now()
 		out, err, timedOut := s.attempt(r, env.ds, env.idx, env.attempts)
@@ -337,9 +328,6 @@ func (s *Stream) process(r *replica, env sEnvelope) bool {
 			outcome = "error"
 		}
 		env.rt.StageSpan(name, i, r.b, env.attempts, outcome, t0, dur)
-		if tr != nil {
-			tr.StageSpan(name, r.tid, env.idx, env.attempts, outcome, t0, dur)
-		}
 		if err == nil {
 			mon.StageDone(i, dur.Seconds())
 			if s.recycle && i > 0 && s.edges != nil {
@@ -367,10 +355,6 @@ func (s *Stream) process(r *replica, env sEnvelope) bool {
 				s.deaths.Add(1)
 				mon.InstanceDeath(i, env.idx)
 				env.rt.Instant("stage", name, "instance death; requeued")
-				if tr != nil {
-					tr.InstantArgs("fault", "instance-death", r.tid, time.Now(),
-						map[string]any{"dataset": env.idx, "stage": name})
-				}
 				// Requeue to a surviving instance with a fresh budget. The
 				// send may block on a full inbox but cannot deadlock: this
 				// instance has left the live count, at least one survivor
@@ -390,10 +374,6 @@ func (s *Stream) process(r *replica, env sEnvelope) bool {
 			s.droppedN.Add(1)
 			mon.StageDrop(i, env.idx)
 			env.rt.Instant("stage", name, "dropped: attempts exhausted")
-			if tr != nil {
-				tr.InstantArgs("fault", "drop", r.tid, time.Now(),
-					map[string]any{"dataset": env.idx, "stage": name})
-			}
 			s.forward(i, env)
 			return false
 		}

@@ -35,7 +35,7 @@ func Map(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, error) 
 	if opt.Trace.Enabled() || opt.Metrics.Enabled() {
 		opt.Trace.SpanArgs("greedy", "map", 0, start, time.Since(start),
 			map[string]any{"k": c.Len(), "P": pl.Procs, "modules": len(spans)})
-		opt.Metrics.Observe("greedy.map_seconds", time.Since(start).Seconds())
+		opt.Metrics.Histogram("greedy.map_seconds").Observe(time.Since(start).Seconds())
 	}
 	return m, nil
 }
@@ -106,9 +106,9 @@ func Cluster(c *model.Chain, pl model.Platform, opt Options) ([]model.Span, erro
 		opt.Trace.SpanArgs("greedy", "cluster", 0, start, time.Since(start),
 			map[string]any{"passes": passes, "merge_tests": mergeTests,
 				"split_tests": splitTests, "modules": len(spans)})
-		opt.Metrics.Add("greedy.cluster.merge_tests", mergeTests)
-		opt.Metrics.Add("greedy.cluster.split_tests", splitTests)
-		opt.Metrics.Add("greedy.cluster.passes", passes)
+		opt.Metrics.Counter("greedy.cluster.merge_tests").Add(mergeTests)
+		opt.Metrics.Counter("greedy.cluster.split_tests").Add(splitTests)
+		opt.Metrics.Counter("greedy.cluster.passes").Add(passes)
 	}
 	return spans, nil
 }

@@ -32,6 +32,7 @@ import (
 
 	"pipemap/internal/model"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 )
 
 // Variant selects which modules are candidates for the next processor.
@@ -65,7 +66,7 @@ type Options struct {
 	// evaluation counts); nil disables tracing.
 	Trace *obs.Tracer
 	// Metrics receives solver counters; nil disables.
-	Metrics *obs.Registry
+	Metrics *live.Registry
 }
 
 // state evaluates candidate assignments for one module chain. It caches
@@ -186,9 +187,9 @@ func Assign(c *model.Chain, pl model.Platform, spans []model.Span, opt Options) 
 	if opt.Trace.Enabled() || opt.Metrics.Enabled() {
 		opt.Trace.SpanArgs("greedy", "assign", 0, start, time.Since(start),
 			map[string]any{"modules": len(spans), "P": pl.Procs, "evals": s.evals})
-		opt.Metrics.Add("greedy.evals", s.evals)
-		opt.Metrics.Inc("greedy.assigns")
-		opt.Metrics.Observe("greedy.assign_seconds", time.Since(start).Seconds())
+		opt.Metrics.Counter("greedy.evals").Add(s.evals)
+		opt.Metrics.Counter("greedy.assigns").Inc()
+		opt.Metrics.Histogram("greedy.assign_seconds").Observe(time.Since(start).Seconds())
 	}
 	return buildMapping(c, spans, s, raw), nil
 }

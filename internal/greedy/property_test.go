@@ -7,6 +7,7 @@ import (
 
 	"pipemap/internal/dp"
 	"pipemap/internal/obs"
+	"pipemap/internal/obs/live"
 	"pipemap/internal/testutil"
 )
 
@@ -56,7 +57,7 @@ func TestInstrumentedMapIdentical(t *testing.T) {
 		c, pl := testutil.RandChain(rng, cfg, 4+rng.Intn(8))
 		plain, errPlain := Map(c, pl, Options{Backtrack: 2})
 		tr := obs.NewTracer()
-		reg := obs.NewRegistry()
+		reg := live.NewRegistry(live.Options{})
 		inst, errInst := Map(c, pl, Options{Backtrack: 2, Trace: tr, Metrics: reg})
 		if (errPlain == nil) != (errInst == nil) {
 			t.Fatalf("trial %d: error disagreement: plain=%v instrumented=%v", trial, errPlain, errInst)
@@ -72,7 +73,7 @@ func TestInstrumentedMapIdentical(t *testing.T) {
 			t.Errorf("trial %d: tracer collected no greedy spans", trial)
 		}
 		s := reg.Snapshot()
-		if s.Counters["greedy.evals"] == 0 {
+		if s.Counters["greedy.evals"].Total == 0 {
 			t.Errorf("trial %d: no throughput evaluations counted: %+v", trial, s.Counters)
 		}
 		if s.Histograms["greedy.map_seconds"].Count == 0 {

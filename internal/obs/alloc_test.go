@@ -5,34 +5,20 @@ import (
 	"time"
 )
 
-// The tentpole contract: a disabled (nil) tracer or registry must cost
-// nothing on hot paths — no allocations at the call site. StageSpan's
-// all-scalar signature exists precisely so instrumented runtime loops pay
-// zero when tracing is off.
+// The package contract: a disabled (nil) recorder must cost nothing on
+// hot paths — no allocations at the call site. ReqTrace.StageSpan's
+// all-scalar signature exists precisely so the executor pays zero for an
+// unsampled request.
 
 func TestDisabledTracerAllocatesNothing(t *testing.T) {
 	var tr *Tracer
 	start := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.StageSpan("stage", 1, 2, 3, "ok", start, time.Millisecond)
 		tr.Span("cat", "name", 0, start, time.Millisecond)
 		tr.Instant("cat", "name", 0, start)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracer allocated %.1f times per op, want 0", allocs)
-	}
-}
-
-func TestDisabledRegistryAllocatesNothing(t *testing.T) {
-	var r *Registry
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.Add("dp.states", 17)
-		r.Inc("dp.layers")
-		r.Set("fxrt.throughput", 1.5)
-		r.Observe("solve_seconds", 0.01)
-	})
-	if allocs != 0 {
-		t.Errorf("disabled registry allocated %.1f times per op, want 0", allocs)
 	}
 }
 
@@ -81,39 +67,5 @@ func TestDisabledFlightRecorderAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("disabled flight recorder allocated %.1f times per op, want 0", allocs)
-	}
-}
-
-func BenchmarkStageSpanDisabled(b *testing.B) {
-	var tr *Tracer
-	start := time.Now()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.StageSpan("stage", 1, i, 0, "ok", start, time.Millisecond)
-	}
-}
-
-func BenchmarkStageSpanEnabled(b *testing.B) {
-	tr := NewTracer()
-	start := time.Now()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.StageSpan("stage", 1, i, 0, "ok", start, time.Millisecond)
-	}
-}
-
-func BenchmarkObserveDisabled(b *testing.B) {
-	var r *Registry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Observe("solve_seconds", 0.01)
-	}
-}
-
-func BenchmarkObserveEnabled(b *testing.B) {
-	r := NewRegistry()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Observe("solve_seconds", 0.01)
 	}
 }

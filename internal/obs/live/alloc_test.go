@@ -36,6 +36,23 @@ func TestDisabledInstrumentsAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestDisabledRegistryAllocatesNothing pins the solvers' contract: they
+// record through a possibly-nil registry with no nil check, fetching the
+// instrument by name on every call, and a nil registry must cost no
+// allocation there.
+func TestDisabledRegistryAllocatesNothing(t *testing.T) {
+	var r *Registry
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Counter("dp.map_chain.states").Add(17)
+		r.Counter("dp.map_chain.layers").Inc()
+		r.Gauge("adapt.generation").Set(1.5)
+		r.Histogram("core.map_seconds").Observe(0.01)
+	})
+	if allocs != 0 {
+		t.Errorf("disabled registry allocated %.1f times per op, want 0", allocs)
+	}
+}
+
 func TestEnabledHotPathAllocatesNothing(t *testing.T) {
 	r := NewRegistry(Options{})
 	c := r.Counter("hot.count")

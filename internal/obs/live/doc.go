@@ -1,21 +1,22 @@
-// Package live is the live observability layer: rolling-window
-// instruments, a pipeline health model, and an embeddable HTTP server
+// Package live holds the repo's metrics: rolling-window instruments in
+// one Registry, a pipeline health model, and an embeddable HTTP server
 // exposing them while a pipeline runs.
 //
-// Package obs (the parent) is snapshot-at-exit observability: cumulative
-// counters and a trace file read after the run. This package answers the
+// Package obs (the parent) holds span tracing: the solver trace file, the
+// request traces and the flight recorder. This package answers the
 // questions a scraper or dashboard asks about a *running* pipeline: what
 // is the throughput right now, which stage is the bottleneck, how does the
 // observed per-stage period compare to the model-predicted f_i/r_i, and is
-// the pipeline nominal or degraded.
+// the pipeline nominal or degraded. The solvers record into the same
+// Registry, so pipemap -metrics and /metrics print the same instruments.
 //
 // # Instruments
 //
 // Counter, Gauge and Histogram are windowed: a ring of time-bucketed slots
 // over a configurable window (default 30s) yields rates and quantiles that
-// track the recent past instead of the whole run. Histograms reuse the
-// log-spaced bucket layout of package obs, so windowed and cumulative
-// quantiles are directly comparable. All instruments follow the obs
+// track the recent past instead of the whole run, next to cumulative
+// totals that never expire. Histograms bucket samples on one log-spaced
+// layout (8 buckets per decade from 1ns). All instruments follow the obs
 // contract: a nil instrument (or nil Registry/Monitor) is valid, disabled,
 // and allocation-free on the hot path.
 //
@@ -36,8 +37,7 @@
 //
 // # Server
 //
-// Server exposes a Monitor (and optionally a live Registry and a
-// cumulative obs.Snapshot source) over HTTP:
+// Server exposes a Monitor and optionally a Registry over HTTP:
 //
 //	/metrics      Prometheus text exposition
 //	/healthz      liveness (200 while serving)

@@ -6,8 +6,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"pipemap/internal/obs"
 )
 
 // Prometheus text exposition (format version 0.0.4). Metric names follow
@@ -194,82 +192,64 @@ func writeMonitor(p *promWriter, m *Monitor) {
 	})
 }
 
-// writeRegistry emits a live registry's instruments.
+// writeRegistry emits a registry's instruments. Summaries carry the
+// cumulative _count/_sum (Histogram.Total) beside the windowed quantiles,
+// so a series with no recent samples still reads its lifetime totals.
 func writeRegistry(p *promWriter, r *Registry) {
 	if r == nil {
 		return
 	}
-	s := r.Snapshot()
-	for _, k := range sortedKeys(s.Counters) {
-		c := s.Counters[k]
-		n := promName(k)
-		p.counter(n+"_total", "", float64(c.Total))
-		p.gauge(n+"_per_second", "", c.Rate)
+	in := r.instruments()
+	for _, k := range sortedKeys(in.counters) {
+		c, n := in.counters[k], promName(k)
+		p.counter(n+"_total", "", float64(c.Total()))
+		p.gauge(n+"_per_second", "", c.Rate())
 	}
-	for _, k := range sortedKeys(s.Gauges) {
-		p.gauge(promName(k), "", s.Gauges[k])
+	for _, k := range sortedKeys(in.gauges) {
+		p.gauge(promName(k), "", in.gauges[k].Value())
 	}
-	for _, k := range sortedKeys(s.Histograms) {
-		st := s.Histograms[k]
-		p.summary(promName(k), "", st, st.Count, st.Sum)
+	for _, k := range sortedKeys(in.hists) {
+		h := in.hists[k]
+		count, sum := h.Total()
+		p.summary(promName(k), "", h.Window(), count, sum)
 	}
 	// Labeled families. Label values were sanitized at With() time, so they
 	// can never break the exposition; family-major order keeps all series
 	// of one family consecutive as the format requires.
-	for _, k := range sortedKeys(s.CounterVecs) {
-		vs := s.CounterVecs[k]
-		n, lk := promName(k), promName(vs.LabelKey)
-		for _, ls := range vs.Series {
-			p.counter(n+"_total", "", float64(ls.Value.Total), lk, ls.Label)
+	for _, k := range sortedKeys(in.counterVecs) {
+		v := in.counterVecs[k]
+		n, lk, series := promName(k), promName(v.label), v.vec.snapshot()
+		lvs := sortedKeys(series)
+		for _, lv := range lvs {
+			p.counter(n+"_total", "", float64(series[lv].Total()), lk, lv)
 		}
-		for _, ls := range vs.Series {
-			p.gauge(n+"_per_second", "", ls.Value.Rate, lk, ls.Label)
-		}
-	}
-	for _, k := range sortedKeys(s.GaugeVecs) {
-		vs := s.GaugeVecs[k]
-		n, lk := promName(k), promName(vs.LabelKey)
-		for _, ls := range vs.Series {
-			p.gauge(n, "", ls.Value, lk, ls.Label)
+		for _, lv := range lvs {
+			p.gauge(n+"_per_second", "", series[lv].Rate(), lk, lv)
 		}
 	}
-	for _, k := range sortedKeys(s.HistogramVecs) {
-		vs := s.HistogramVecs[k]
-		n, lk := promName(k), promName(vs.LabelKey)
-		for _, ls := range vs.Series {
-			p.summary(n, "", ls.Value, ls.Value.Count, ls.Value.Sum, lk, ls.Label)
+	for _, k := range sortedKeys(in.gaugeVecs) {
+		v := in.gaugeVecs[k]
+		n, lk, series := promName(k), promName(v.label), v.vec.snapshot()
+		for _, lv := range sortedKeys(series) {
+			p.gauge(n, "", series[lv].Value(), lk, lv)
+		}
+	}
+	for _, k := range sortedKeys(in.histVecs) {
+		v := in.histVecs[k]
+		n, lk, series := promName(k), promName(v.label), v.vec.snapshot()
+		for _, lv := range sortedKeys(series) {
+			h := series[lv]
+			count, sum := h.Total()
+			p.summary(n, "", h.Window(), count, sum, lk, lv)
 		}
 	}
 }
 
-// writeStatic emits a cumulative obs snapshot (the PR 2 registry), so the
-// solver metrics collected before the pipeline started are scrapable from
-// the same endpoint.
-func writeStatic(p *promWriter, s obs.Snapshot) {
-	for _, k := range sortedKeys(s.Counters) {
-		p.counter(promName(k)+"_total", "", float64(s.Counters[k]))
-	}
-	for _, k := range sortedKeys(s.Gauges) {
-		p.gauge(promName(k), "", s.Gauges[k])
-	}
-	for _, k := range sortedKeys(s.Histograms) {
-		h := s.Histograms[k]
-		n := promName(k)
-		p.summary(n, "", WindowStat{P50: h.P50, P90: h.P90, P99: h.P99}, h.Count, h.Sum)
-		p.gauge(n+"_min", "", h.Min)
-		p.gauge(n+"_max", "", h.Max)
-	}
-}
-
-// WriteProm writes the full exposition: monitor-derived pipeline metrics,
-// live registry instruments, and an optional cumulative snapshot. Any of
-// the sources may be nil/empty.
-func WriteProm(w io.Writer, m *Monitor, r *Registry, static *obs.Snapshot) error {
+// WriteProm writes the full exposition: the monitor-derived pipeline
+// metrics, then the registry's instruments. Either source may be nil.
+func WriteProm(w io.Writer, m *Monitor, r *Registry) error {
 	p := newPromWriter(w)
 	writeMonitor(p, m)
 	writeRegistry(p, r)
-	if static != nil {
-		writeStatic(p, *static)
-	}
 	return p.err
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -25,12 +26,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Registry is a named collection of live instruments following the same
-// flat dotted naming scheme as obs.Registry ("fxrt.completed",
-// "serve.http_requests"). Instrument handles are create-on-first-use and
-// stable, so hot paths fetch them once and record lock-locally afterwards.
-// A nil *Registry is a valid disabled registry: it hands out nil
-// instruments, which are themselves disabled and free.
+// Registry is the repo's one metrics registry: a named collection of live
+// instruments with flat dotted names ("dp.map_chain.states",
+// "ingest.admit", "adapt.cycles"). The solvers, the adaptive controller,
+// the ingest plane, the SLO engine and the fleet all record into it, and
+// /metrics and pipemap -metrics print it through WriteProm. Instrument
+// handles are create-on-first-use and stable, so hot paths fetch them once
+// and record lock-locally afterwards. A nil *Registry is a valid disabled
+// registry: it hands out nil instruments, which are themselves disabled
+// and free, so a solver calls r.Counter(name).Add(n) with no nil check.
 type Registry struct {
 	mu          sync.Mutex
 	opt         Options
@@ -120,6 +124,35 @@ type Snapshot struct {
 	HistogramVecs map[string]VecStat[WindowStat]  `json:"histogramVecs,omitempty"`
 }
 
+// instruments is a copy of a registry's instrument maps. Reading an
+// instrument takes its own lock, so readers copy the maps under the
+// registry lock and read the instruments after releasing it.
+type instruments struct {
+	counters    map[string]*Counter
+	gauges      map[string]*Gauge
+	hists       map[string]*Histogram
+	counterVecs map[string]*CounterVec
+	gaugeVecs   map[string]*GaugeVec
+	histVecs    map[string]*HistogramVec
+}
+
+func (r *Registry) instruments() instruments {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return instruments{
+		counters:    maps.Clone(r.counters),
+		gauges:      maps.Clone(r.gauges),
+		hists:       maps.Clone(r.hists),
+		counterVecs: maps.Clone(r.counterVecs),
+		gaugeVecs:   maps.Clone(r.gaugeVecs),
+		histVecs:    maps.Clone(r.histVecs),
+	}
+}
+
+func counterStat(c *Counter) CounterStat {
+	return CounterStat{Total: c.Total(), Window: c.WindowSum(), Rate: c.Rate()}
+}
+
 // Snapshot copies the registry's current state; a nil registry yields an
 // empty (non-nil-map) snapshot.
 func (r *Registry) Snapshot() Snapshot {
@@ -131,81 +164,45 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	in := r.instruments()
+	for k, c := range in.counters {
+		s.Counters[k] = counterStat(c)
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for k, v := range r.counterVecs {
-		counterVecs[k] = v
-	}
-	gaugeVecs := make(map[string]*GaugeVec, len(r.gaugeVecs))
-	for k, v := range r.gaugeVecs {
-		gaugeVecs[k] = v
-	}
-	histVecs := make(map[string]*HistogramVec, len(r.histVecs))
-	for k, v := range r.histVecs {
-		histVecs[k] = v
-	}
-	r.mu.Unlock()
-	// Instrument reads take per-instrument locks; don't hold the registry
-	// lock across them.
-	for k, c := range counters {
-		s.Counters[k] = CounterStat{Total: c.Total(), Window: c.WindowSum(), Rate: c.Rate()}
-	}
-	for k, g := range gauges {
+	for k, g := range in.gauges {
 		s.Gauges[k] = g.Value()
 	}
-	for k, h := range hists {
+	for k, h := range in.hists {
 		s.Histograms[k] = h.Window()
 	}
-	if len(counterVecs) > 0 {
+	if len(in.counterVecs) > 0 {
 		s.CounterVecs = map[string]VecStat[CounterStat]{}
-		for k, v := range counterVecs {
-			series := v.vec.snapshot()
-			vs := VecStat[CounterStat]{LabelKey: v.label}
-			for _, lv := range sortedKeys(series) {
-				c := series[lv]
-				vs.Series = append(vs.Series, LabeledStat[CounterStat]{
-					Label: lv,
-					Value: CounterStat{Total: c.Total(), Window: c.WindowSum(), Rate: c.Rate()},
-				})
-			}
-			s.CounterVecs[k] = vs
+		for k, v := range in.counterVecs {
+			s.CounterVecs[k] = vecStat(v.label, &v.vec, counterStat)
 		}
 	}
-	if len(gaugeVecs) > 0 {
+	if len(in.gaugeVecs) > 0 {
 		s.GaugeVecs = map[string]VecStat[float64]{}
-		for k, v := range gaugeVecs {
-			series := v.vec.snapshot()
-			vs := VecStat[float64]{LabelKey: v.label}
-			for _, lv := range sortedKeys(series) {
-				vs.Series = append(vs.Series, LabeledStat[float64]{Label: lv, Value: series[lv].Value()})
-			}
-			s.GaugeVecs[k] = vs
+		for k, v := range in.gaugeVecs {
+			s.GaugeVecs[k] = vecStat(v.label, &v.vec, (*Gauge).Value)
 		}
 	}
-	if len(histVecs) > 0 {
+	if len(in.histVecs) > 0 {
 		s.HistogramVecs = map[string]VecStat[WindowStat]{}
-		for k, v := range histVecs {
-			series := v.vec.snapshot()
-			vs := VecStat[WindowStat]{LabelKey: v.label}
-			for _, lv := range sortedKeys(series) {
-				vs.Series = append(vs.Series, LabeledStat[WindowStat]{Label: lv, Value: series[lv].Window()})
-			}
-			s.HistogramVecs[k] = vs
+		for k, v := range in.histVecs {
+			s.HistogramVecs[k] = vecStat(v.label, &v.vec, (*Histogram).Window)
 		}
 	}
 	return s
+}
+
+// vecStat reads every series of one labeled family in label order.
+func vecStat[T, S any](label string, v *vec[T], stat func(T) S) VecStat[S] {
+	series := v.snapshot()
+	vs := VecStat[S]{LabelKey: label}
+	for _, lv := range sortedKeys(series) {
+		vs.Series = append(vs.Series, LabeledStat[S]{Label: lv, Value: stat(series[lv])})
+	}
+	return vs
 }
 
 // sortedKeys returns the keys of a map in sorted order, for deterministic

@@ -28,11 +28,8 @@ type ServerOptions struct {
 	// serialized under the "controller" key of the payload (the adaptive
 	// controller's status).
 	Controller func() any
-	// Registry adds generic live instruments to /metrics.
+	// Registry adds its instruments to /metrics.
 	Registry *Registry
-	// Static, when set, is called per scrape to merge a cumulative
-	// obs.Registry snapshot (e.g. solver metrics) into /metrics.
-	Static func() obs.Snapshot
 	// Ingest, when set, is called per /pipeline request and its result
 	// serialized under the "ingest" key of the payload (the ingestion
 	// plane's stats).
@@ -171,12 +168,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		// current values.
 		_ = s.opt.SLO()
 	}
-	var static *obs.Snapshot
-	if s.opt.Static != nil {
-		snap := s.opt.Static()
-		static = &snap
-	}
-	_ = WriteProm(w, s.monitor(), s.opt.Registry, static)
+	_ = WriteProm(w, s.monitor(), s.opt.Registry)
 }
 
 func (s *Server) slo(w http.ResponseWriter, _ *http.Request) {

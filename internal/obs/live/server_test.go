@@ -11,12 +11,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"pipemap/internal/obs"
 )
 
-// testServer builds a started monitor with traffic on it, a live registry,
-// and a static obs snapshot, all behind an httptest server.
+// testServer builds a started monitor with traffic on it and a registry
+// holding serving and solver instruments, behind an httptest server.
 func testServer(t *testing.T) (*httptest.Server, *Monitor, *VirtualClock) {
 	t.Helper()
 	vc := NewVirtualClock()
@@ -35,15 +33,12 @@ func testServer(t *testing.T) (*httptest.Server, *Monitor, *VirtualClock) {
 	reg.Counter("serve.requests").Add(3)
 	reg.Gauge("serve.depth").Set(2)
 	reg.Histogram("serve.latency").Observe(0.01)
-
-	static := obs.NewRegistry()
-	static.Add("dp.states", 100)
-	static.Observe("dp.layer_seconds", 0.002)
+	reg.Counter("dp.states").Add(100)
+	reg.Histogram("dp.layer_seconds").Observe(0.002)
 
 	srv := NewServer(ServerOptions{
 		Monitor:  mon,
 		Registry: reg,
-		Static:   static.Snapshot,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

@@ -52,7 +52,7 @@ func TestHostileLabelValuesSurvivePromLint(t *testing.T) {
 		hv.With(name).ObserveExemplar(3.5, "0123456789abcdef0123456789abcdef")
 	}
 	var buf strings.Builder
-	if err := WriteProm(&buf, nil, r, nil); err != nil {
+	if err := WriteProm(&buf, nil, r); err != nil {
 		t.Fatalf("WriteProm: %v", err)
 	}
 	typed := lintProm(t, buf.String())

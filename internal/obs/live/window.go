@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pipemap/internal/obs"
 )
 
 // DefaultWindow is the rolling window length used when an Options.Window
@@ -22,6 +20,77 @@ const (
 	// a full bucket array, so the ring is kept shorter than the counter's.
 	histSlots = 8
 )
+
+// Histogram bucket layout: log-spaced buckets covering 1ns .. ~1000s of
+// seconds (or any positive unit), 8 buckets per decade across 14 decades,
+// plus an underflow and an overflow bucket. Quantiles are estimated as the
+// upper bound of the bucket where the cumulative count crosses the rank,
+// which bounds the relative error at one bucket width (~33%).
+const (
+	histDecades      = 14
+	histPerDecade    = 8
+	histFirstDecade  = -9 // buckets start at 1e-9
+	histBuckets      = histDecades*histPerDecade + 2
+	histUnderflowIdx = 0
+)
+
+// bucketOf returns the index of the bucket v falls in.
+func bucketOf(v float64) int {
+	if v <= 0 || math.IsNaN(v) {
+		return histUnderflowIdx
+	}
+	// Clamp before converting: int(+Inf) is undefined (the minimum int on
+	// amd64, which would file +Inf under the underflow bucket).
+	i := math.Floor((math.Log10(v)-histFirstDecade)*histPerDecade) + 1
+	if i < 1 {
+		return histUnderflowIdx
+	}
+	if i >= histBuckets {
+		return histBuckets - 1
+	}
+	return int(i)
+}
+
+// bucketUpper is the upper bound of bucket i (the quantile estimate).
+func bucketUpper(i int) float64 {
+	if i <= histUnderflowIdx {
+		return 0
+	}
+	return math.Pow(10, float64(i)/histPerDecade+histFirstDecade)
+}
+
+// quantileFromBuckets estimates quantile q from a bucket array laid out
+// per bucketOf with count total samples, clamped to the observed
+// [min, max] envelope. The last bucket is the overflow bucket: its upper
+// bound is +Inf, so a rank that lands there reports the observed max
+// rather than a (meaningless, finite) bucket boundary.
+func quantileFromBuckets(buckets []int64, count int64, q, min, max float64) float64 {
+	if count == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(count)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i, b := range buckets {
+		cum += b
+		if cum >= rank {
+			if i == len(buckets)-1 {
+				return max
+			}
+			u := bucketUpper(i)
+			if u > max {
+				u = max
+			}
+			if u < min {
+				u = min
+			}
+			return u
+		}
+	}
+	return max
+}
 
 // Counter is a monotonically increasing counter that additionally tracks a
 // rolling window, so it reports both a cumulative total (for Prometheus
@@ -158,13 +227,12 @@ type histSlot struct {
 	count     int64
 	sum       float64
 	min, max  float64
-	buckets   [obs.HistogramBuckets]int64
-	exemplars [obs.HistogramBuckets]string
+	buckets   [histBuckets]int64
+	exemplars [histBuckets]string
 }
 
 // Histogram is a rolling-window histogram: a ring of time slots, each
-// holding a full log-spaced bucket array (the same layout as package obs),
-// merged at read time into windowed quantiles. Cumulative count and sum
+// holding a full log-spaced bucket array, merged at read time into windowed quantiles. Cumulative count and sum
 // are tracked separately so exposition can emit monotone _count/_sum
 // series alongside windowed quantiles. A nil *Histogram is a valid
 // disabled instrument.
@@ -223,7 +291,7 @@ func (h *Histogram) ObserveExemplar(v float64, exemplar string) {
 	}
 	s.count++
 	s.sum += v
-	b := obs.HistogramBucketOf(v)
+	b := bucketOf(v)
 	s.buckets[b]++
 	if exemplar != "" {
 		s.exemplars[b] = exemplar
@@ -266,9 +334,9 @@ func (h *Histogram) Window() WindowStat {
 	defer h.mu.Unlock()
 	now := h.clock()
 	e := now / h.slot
-	var merged [obs.HistogramBuckets]int64
-	var mergedEx [obs.HistogramBuckets]string
-	var mergedExEpoch [obs.HistogramBuckets]int64
+	var merged [histBuckets]int64
+	var mergedEx [histBuckets]string
+	var mergedExEpoch [histBuckets]int64
 	var st WindowStat
 	first := true
 	for i := range h.slots {
@@ -295,14 +363,14 @@ func (h *Histogram) Window() WindowStat {
 	}
 	if st.Count > 0 {
 		st.Mean = st.Sum / float64(st.Count)
-		st.P50 = obs.QuantileFromBuckets(merged[:], st.Count, 0.50, st.Min, st.Max)
-		st.P90 = obs.QuantileFromBuckets(merged[:], st.Count, 0.90, st.Min, st.Max)
-		st.P99 = obs.QuantileFromBuckets(merged[:], st.Count, 0.99, st.Min, st.Max)
+		st.P50 = quantileFromBuckets(merged[:], st.Count, 0.50, st.Min, st.Max)
+		st.P90 = quantileFromBuckets(merged[:], st.Count, 0.90, st.Min, st.Max)
+		st.P99 = quantileFromBuckets(merged[:], st.Count, 0.99, st.Min, st.Max)
 		// Trace the p99 back to a concrete request: the freshest exemplar in
 		// the p99's own value bucket, falling back to the nearest populated
 		// bucket above it (quantile interpolation can land just below the
 		// bucket that actually holds the tail samples).
-		for b := obs.HistogramBucketOf(st.P99); b < obs.HistogramBuckets; b++ {
+		for b := bucketOf(st.P99); b < histBuckets; b++ {
 			if mergedEx[b] != "" {
 				st.P99Exemplar = mergedEx[b]
 				break

@@ -14,18 +14,17 @@ func TestTracerSpans(t *testing.T) {
 	tr.NameThread(3, "worker/3")
 	tr.Span("cat", "op", 3, start, 5*time.Millisecond)
 	tr.SpanArgs("cat", "op2", 4, start, time.Millisecond, map[string]any{"k": 1})
-	tr.StageSpan("sort", 3, 7, 1, "ok", start, 2*time.Millisecond)
 	tr.Instant("fault", "boom", 3, start)
 	tr.InstantArgs("fault", "boom2", 3, start, map[string]any{"dataset": 9})
 	tr.VirtualSpan("sim", "exec", 0, 1.5, 2.5, nil)
 	tr.VirtualInstant("fault", "fail", 0, 3.0, nil)
 
 	events := tr.Events()
-	if len(events) != 8 {
-		t.Fatalf("got %d events, want 8", len(events))
+	if len(events) != 7 {
+		t.Fatalf("got %d events, want 7", len(events))
 	}
-	if tr.Len() != 8 {
-		t.Errorf("Len = %d, want 8", tr.Len())
+	if tr.Len() != 7 {
+		t.Errorf("Len = %d, want 7", tr.Len())
 	}
 	byName := map[string]Event{}
 	for _, e := range events {
@@ -34,8 +33,11 @@ func TestTracerSpans(t *testing.T) {
 	if e := byName["op"]; e.Phase != "X" || e.TID != 3 || e.Dur < 4999 || e.Dur > 5001 {
 		t.Errorf("span event wrong: %+v", e)
 	}
-	if e := byName["sort"]; e.Args["dataset"] != 7 || e.Args["attempt"] != 1 || e.Args["outcome"] != "ok" {
-		t.Errorf("stage span args wrong: %+v", e)
+	if e := byName["op2"]; e.TID != 4 || e.Args["k"] != 1 {
+		t.Errorf("span args wrong: %+v", e)
+	}
+	if e := byName["boom2"]; e.Phase != "i" || e.Args["dataset"] != 9 {
+		t.Errorf("instant args wrong: %+v", e)
 	}
 	if e := byName["boom"]; e.Phase != "i" || e.Scope != "t" {
 		t.Errorf("instant event wrong: %+v", e)
@@ -73,7 +75,6 @@ func TestNilTracerIsNoop(t *testing.T) {
 		t.Error("nil tracer reports enabled")
 	}
 	tr.Span("c", "n", 0, time.Now(), time.Second)
-	tr.StageSpan("s", 0, 0, 0, "ok", time.Now(), 0)
 	tr.Instant("c", "n", 0, time.Now())
 	tr.NameThread(0, "x")
 	if tr.Len() != 0 || tr.Events() != nil {
@@ -85,143 +86,5 @@ func TestNilTracerIsNoop(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "traceEvents") {
 		t.Errorf("nil tracer JSON invalid: %s", buf.String())
-	}
-}
-
-func TestRegistryCountersGauges(t *testing.T) {
-	r := NewRegistry()
-	r.Inc("a")
-	r.Add("a", 4)
-	r.Set("g", 2.5)
-	r.Set("g", 3.5)
-	s := r.Snapshot()
-	if s.Counters["a"] != 5 {
-		t.Errorf("counter a = %d, want 5", s.Counters["a"])
-	}
-	if s.Gauges["g"] != 3.5 {
-		t.Errorf("gauge g = %g, want 3.5", s.Gauges["g"])
-	}
-}
-
-func TestRegistryHistogram(t *testing.T) {
-	r := NewRegistry()
-	for i := 1; i <= 100; i++ {
-		r.Observe("h", float64(i)*0.001) // 1ms .. 100ms
-	}
-	h := r.Snapshot().Histograms["h"]
-	if h.Count != 100 {
-		t.Fatalf("count = %d, want 100", h.Count)
-	}
-	if h.Min != 0.001 || h.Max != 0.1 {
-		t.Errorf("min/max = %g/%g, want 0.001/0.1", h.Min, h.Max)
-	}
-	wantMean := 0.0505
-	if h.Mean < wantMean*0.999 || h.Mean > wantMean*1.001 {
-		t.Errorf("mean = %g, want ~%g", h.Mean, wantMean)
-	}
-	// Log-bucket quantiles are coarse: accept a factor-of-2 window.
-	if h.P50 < 0.025 || h.P50 > 0.1 {
-		t.Errorf("p50 = %g, want ~0.05", h.P50)
-	}
-	if h.P99 < 0.05 || h.P99 > 0.1 {
-		t.Errorf("p99 = %g, want ~0.099", h.P99)
-	}
-	if h.P50 > h.P90 || h.P90 > h.P99 {
-		t.Errorf("quantiles not monotone: p50=%g p90=%g p99=%g", h.P50, h.P90, h.P99)
-	}
-}
-
-func TestRegistryObserveAgg(t *testing.T) {
-	r := NewRegistry()
-	// 10 samples summing to 2.0 with envelope [0.05, 0.5].
-	r.ObserveAgg("op", 10, 2.0, 0.05, 0.5)
-	// Merge a second batch.
-	r.ObserveAgg("op", 5, 1.0, 0.01, 0.3)
-	h := r.Snapshot().Histograms["op"]
-	if h.Count != 15 {
-		t.Errorf("count = %d, want 15", h.Count)
-	}
-	if h.Sum < 2.999 || h.Sum > 3.001 {
-		t.Errorf("sum = %g, want 3", h.Sum)
-	}
-	if h.Min != 0.01 || h.Max != 0.5 {
-		t.Errorf("min/max = %g/%g, want 0.01/0.5", h.Min, h.Max)
-	}
-	// Zero or negative counts are ignored.
-	r.ObserveAgg("op", 0, 99, 0, 99)
-	if got := r.Snapshot().Histograms["op"].Count; got != 15 {
-		t.Errorf("count after empty merge = %d, want 15", got)
-	}
-}
-
-func TestNilRegistryIsNoop(t *testing.T) {
-	var r *Registry
-	if r.Enabled() {
-		t.Error("nil registry reports enabled")
-	}
-	r.Inc("a")
-	r.Set("g", 1)
-	r.Observe("h", 1)
-	r.ObserveAgg("h", 3, 3, 1, 1)
-	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
-		t.Errorf("nil registry recorded metrics: %+v", s)
-	}
-}
-
-func TestSnapshotWriters(t *testing.T) {
-	r := NewRegistry()
-	r.Add("dp.states", 42)
-	r.Set("fxrt.throughput", 12.5)
-	r.Observe("solve_seconds", 0.25)
-
-	var jsonBuf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var round Snapshot
-	if err := json.Unmarshal(jsonBuf.Bytes(), &round); err != nil {
-		t.Fatalf("snapshot JSON invalid: %v", err)
-	}
-	if round.Counters["dp.states"] != 42 || round.Histograms["solve_seconds"].Count != 1 {
-		t.Errorf("JSON round-trip lost data: %+v", round)
-	}
-
-	var txt bytes.Buffer
-	if err := r.Snapshot().WriteText(&txt); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(txt.String()), "\n")
-	if !sortedLines(lines) {
-		t.Errorf("text output not sorted:\n%s", txt.String())
-	}
-	for _, want := range []string{"dp.states 42", "fxrt.throughput 12.5", "solve_seconds.count 1"} {
-		if !strings.Contains(txt.String(), want) {
-			t.Errorf("text output missing %q:\n%s", want, txt.String())
-		}
-	}
-}
-
-func sortedLines(lines []string) bool {
-	for i := 1; i < len(lines); i++ {
-		if lines[i] < lines[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestBucketBounds(t *testing.T) {
-	for _, v := range []float64{1e-10, 1e-9, 1e-6, 0.001, 1, 100, 1e6} {
-		i := bucketOf(v)
-		if i < 0 || i >= histBuckets {
-			t.Fatalf("bucketOf(%g) = %d out of range", v, i)
-		}
-		if i > histUnderflowIdx && i < histBuckets-1 && bucketUpper(i) < v*0.999 {
-			t.Errorf("bucketUpper(%d)=%g below sample %g", i, bucketUpper(i), v)
-		}
-	}
-	if bucketOf(0) != histUnderflowIdx || bucketOf(-1) != histUnderflowIdx {
-		t.Error("non-positive samples must land in the underflow bucket")
 	}
 }

@@ -84,19 +84,6 @@ func (t *Tracer) SpanArgs(cat, name string, tid int, start time.Time, dur time.D
 		Dur: float64(dur) / float64(time.Microsecond), TID: tid, Args: args})
 }
 
-// StageSpan records one attempt of a pipeline stage on one data set — the
-// runtime's hot path. The all-scalar signature keeps a disabled (nil)
-// tracer allocation-free at the call site. outcome is "ok", "error" or
-// "timeout".
-func (t *Tracer) StageSpan(stage string, tid, dataset, attempt int, outcome string, start time.Time, dur time.Duration) {
-	if t == nil {
-		return
-	}
-	t.add(Event{Name: stage, Cat: "stage", Phase: "X", TS: t.us(start),
-		Dur: float64(dur) / float64(time.Microsecond), TID: tid,
-		Args: map[string]any{"dataset": dataset, "attempt": attempt, "outcome": outcome}})
-}
-
 // Instant records an instantaneous wall-clock event.
 func (t *Tracer) Instant(cat, name string, tid int, at time.Time) {
 	if t == nil {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestPublicObservability exercises the observability surface through the
-// public API only: attach a tracer and registry to a request, solve, and
-// export both.
+// public API only: attach a tracer and registry to a request, solve, write
+// the trace, and scrape the registry from a LiveServer.
 func TestPublicObservability(t *testing.T) {
 	chain := exampleChain()
 	pl := pipemap.Platform{Procs: 16, MemPerProc: 1}
@@ -37,12 +37,23 @@ func TestPublicObservability(t *testing.T) {
 	if !strings.Contains(trace.String(), `"traceEvents"`) {
 		t.Errorf("trace output not Chrome trace JSON: %s", trace.String())
 	}
-	var txt bytes.Buffer
-	if err := reg.Snapshot().WriteText(&txt); err != nil {
+	if st := reg.Snapshot().Histograms["core.map_seconds"]; st.Count != 1 {
+		t.Errorf("core.map_seconds window = %+v, want one sample", st)
+	}
+	// The registry is what a LiveServer serves on /metrics.
+	ts := httptest.NewServer(pipemap.NewLiveServer(pipemap.LiveServerOptions{Registry: reg}).Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(txt.String(), "core.map_seconds.count 1") {
-		t.Errorf("metrics missing core.map_seconds:\n%s", txt.String())
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "core_map_seconds_count 1\n") {
+		t.Errorf("/metrics missing core_map_seconds_count 1:\n%s", body)
 	}
 }
 

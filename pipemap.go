@@ -228,18 +228,23 @@ type (
 	// Tracer collects spans and writes Chrome trace_event JSON for
 	// chrome://tracing or ui.perfetto.dev.
 	Tracer = obs.Tracer
-	// MetricsRegistry collects counters, gauges and timing histograms,
-	// exportable as JSON or expvar-style text via Snapshot.
-	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry.
-	MetricsSnapshot = obs.Snapshot
+	// MetricsRegistry is the one metrics registry: the solvers, the
+	// adaptive controller, the ingest plane and the SLO engine record into
+	// it, and a LiveServer given it as LiveServerOptions.Registry serves it
+	// on /metrics. Snapshot copies it.
+	MetricsRegistry = live.Registry
+	// MetricsSnapshot is a point-in-time copy of a registry: cumulative
+	// counter totals, gauges, and histogram summaries over the rolling
+	// window.
+	MetricsSnapshot = live.Snapshot
 )
 
 // NewTracer returns an enabled trace collector.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
-// NewMetricsRegistry returns an enabled metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
+// NewMetricsRegistry returns an enabled metrics registry on the wall clock
+// with the default 30 s window.
+func NewMetricsRegistry() *MetricsRegistry { return live.NewRegistry(live.Options{}) }
 
 // Live observability types (extension; see DESIGN.md §9). A LiveMonitor
 // ingests per-attempt runtime observations (stage completions with
@@ -263,8 +268,8 @@ type (
 	LiveHealth = live.Health
 	// LiveServer is the embeddable HTTP server over a monitor.
 	LiveServer = live.Server
-	// LiveServerOptions configures the server (monitor, extra registry,
-	// static snapshot source, pprof toggle).
+	// LiveServerOptions configures the server (monitor, metrics registry,
+	// pprof toggle).
 	LiveServerOptions = live.ServerOptions
 	// LiveEvent is one streamed pipeline event (/events NDJSON records).
 	LiveEvent = live.Event

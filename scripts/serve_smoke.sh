@@ -3,10 +3,12 @@
 # first argument (default: all):
 #
 #   serve   start `pipemap -serve` on the fft+histogram spec with an
-#           injected instance death, scrape the endpoints, and fail on
-#           malformed Prometheus exposition or a missing health signal.
+#           injected instance death, scrape the endpoints, fail on
+#           malformed Prometheus exposition or a missing health signal,
+#           then SIGTERM it and require a graceful drain.
 #   adapt   run the adaptive controller (-adapt) with the same injected
-#           death and require /pipeline to report a migrated generation.
+#           death, require /pipeline to report a migrated generation, then
+#           SIGTERM it and require a graceful drain.
 #   ingest  stand up the real ingestion data plane (-ingest), submit a
 #           data set and read the computed result back, overload it with a
 #           concurrent burst and require structured 429/503 sheds plus a
@@ -41,6 +43,24 @@ fail() {
     exit 1
 }
 
+# build_pipemap builds the server once per run into $BIN. Every phase runs
+# the binary, not `go run`, so SIGTERM reaches the server itself: no
+# server outlives the script, and stop checks the graceful drain.
+BIN="$OUT/pipemap"
+build_pipemap() {
+    [ -x "$BIN" ] || go build -o "$BIN" ./cmd/pipemap
+}
+
+# stop PID LOG: SIGTERM the server and require a zero exit, i.e. a
+# completed graceful drain.
+stop() {
+    kill -TERM "$1"
+    if ! wait "$1"; then
+        cat "$2" >&2
+        fail "server exited non-zero on SIGTERM"
+    fi
+}
+
 # wait_http URL LOG: poll until URL answers or give up.
 wait_http() {
     i=0
@@ -71,7 +91,8 @@ wait_log() {
 
 phase_serve() {
     ADDR=127.0.0.1:9127
-    go run ./cmd/pipemap -serve "$ADDR" -serve-n 120 -serve-speedup 400 \
+    build_pipemap
+    "$BIN" -serve "$ADDR" -serve-n 120 -serve-speedup 400 \
         -serve-for 30s -serve-kill auto specs/ffthist256.json >"$OUT/run.log" 2>&1 &
     PID=$!
 
@@ -104,14 +125,16 @@ phase_serve() {
     CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/readyz")
     [ "$CODE" = 503 ] || fail "/readyz = $CODE, want 503 when degraded"
 
-    kill $PID 2>/dev/null || true
+    stop $PID "$OUT/run.log"
     PID=
+    grep -q "drain complete" "$OUT/run.log" || fail "no drain summary after SIGTERM"
     echo "serve_smoke: serve phase ok"
 }
 
 phase_adapt() {
     ADDR2=127.0.0.1:9128
-    go run ./cmd/pipemap -serve "$ADDR2" -serve-n 400 -serve-speedup 400 \
+    build_pipemap
+    "$BIN" -serve "$ADDR2" -serve-n 400 -serve-speedup 400 \
         -serve-for 30s -serve-kill auto \
         -adapt -adapt-interval 250ms -adapt-threshold 0.02 \
         specs/threestage.json >"$OUT/adapt.log" 2>&1 &
@@ -144,18 +167,17 @@ phase_adapt() {
     grep -q 'adapt_cycles' "$OUT/adapt_metrics" || fail "/metrics missing adapt_cycles"
     grep -q 'adapt_migrations' "$OUT/adapt_metrics" || fail "/metrics missing adapt_migrations"
 
-    kill $PID2 2>/dev/null || true
+    stop $PID2 "$OUT/adapt.log"
     PID2=
+    grep -q "drain complete" "$OUT/adapt.log" || fail "no drain summary after SIGTERM"
     echo "serve_smoke: adapt phase ok"
 }
 
 phase_ingest() {
     ADDR3=127.0.0.1:9129
     REPORT=${INGEST_REPORT:-$OUT/ingest_report.txt}
-    # A real binary (not `go run`) so SIGTERM reaches the server directly
-    # and the graceful-drain path is what's exercised.
-    go build -o "$OUT/pipemap" ./cmd/pipemap
-    "$OUT/pipemap" -serve "$ADDR3" -ingest ffthist -ingest-size 64 \
+    build_pipemap
+    "$BIN" -serve "$ADDR3" -ingest ffthist -ingest-size 64 \
         -queue-depth 4 -ingest-dispatchers 1 -shed-deadline 10s \
         specs/ffthist256.json >"$OUT/ingest.log" 2>&1 &
     PID3=$!
@@ -215,11 +237,7 @@ phase_ingest() {
     grep -q '"admitted"' "$OUT/ingest_stats.json" || fail "/v1/ingest missing stats"
 
     # Graceful drain: SIGTERM must flush in-flight work and exit cleanly.
-    kill -TERM $PID3
-    if ! wait $PID3; then
-        cat "$OUT/ingest.log" >&2
-        fail "server exited non-zero on SIGTERM"
-    fi
+    stop $PID3 "$OUT/ingest.log"
     PID3=
     grep -q "drain complete" "$OUT/ingest.log" || fail "no drain summary after SIGTERM"
 
@@ -243,8 +261,8 @@ phase_trace() {
     ADDR4=127.0.0.1:9130
     REPORT=${TRACE_REPORT:-$OUT/trace_report.txt}
     SPANS="$OUT/spans.ndjson"
-    go build -o "$OUT/pipemap_trace" ./cmd/pipemap
-    "$OUT/pipemap_trace" -serve "$ADDR4" -ingest ffthist -ingest-size 64 \
+    build_pipemap
+    "$BIN" -serve "$ADDR4" -ingest ffthist -ingest-size 64 \
         -trace-sample 1 -trace-spans "$SPANS" -flight 64 \
         specs/ffthist256.json >"$OUT/trace.log" 2>&1 &
     PID4=$!
@@ -281,8 +299,7 @@ phase_trace() {
 
     # Graceful stop must flush the exporter: the span file ends up with the
     # full trace on disk.
-    kill -TERM $PID4
-    wait $PID4 || { cat "$OUT/trace.log" >&2; fail "server exited non-zero on SIGTERM"; }
+    stop $PID4 "$OUT/trace.log"
     PID4=
     [ -s "$SPANS" ] || fail "span export file is empty"
     grep -q "$TRACE_ID" "$SPANS" || fail "span export missing the traced request"
@@ -303,9 +320,8 @@ phase_trace() {
 phase_fleet() {
     ADDR5=127.0.0.1:9131
     REPORT=${FLEET_REPORT:-$OUT/fleet_report.txt}
-    # A real binary so SIGTERM reaches the server and drains every plane.
-    go build -o "$OUT/pipemap_fleet" ./cmd/pipemap
-    "$OUT/pipemap_fleet" -serve "$ADDR5" -fleet -ingest-size 64 \
+    build_pipemap
+    "$BIN" -serve "$ADDR5" -fleet -ingest-size 64 \
         -queue-depth 8 -shed-deadline 10s \
         specs/ffthist256.json specs/radar64.json >"$OUT/fleet.log" 2>&1 &
     PID5=$!
@@ -388,11 +404,7 @@ phase_fleet() {
     }
 
     # Graceful stop: SIGTERM drains every tenant plane.
-    kill -TERM $PID5
-    if ! wait $PID5; then
-        cat "$OUT/fleet.log" >&2
-        fail "fleet server exited non-zero on SIGTERM"
-    fi
+    stop $PID5 "$OUT/fleet.log"
     PID5=
     grep -q "fleet drain complete" "$OUT/fleet.log" || fail "no fleet drain summary after SIGTERM"
 
