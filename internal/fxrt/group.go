@@ -9,6 +9,9 @@
 // The runtime executes real kernels (package kernels) and measures real
 // wall-clock behaviour, so it can profile an application for the model
 // fitting in package estimate, and validate predicted mappings end to end.
+// ModelPipeline instead emulates a mapping, each stage sleeping its
+// modelled response time; on Linux those sleeps go through one precise
+// timer thread (sleep_linux.go) rather than time.Sleep.
 package fxrt
 
 import (

@@ -20,6 +20,14 @@ import (
 // mod.Procs workers, so the mapping's per-instance processor counts are
 // carried in the monitor's StageInfo, not in goroutine counts.
 //
+// The sleep is the package's sleeper, not time.Sleep, whose waits under
+// 1 ms return after about 1.09 ms in an idle process. On Linux one timer
+// thread with 1 ns timer slack releases each sleep once its deadline has
+// passed, never before: on a 2-vCPU host a lone 250 µs sleep returns
+// after a median of about 280 µs. Elsewhere the sleep is time.Sleep,
+// floor included, so stages shorter than about a millisecond run slower
+// than the model says.
+//
 // speedup <= 0 defaults to 1 (real time). Use a large speedup to compress
 // slow mappings into fast demo/CI runs without changing the relative stage
 // periods.
@@ -32,7 +40,7 @@ func ModelPipeline(m model.Mapping, speedup float64) (*Pipeline, error) {
 // m.Modules evaluated against the truth chain. A truth chain whose costs
 // differ from m.Chain emulates a pipeline solved under a wrong cost model —
 // the scenario an adaptive controller exists to correct. truth == nil uses
-// m.Chain (beliefs are true).
+// m.Chain (beliefs are true). Stages sleep as in ModelPipeline.
 func ModelPipelineOn(m model.Mapping, truth *model.Chain, speedup float64) (*Pipeline, error) {
 	if m.Chain == nil || len(m.Modules) == 0 {
 		return nil, fmt.Errorf("fxrt: model pipeline needs a solved mapping")
@@ -53,9 +61,7 @@ func ModelPipelineOn(m model.Mapping, truth *model.Chain, speedup float64) (*Pip
 			Workers:  1,
 			Replicas: mod.Replicas,
 			Run: func(_ *StageCtx, in DataSet) (DataSet, error) {
-				if d > 0 {
-					time.Sleep(d)
-				}
+				sleep(d)
 				return in, nil
 			},
 		}

@@ -175,7 +175,10 @@ func (c *Counter) WindowSum() int64 {
 
 // Rate returns the windowed rate in events per second. Before a full
 // window has elapsed the divisor is the time since creation, so early
-// rates are not diluted by the empty remainder of the window.
+// rates are not diluted by the empty remainder of the window, but never
+// less than one slot: a one-shot report reads its counters moments after
+// creating them, and dividing by those microseconds reports a handful of
+// events as tens of thousands per second.
 func (c *Counter) Rate() float64 {
 	if c == nil {
 		return 0
@@ -183,15 +186,8 @@ func (c *Counter) Rate() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.clock()
-	sum := c.windowSumLocked(now)
-	elapsed := now - c.created
-	if window := c.slot * counterSlots; elapsed > window {
-		elapsed = window
-	}
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(sum) / (float64(elapsed) / 1e9)
+	elapsed := min(max(now-c.created, c.slot), c.slot*counterSlots)
+	return float64(c.windowSumLocked(now)) / (float64(elapsed) / 1e9)
 }
 
 // Gauge is a last-value instrument. A nil *Gauge is a valid disabled

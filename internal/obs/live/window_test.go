@@ -49,6 +49,23 @@ func TestCounterWindowAndRate(t *testing.T) {
 	}
 }
 
+func TestCounterRateRightAfterCreation(t *testing.T) {
+	// A one-shot report reads its counters microseconds after creating
+	// them; the rate divides by at least one slot (1s here), not by those
+	// microseconds.
+	r, vc := regClock()
+	c := r.Counter("test.oneshot")
+	c.Add(3)
+	vc.Advance(80 * time.Microsecond)
+	if got := c.Rate(); got != 3 {
+		t.Fatalf("Rate 80us after creation = %g, want 3 events / 1s slot = 3", got)
+	}
+	vc.SetSeconds(1.5)
+	if got := c.Rate(); got != 2 {
+		t.Fatalf("Rate 1.5s after creation = %g, want 3 events / 1.5s = 2", got)
+	}
+}
+
 func TestCounterPartialExpiry(t *testing.T) {
 	r, vc := regClock()
 	c := r.Counter("test.partial")
