@@ -1,0 +1,44 @@
+package core
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"pipemap/internal/model"
+)
+
+// specNames are the committed chain specs under specs/.
+var specNames = []string{"radar64", "ffthist256", "stereo128", "threestage"}
+
+// loadSpec parses the committed spec specs/name.json.
+func loadSpec(tb testing.TB, name string) (*model.Chain, model.Platform) {
+	tb.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "specs", name+".json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	c, pl, err := ParseChainSpec(f)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	return c, pl
+}
+
+// BenchmarkColdSolveSpecs times one cold DP mapping of each committed spec
+// through Map: tables, arena and every layer built from scratch, as a
+// planner pays on its first solve of a spec.
+func BenchmarkColdSolveSpecs(b *testing.B) {
+	for _, name := range specNames {
+		c, pl := loadSpec(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Map(Request{Chain: c, Platform: pl, Algorithm: DP}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -27,10 +27,16 @@
 // in total, and the previous module's per-instance count peffPrev. Its
 // value is the minimal bottleneck response time over the closed modules;
 // since peffPrev and the next module's count fix the open module's
-// response, a transition closes it (Lemma 1 of the paper). See Solver for
-// the layer layout, invalidation rule and pruning argument.
+// response, a transition closes it (Lemma 1 of the paper). Each layer
+// (b, l) stores only the states it can reach: the open module holds at
+// least its minimum, the closed ones at least the fewest processors that
+// cover [0, b-l), and peffPrev takes one of the few counts a module ending
+// at b-l can hold. See Solver for the layer layout, invalidation rule and
+// pruning argument.
 //
 // BruteForce and MapExhaustive are test oracles: BruteForce enumerates
 // every clustering, processor vector and replication, and MapExhaustive
-// runs AssignClustered on every clustering.
+// runs AssignClustered on every clustering. The tests also hold a plain
+// dense form of the recurrence, with no classes, pruning or live lists,
+// which checks the Solver bit for bit beyond brute-force sizes.
 package dp

@@ -29,51 +29,19 @@ func (s *Solver) Frontier() ([]model.Mapping, error) {
 	if !s.solved {
 		return nil, fmt.Errorf("dp: frontier of a solver that has not solved")
 	}
-	k, P, stride := s.k, s.P, s.stride
+	P := s.P
 	best := make([]float64, P+1)
 	fill(best, inf)
 	// win[b] is the winning close state of budget b; l == 0 while no
 	// state fits in b processors.
 	type closeState struct{ l, pt, pcur, cls int }
 	win := make([]closeState, P+1)
-	for l := 1; l <= k; l++ {
-		a := k - l
-		if s.minP[a*(k+1)+k] > P {
-			continue
+	s.closeStates(func(l, pt, pcur, c int, v float64) {
+		for b := pt; b <= P && v < best[b]; b++ {
+			best[b] = v
+			win[b] = closeState{l, pt, pcur, c}
 		}
-		vals := s.layer(k, l)
-		prev := s.effVals[a]
-		nE := len(prev)
-		spanBase := (a*(k+1) + k) * stride
-		var inTab []float64
-		if a > 0 {
-			inTab = s.ecomV[(a-1)*stride*stride:]
-		}
-		for _, idx32 := range s.live[s.ord(k, l)] {
-			idx := int(idx32)
-			c := idx % nE
-			rest := idx / nE
-			pcur := rest % stride
-			pt := rest / stride
-			e := int(s.eff[spanBase+pcur])
-			if e == 0 {
-				continue
-			}
-			v := vals[idx]
-			in := 0.0
-			if inTab != nil {
-				in = inTab[prev[c]*stride+e]
-			}
-			resp := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
-			if resp > v {
-				v = resp
-			}
-			for b := pt; b <= P && v < best[b]; b++ {
-				best[b] = v
-				win[b] = closeState{l, pt, pcur, c}
-			}
-		}
-	}
+	})
 
 	// A state wins a run of consecutive budgets: a later state can only
 	// take over a suffix of that run or all of it.
@@ -85,36 +53,8 @@ func (s *Solver) Frontier() ([]model.Mapping, error) {
 		case b > 0 && w == win[b-1]:
 			out[b].Modules = out[b-1].Modules
 		default:
-			out[b].Modules = s.reconstruct(w.l, w.pt, w.pcur, w.cls)
+			out[b].Modules = s.reconstruct(nil, w.l, w.pt, w.pcur, w.cls)
 		}
 	}
 	return out, nil
-}
-
-// reconstruct follows the choice pointers from close state (k, l, pt,
-// pcur, cls) back to the first module and returns the modules left to
-// right in a new slice.
-func (s *Solver) reconstruct(l, pt, pcur, c int) []model.Module {
-	k, stride := s.k, s.stride
-	var mods []model.Module
-	b := k
-	for {
-		a := b - l
-		spanBase := (a*(k+1) + b) * stride
-		mods = append(mods, model.Module{
-			Lo: a, Hi: b,
-			Procs:    int(s.eff[spanBase+pcur]),
-			Replicas: int(s.rep[spanBase+pcur]),
-		})
-		if a == 0 {
-			break
-		}
-		at := s.off[s.ord(b, l)] + s.vidx(pt, pcur, c, len(s.effVals[a]))
-		pl, pp, pc := choiceUnpack(s.choice[at])
-		b, l, pt, pcur, c = a, pl, pt-pcur, pp, pc
-	}
-	for i, j := 0, len(mods)-1; i < j; i, j = i+1, j-1 {
-		mods[i], mods[j] = mods[j], mods[i]
-	}
-	return mods
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,13 +51,21 @@ var inf = math.Inf(1)
 // replication maps most raw counts onto a handful of instance sizes. So
 // each layer indexes that axis by class — the position of peffPrev in E_a,
 // the ascending set of counts any feasible span [a', a) can hold,
-// derived once from the structural eff table — and layer (b, l) holds
-// (P+1)^2 * |E_{b-l}| states (none when span [b-l, b) is infeasible)
-// instead of (P+1)^3. Class order equals value order, so scanning a layer
-// in index order visits states in the same (pt, pcur, peffPrev) order as
-// a dense layout, and live lists, dominance and tie-breaking are those of
-// the dense tables. Only a non-replicable module reaching many counts
-// makes a class axis long.
+// derived once from the structural eff table. Only a non-replicable
+// module reaching many counts makes a class axis long.
+//
+// Nor does a layer store the (pt, pcur) square. A state of layer (b, l)
+// holds pcur >= min = minP[b-l, b) and q = pt - pcur >= lowQ[b-l], the
+// fewest processors any feasible cover of [0, b-l) holds; a seed layer
+// (b = l) has q = 0 only. So the layer is a triangle of rows q = lowQ ..
+// P-min, row q holding pcur in [min, P-q] times |E_{b-l}| classes (none
+// when span [b-l, b) or the prefix [0, b-l) is infeasible). Solver.at is
+// the one index function into it. A transition from a state with pt
+// processors writes a run of one target row, q = pt. Live lists hold each
+// state's (pt, pcur, class) packed in one word, in the ascending order a
+// dense (pt, pcur, peffPrev) table would be scanned in: class order
+// equals value order, so live lists, dominance and tie-breaking are those
+// of the dense tables.
 //
 // # Dominance pruning
 //
@@ -78,7 +87,10 @@ var inf = math.Inf(1)
 // All tables, layer arenas and live-state lists are allocated at
 // construction (or grown during the first solves); a Resolve call on a
 // warmed solver performs zero heap allocations, so a fleet of pipelines
-// can re-solve on every adapt tick without GC churn. Incremental
+// can re-solve on every adapt tick without GC churn. The arena is never
+// filled as a whole: seed writes every cell of the seed layers, and a
+// solve clears only the layers it recomputes. A live list grows in one
+// scratch slice and is copied out at its final length. Incremental
 // re-solves run single-threaded: the recomputed region is small and the
 // callers (many controllers sharing one process) provide the
 // parallelism.
@@ -94,22 +106,24 @@ type Solver struct {
 	chain *model.Chain
 
 	// Layer arena: k(k+1)/2 layers stored back to back, ordinal
-	// b(b-1)/2 + (l-1) for layer (b, l), 1 <= l <= b <= k; layer ord
-	// occupies [off[ord], off[ord+1]). See "Layer layout" above.
+	// b(b-1)/2 + (l-1) for layer (b, l), 1 <= l <= b <= k, placed by
+	// shape[ord]. See "Layer layout" above; at indexes it.
 	val    []float64
 	choice []uint64
-	off    []int
+	shape  []layerShape
 	// effVals[a] is E_a: the distinct per-instance counts, ascending, that
 	// a module ending at a can hold (E_0 = {0}: there is no previous
 	// module). effCls[a*stride+v] is the class of count v — its index in
 	// effVals[a] — or -1 when v is not in E_a.
 	effVals [][]int
 	effCls  []int32
-	// live[ord] lists the non-inf, non-dominated state indices of a layer
-	// in deterministic (pt, pcur, peffPrev) scan order; rebuilt whenever
-	// the layer is recomputed, reused read-only otherwise.
-	live [][]int32
+	// live[ord] lists the non-inf, non-dominated states of a layer, each
+	// (pt, pcur, class) packed by pack, in ascending (pt, pcur, peffPrev)
+	// order; rebuilt whenever the layer is recomputed, reused read-only
+	// otherwise.
+	live [][]uint64
 
+	liveBuf []uint64  // live-list scratch buildLive grows a list in
 	colMin  []float64 // dominance scratch, one entry per (pcur, class) column
 	changed []bool    // k-length scratch: which tasks moved this Resolve
 	tgts    []int     // per-pass feasible target spans scratch
@@ -125,15 +139,34 @@ type Solver struct {
 // count must stay at 1.
 func (s *Solver) SolveCount() int64 { return s.solves }
 
-// choicePack packs (prevL, prevPCur, prevCls) — the predecessor state's
-// module length, raw count and peffPrev class — into one word; 21 bits
-// each bounds P and k at 2^21-1, far beyond any instance the tables fit.
-func choicePack(l, pcur, c int) uint64 {
-	return uint64(l)<<42 | uint64(pcur)<<21 | uint64(c)
+// layerShape places one layer's triangle in the arena: rows q = qlo ..
+// qlo+rows-1, row qlo+j holding pcur in [min, min+w-j) times nE classes,
+// stored row after row from off.
+type layerShape struct {
+	off, size int
+	qlo, rows int
+	min, w    int
+	nE        int
 }
 
-func choiceUnpack(c uint64) (l, pcur, cls int) {
-	return int(c >> 42), int(c >> 21 & (1<<21 - 1)), int(c & (1<<21 - 1))
+// at is the arena index of state (pt, pcur, class c) of layer ord: the
+// rows before row j = pt-pcur-qlo hold w, w-1, ..., w-j+1 counts.
+func (s *Solver) at(ord, pt, pcur, c int) int {
+	g := &s.shape[ord]
+	j := pt - pcur - g.qlo
+	return g.off + (j*g.w-j*(j-1)/2+pcur-g.min)*g.nE + c
+}
+
+// pack packs three coordinates into one word: a choice pointer's (prevL,
+// prevPCur, prevCls) — the predecessor state's module length, raw count
+// and peffPrev class — or a live state's (pt, pcur, cls). 21 bits each
+// bounds P and k at 2^21-1, far beyond any instance the tables fit.
+func pack(x, y, z int) uint64 {
+	return uint64(x)<<42 | uint64(y)<<21 | uint64(z)
+}
+
+func unpack(w uint64) (x, y, z int) {
+	return int(w >> 42), int(w >> 21 & (1<<21 - 1)), int(w & (1<<21 - 1))
 }
 
 // tables is the one cost tabulation every DP in this package reads: per
@@ -297,8 +330,9 @@ func newSolver(c *model.Chain, pl model.Platform, opt Options, spans []model.Spa
 }
 
 // classify derives the peffPrev classes E_a from the structural eff table
-// and lays out the arena: layer (b, l) gets stride^2 * |E_{b-l}| states,
-// or none when its open span is infeasible.
+// and lays out the arena: layer (b, l) gets its triangle of reachable
+// (q, pcur) cells times |E_{b-l}| classes. The arena is left zero: seed
+// writes every seed-layer cell and run(0) clears every other layer.
 func (s *Solver) classify() {
 	k, P, stride := s.k, s.P, s.stride
 	s.effVals = make([][]int, k)
@@ -325,35 +359,47 @@ func (s *Solver) classify() {
 		}
 		maxE = max(maxE, len(s.effVals[a]))
 	}
-	nLayers := k * (k + 1) / 2
-	s.off = make([]int, nLayers+1)
-	for b := 1; b <= k; b++ {
-		for l := 1; l <= b; l++ {
-			ord, size := s.ord(b, l), 0
-			if s.minP[(b-l)*(k+1)+b] <= P {
-				size = stride * stride * len(s.effVals[b-l])
+	// lowQ[a] is the fewest processors any feasible cover of [0, a) holds.
+	lowQ := make([]int, k)
+	for a := 1; a < k; a++ {
+		lowQ[a] = P + 1
+		for a2 := 0; a2 < a; a2++ {
+			if m := s.minP[a2*(k+1)+a]; m <= P {
+				lowQ[a] = min(lowQ[a], lowQ[a2]+m)
 			}
-			s.off[ord+1] = s.off[ord] + size
 		}
 	}
-	s.val = make([]float64, s.off[nLayers])
-	s.choice = make([]uint64, s.off[nLayers])
-	s.live = make([][]int32, nLayers)
+	s.shape = make([]layerShape, k*(k+1)/2)
+	size := 0
+	for b := 1; b <= k; b++ {
+		for l := 1; l <= b; l++ {
+			a := b - l
+			g := layerShape{off: size, qlo: lowQ[a], min: s.minP[a*(k+1)+b], nE: len(s.effVals[a])}
+			// Row qlo holds pcur in [min, P-qlo]; the rows run to q = P-min.
+			if w := P - g.qlo - g.min + 1; w > 0 {
+				g.w, g.rows = w, w
+				if a == 0 {
+					g.rows = 1 // a seed state has pt = pcur
+				}
+				g.size = (g.rows*w - g.rows*(g.rows-1)/2) * g.nE
+			}
+			s.shape[s.ord(b, l)] = g
+			size += g.size
+		}
+	}
+	s.val = make([]float64, size)
+	s.choice = make([]uint64, size)
+	s.live = make([][]uint64, len(s.shape))
 	s.colMin = make([]float64, stride*maxE)
-	fill(s.val, inf)
 }
 
 // ord is the arena ordinal of layer (b, l), 1 <= l <= b <= k.
 func (s *Solver) ord(b, l int) int { return b*(b-1)/2 + (l - 1) }
 
-// vidx is the in-layer index of state (pt, pcur, peffPrev) in a layer
-// whose peffPrev axis has nE classes, c being peffPrev's class.
-func (s *Solver) vidx(pt, pcur, c, nE int) int { return (pt*s.stride+pcur)*nE + c }
-
 // layer returns the value slab of layer (b, l).
 func (s *Solver) layer(b, l int) []float64 {
-	ord := s.ord(b, l)
-	return s.val[s.off[ord]:s.off[ord+1]]
+	g := &s.shape[s.ord(b, l)]
+	return s.val[g.off : g.off+g.size]
 }
 
 // seed writes the first-module states: module [0, l) holding pcur
@@ -365,9 +411,9 @@ func (s *Solver) seed() {
 		if min > s.P {
 			continue
 		}
-		vals := s.layer(l, l)
+		ord := s.ord(l, l)
 		for pcur := min; pcur <= s.P; pcur++ {
-			vals[s.vidx(pcur, pcur, 0, 1)] = 0
+			s.val[s.at(ord, pcur, pcur, 0)] = 0
 		}
 		s.buildLive(l, l)
 	}
@@ -380,37 +426,49 @@ func (s *Solver) seed() {
 // dropped.
 func (s *Solver) buildLive(b, l int) int64 {
 	ord := s.ord(b, l)
-	// Index idx is (pt*stride+pcur)*nE + c, so idx % cols is the state's
-	// (pcur, c) dominance column.
-	cols := s.stride * len(s.effVals[b-l])
-	colMin := s.colMin[:cols]
+	g := s.shape[ord]
+	// Column (pcur-min)*nE + c is the state's (pcur, c) dominance column.
+	colMin := s.colMin[:g.w*g.nE]
 	fill(colMin, inf)
-	list := s.live[ord][:0]
+	list := s.liveBuf[:0]
 	pruned := int64(0)
-	for idx, v := range s.layer(b, l) {
-		if v < inf {
-			col := idx % cols
-			if colMin[col] <= v {
-				pruned++ // dominated: smaller pt, no worse value
-			} else {
-				list = append(list, int32(idx))
-				colMin[col] = v
+	qhi := g.qlo + g.rows - 1
+	for pt := g.qlo + g.min; pt <= s.P; pt++ {
+		// pt = q + pcur: one class run of each row q in [qlo, qhi], pcur
+		// ascending. Row j = q-qlo starts (w-j+1)*nE cells after row j-1.
+		pcur := max(g.min, pt-qhi)
+		j, at := pt-pcur-g.qlo, s.at(ord, pt, pcur, 0)
+		for ; pcur <= pt-g.qlo; pcur++ {
+			col := (pcur - g.min) * g.nE
+			for c, v := range s.val[at : at+g.nE] {
+				if v < inf {
+					if colMin[col+c] <= v {
+						pruned++ // dominated: smaller pt, no worse value
+					} else {
+						list = append(list, pack(pt, pcur, c))
+						colMin[col+c] = v
+					}
+				}
 			}
+			at -= (g.w - j) * g.nE
+			j--
 		}
 	}
-	s.live[ord] = list
+	// Grown in the scratch, the list is copied once at its final length.
+	s.liveBuf = list
+	s.live[ord] = append(s.live[ord][:0], list...)
 	return pruned
 }
 
 // target applies every source layer (b, l) to target layer (b+l2, l2):
-// sources in ascending l, states in live-list (ascending index) order,
-// which fixes the tie-breaking deterministically. Returns state and
+// sources in ascending l, states in live-list order, which fixes the
+// tie-breaking deterministically. Returns state and
 // transition counts for instrumentation.
 func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 	k, P, stride := s.k, s.P, s.stride
 	min2 := s.minP[b*(k+1)+b+l2]
 	eff2 := s.eff[(b*(k+1)+b+l2)*stride:]
-	nOff := s.off[s.ord(b+l2, l2)]
+	tOrd := s.ord(b+l2, l2)
 	nE2 := len(s.effVals[b])
 	cls2 := s.effCls[b*stride:]
 	outTab := s.ecomV[(b-1)*stride*stride:]
@@ -419,26 +477,26 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 		if s.minP[a*(k+1)+b] > P {
 			continue
 		}
-		src := s.layer(b, l)
+		ord := s.ord(b, l)
 		prev := s.effVals[a]
-		nE := len(prev)
 		spanBase := (a*(k+1) + b) * stride
 		var inTab []float64
 		if a > 0 {
 			inTab = s.ecomV[(a-1)*stride*stride:]
 		}
-		for _, idx32 := range s.live[s.ord(b, l)] {
-			idx := int(idx32)
-			c := idx % nE
-			rest := idx / nE
-			pcur := rest % stride
-			pt := rest / stride
+		for _, st := range s.live[ord] {
+			pt, pcur, c := unpack(st)
 			e := int(s.eff[spanBase+pcur])
 			if e == 0 {
 				continue
 			}
 			nStates++
-			v := src[idx]
+			n := P - pt - min2 + 1
+			if n <= 0 {
+				continue
+			}
+			nTrans += int64(n)
+			v := s.val[s.at(ord, pt, pcur, c)]
 			r := float64(s.rep[spanBase+pcur])
 			in := 0.0
 			if inTab != nil {
@@ -446,22 +504,20 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			}
 			partial := (in + s.execEff[spanBase+pcur]) / r
 			outRow := outTab[e*stride:]
-			ch := choicePack(l, pcur, c)
-			ce := int(cls2[e])
+			ch := pack(l, pcur, c)
+			// The targets (pt+p2, p2) all lie in row q = pt, nE2 apart.
+			ni := s.at(tOrd, pt+min2, min2, int(cls2[e]))
 			for p2 := min2; p2 <= P-pt; p2++ {
 				resp := partial + outRow[int(eff2[p2])]/r
 				nv := v
 				if resp > nv {
 					nv = resp
 				}
-				ni := nOff + ((pt+p2)*stride+p2)*nE2 + ce
 				if nv < s.val[ni] {
 					s.val[ni] = nv
 					s.choice[ni] = ch
 				}
-			}
-			if n := P - pt - min2 + 1; n > 0 {
-				nTrans += int64(n)
+				ni += nE2
 			}
 		}
 	}
@@ -510,37 +566,30 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 	ins.layer(b, layerT0, states, transitions, pruned)
 }
 
-// scan closes the chain: every layer (k, l) charges its open module's
-// response without an output edge, and the best state wins. Iteration
-// order (l, then live order) matches the expansion tie-breaking.
-func (s *Solver) scan() (model.Mapping, error) {
+// closeStates visits the live states of the close layers (k, l) in
+// expansion order — l ascending, then live order — each with its value
+// once the open module [k-l, k) is charged without an output edge.
+func (s *Solver) closeStates(visit func(l, pt, pcur, c int, v float64)) {
 	k, P, stride := s.k, s.P, s.stride
-	best := inf
-	var bestL, bestPT, bestPCur, bestCls int
 	for l := 1; l <= k; l++ {
 		a := k - l
 		if s.minP[a*(k+1)+k] > P {
 			continue
 		}
-		vals := s.layer(k, l)
+		ord := s.ord(k, l)
 		prev := s.effVals[a]
-		nE := len(prev)
 		spanBase := (a*(k+1) + k) * stride
 		var inTab []float64
 		if a > 0 {
 			inTab = s.ecomV[(a-1)*stride*stride:]
 		}
-		for _, idx32 := range s.live[s.ord(k, l)] {
-			idx := int(idx32)
-			c := idx % nE
-			rest := idx / nE
-			pcur := rest % stride
-			pt := rest / stride
+		for _, st := range s.live[ord] {
+			pt, pcur, c := unpack(st)
 			e := int(s.eff[spanBase+pcur])
 			if e == 0 {
 				continue
 			}
-			v := vals[idx]
+			v := s.val[s.at(ord, pt, pcur, c)]
 			in := 0.0
 			if inTab != nil {
 				in = inTab[prev[c]*stride+e]
@@ -549,23 +598,43 @@ func (s *Solver) scan() (model.Mapping, error) {
 			if resp > v {
 				v = resp
 			}
-			if v < best {
-				best = v
-				bestL, bestPT, bestPCur, bestCls = l, pt, pcur, c
-			}
+			visit(l, pt, pcur, c, v)
 		}
 	}
+}
+
+// scan closes the chain: the close state of least value wins, the first
+// of equal ones in closeStates' order, which matches the expansion
+// tie-breaking.
+func (s *Solver) scan() (model.Mapping, error) {
+	best := inf
+	var bestL, bestPT, bestPCur, bestCls int
+	s.closeStates(func(l, pt, pcur, c int, v float64) {
+		if v < best {
+			best = v
+			bestL, bestPT, bestPCur, bestCls = l, pt, pcur, c
+		}
+	})
 	if best == inf {
-		return model.Mapping{}, fmt.Errorf("dp: no feasible mapping of %d tasks onto %d processors", k, P)
+		return model.Mapping{}, fmt.Errorf("dp: no feasible mapping of %d tasks onto %d processors", s.k, s.P)
 	}
 
-	// Reconstruct right to left into the reusable scratch.
-	s.mods = s.mods[:0]
-	b, l, pt, pcur, c := k, bestL, bestPT, bestPCur, bestCls
+	s.mods = s.reconstruct(s.mods[:0], bestL, bestPT, bestPCur, bestCls)
+	return model.Mapping{Chain: s.chain, Modules: s.mods}, nil
+}
+
+// reconstruct follows the choice pointers from close state (k, l, pt,
+// pcur, c) back to the first module, appends the modules to dst left to
+// right and returns it. scan passes its reusable scratch, so a warm
+// Resolve allocates nothing; Frontier passes nil for a slice of its own.
+func (s *Solver) reconstruct(dst []model.Module, l, pt, pcur, c int) []model.Module {
+	k, stride := s.k, s.stride
+	n0 := len(dst)
+	b := k
 	for {
 		a := b - l
 		spanBase := (a*(k+1) + b) * stride
-		s.mods = append(s.mods, model.Module{
+		dst = append(dst, model.Module{
 			Lo: a, Hi: b,
 			Procs:    int(s.eff[spanBase+pcur]),
 			Replicas: int(s.rep[spanBase+pcur]),
@@ -573,14 +642,11 @@ func (s *Solver) scan() (model.Mapping, error) {
 		if a == 0 {
 			break
 		}
-		at := s.off[s.ord(b, l)] + s.vidx(pt, pcur, c, len(s.effVals[a]))
-		pl, pp, pc := choiceUnpack(s.choice[at])
+		pl, pp, pc := unpack(s.choice[s.at(s.ord(b, l), pt, pcur, c)])
 		b, l, pt, pcur, c = a, pl, pt-pcur, pp, pc
 	}
-	for i, j := 0, len(s.mods)-1; i < j; i, j = i+1, j-1 {
-		s.mods[i], s.mods[j] = s.mods[j], s.mods[i]
-	}
-	return model.Mapping{Chain: s.chain, Modules: s.mods}, nil
+	slices.Reverse(dst[n0:])
+	return dst
 }
 
 // run recomputes every layer whose open-module start exceeds m and

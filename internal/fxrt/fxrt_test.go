@@ -2,7 +2,10 @@ package fxrt
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -386,5 +389,42 @@ func TestParallelReduceErrors(t *testing.T) {
 		func(p int) (int, error) { return p, nil },
 		func(a, b int) (int, error) { return 0, fmt.Errorf("merge fail") }); err == nil {
 		t.Error("combine error swallowed")
+	}
+}
+
+// TestWindowThroughputReplicatedBursts feeds the throughput window the
+// completion times of a last stage with r=5 replicas: every period T the
+// five finish together, a little jittered. The rate must read r/T within
+// 0.2% wherever the window opens. Counting the completions after the
+// window's first over the time since that one reads 1.25% high when the
+// window opens on a burst's first completion (n=400, warmup 80).
+func TestWindowThroughputReplicatedBursts(t *testing.T) {
+	const (
+		r, n   = 5, 400
+		period = 2 * time.Millisecond
+	)
+	want := r / period.Seconds()
+	rng := rand.New(rand.NewSource(1))
+	done := make([]time.Duration, 0, n)
+	for j := 0; j < n/r; j++ {
+		for i := 0; i < r; i++ {
+			jitter := time.Duration(rng.Int63n(int64(period / 20)))
+			done = append(done, time.Duration(j+1)*period+jitter)
+		}
+	}
+	slices.Sort(done)
+	sinceFirst := func(warmup int) float64 {
+		return float64(len(done)-warmup-1) / (done[len(done)-1] - done[warmup]).Seconds()
+	}
+	if got := sinceFirst(n / 5); math.Abs(got/want-1) < 0.002 {
+		t.Fatalf("burst-aligned window read %.1f/s by counting since its first completion, want it off r/T = %.1f/s", got, want)
+	}
+	for warmup := n/5 - r; warmup <= n/5+r; warmup++ {
+		if got := windowThroughput(done, warmup); math.Abs(got/want-1) > 0.002 {
+			t.Errorf("warmup %d: throughput %.2f/s, want r/T = %.2f/s within 0.2%%", warmup, got, want)
+		}
+	}
+	if got := windowThroughput(done[:3], 2); got != 0 {
+		t.Errorf("one completion after warmup: throughput %g, want 0", got)
 	}
 }

@@ -52,7 +52,9 @@ type Stats struct {
 	DataSets int
 	// Elapsed is the wall-clock duration from first input to last output.
 	Elapsed time.Duration
-	// Throughput is data sets per second over the post-warmup window.
+	// Throughput is data sets per second over the post-warmup window: the
+	// least-squares slope of completion count over time (see
+	// windowThroughput).
 	Throughput float64
 	// Latency is the mean data set traversal time.
 	Latency time.Duration
@@ -221,10 +223,9 @@ func (p *Pipeline) runBatch(source func(i int) DataSet, n, warmup int, edges []E
 		}
 	}()
 	var (
-		firstErr               error
-		latSum                 time.Duration
-		completed              int
-		windowStart, windowEnd time.Time
+		firstErr error
+		latSum   time.Duration
+		done     = make([]time.Duration, 0, n) // completion times since start
 	)
 	for got := 0; got < n; got++ {
 		r := <-res
@@ -234,13 +235,8 @@ func (p *Pipeline) runBatch(source func(i int) DataSet, n, warmup int, edges []E
 			}
 			continue
 		}
-		now := time.Now()
 		latSum += r.Latency
-		completed++
-		windowEnd = now
-		if completed == warmup+1 {
-			windowStart = now
-		}
+		done = append(done, time.Since(start))
 	}
 	<-pushed
 	stats := s.Close()
@@ -248,12 +244,42 @@ func (p *Pipeline) runBatch(source func(i int) DataSet, n, warmup int, edges []E
 		return Stats{}, firstErr
 	}
 	stats.Elapsed, stats.Throughput = 0, 0
-	if completed > 0 {
-		stats.Elapsed = windowEnd.Sub(start)
+	if completed := len(done); completed > 0 {
+		stats.Elapsed = done[completed-1]
 		stats.Latency = latSum / time.Duration(completed)
 	}
-	if window := windowEnd.Sub(windowStart); completed > warmup+1 && window > 0 {
-		stats.Throughput = float64(completed-warmup-1) / window.Seconds()
-	}
+	stats.Throughput = windowThroughput(done, warmup)
 	return stats, nil
+}
+
+// windowThroughput is the steady-state rate of a run whose data sets
+// completed at the times in done, ascending: the least-squares slope of
+// completion count over time, fitted to the completions after the first
+// warmup. A replicated last stage completes in bursts of its replica
+// count; counting the completions after the window's first over the time
+// since that one would count a whole burst without its period whenever
+// the window opens on a burst's first completion, and the fitted slope
+// does not depend on where the window opens. It is 0 when fewer than two
+// completions remain or they share one instant.
+func windowThroughput(done []time.Duration, warmup int) float64 {
+	if warmup < 0 || len(done)-warmup < 2 {
+		return 0
+	}
+	w := done[warmup:]
+	n := float64(len(w))
+	mt, mi := 0.0, (n-1)/2
+	for _, d := range w {
+		mt += d.Seconds()
+	}
+	mt /= n
+	var sxy, sxx float64
+	for i, d := range w {
+		dt := d.Seconds() - mt
+		sxy += dt * (float64(i) - mi)
+		sxx += dt * dt
+	}
+	if sxx == 0 {
+		return 0
+	}
+	return sxy / sxx
 }
