@@ -298,18 +298,28 @@ func BenchmarkMinLatency(b *testing.B) {
 }
 
 func BenchmarkTradeoffFrontier(b *testing.B) {
-	c, err := apps.FFTHist(256, apps.Message)
+	ffthist, err := apps.FFTHist(256, apps.Message)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl := apps.Platform()
-	var points int
-	for i := 0; i < b.N; i++ {
-		front, err := tradeoff.Frontier(c, pl, tradeoff.Options{MinThroughputGain: 0.02})
-		if err != nil {
-			b.Fatal(err)
-		}
-		points = len(front)
+	for _, tc := range []struct {
+		name  string
+		chain *model.Chain
+	}{
+		{"ffthist256", ffthist},
+		// Four tasks, and the most frontier points of the committed specs.
+		{"radar64", apps.Radar()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var points int
+			for i := 0; i < b.N; i++ {
+				front, err := tradeoff.Frontier(tc.chain, apps.Platform(), tradeoff.Options{MinThroughputGain: 0.02})
+				if err != nil {
+					b.Fatal(err)
+				}
+				points = len(front)
+			}
+			b.ReportMetric(float64(points), "pareto_points")
+		})
 	}
-	b.ReportMetric(float64(points), "pareto_points")
 }

@@ -240,6 +240,11 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	if *grid != "" {
+		if *frontier {
+			// The frontier spans the abstract platform; refuse what it
+			// would silently drop.
+			return fmt.Errorf("-frontier does not support -grid machine constraints")
+		}
 		g, err := parseGrid(*grid)
 		if err != nil {
 			return err

@@ -119,6 +119,8 @@ func TestRunErrors(t *testing.T) {
 		// Latency objectives cannot honour machine constraints.
 		{"-objective", "latency", "-grid", "2x2"},
 		{"-latency-bound", "100", "-grid", "8x8"},
+		// Nor can the frontier.
+		{"-frontier", "-grid", "4x4"},
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

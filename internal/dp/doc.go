@@ -17,10 +17,18 @@
 // Replication is maximal unless Options.DisableReplication is set: a
 // replicable module holding p processors runs floor(p/min) instances of
 // floor(p/r) processors each. All three tabulate the chain once per span,
-// in the tables MinLatency and AssignNoComm read too. A span outside the
-// allowed set is marked like a span that does not fit the platform, so
-// the Solver's recurrence, dominance pruning, incremental Resolve and
-// per-budget Frontier are the same for every span set.
+// in the tables AssignNoComm reads too. A span outside the allowed set is
+// marked like a span that does not fit the platform, so the Solver's
+// recurrence, dominance pruning, incremental Resolve and per-budget
+// Frontier are the same for every span set.
+//
+// The same Solver also minimizes latency, the sum of module response
+// times, under a period cap T: an unexported mode in which closing a
+// module adds its response f to the value and is allowed only when
+// f/r <= T. MinLatency is one such solve without a cap and without
+// replication; LatencySweep lowers the cap below each solved mapping's
+// period until nothing fits, which traces the exact period/latency
+// trade-off that package tradeoff reports.
 //
 // The Solver's state is (b, l, pt, pcur, peffPrev): tasks [0, b) covered,
 // the open module [b-l, b) holding pcur raw processors, pt processors used

@@ -15,15 +15,18 @@ import (
 // inf is the sentinel for infeasible states.
 var inf = math.Inf(1)
 
-// Solver is the package's one throughput DP: a reusable,
-// incrementally-updatable engine for the mapping DP of MapChain
-// (clustering + replication + assignment) over a set of allowed module
-// spans — every span, the singletons under Options.DisableClustering, or
-// one clustering for AssignClustered. It is incremental because the
-// adaptive controller re-solves the same instance on every refit tick
-// with only a few module cost estimates moved; a fresh solve re-derives
-// every layer table from scratch, while the Solver snapshots per-layer DP
-// tables and recomputes only the layers a cost change can actually reach.
+// Solver is the package's one DP: a reusable, incrementally-updatable
+// engine for the mapping DP of MapChain (clustering + replication +
+// assignment) over a set of allowed module spans — every span, the
+// singletons under Options.DisableClustering, or one clustering for
+// AssignClustered. Inside the package it also minimizes latency under a
+// period cap (latencySolve, behind MinLatency and LatencySweep); every
+// exported method reads throughput tables only. It is incremental
+// because the adaptive controller re-solves the same instance on every
+// refit tick with only a few module cost estimates moved; a fresh solve
+// re-derives every layer table from scratch, while the Solver snapshots
+// per-layer DP tables and recomputes only the layers a cost change can
+// actually reach.
 //
 // # State and invalidation
 //
@@ -131,6 +134,13 @@ type Solver struct {
 	solved bool
 	solves int64          // completed Solve/Resolve runs (full or incremental)
 	mods   []model.Module // reconstruction scratch; returned mappings alias it
+
+	// latency switches the recurrence to one data set's traversal time
+	// under periodCap: a closed module adds its response f to the value,
+	// and only when its share f/r of the period is at most periodCap.
+	// Only latencySolve sets it, so such a Solver never leaves the package.
+	latency   bool
+	periodCap float64
 }
 
 // SolveCount returns the number of completed Solve/Resolve runs on this
@@ -502,11 +512,24 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			if inTab != nil {
 				in = inTab[prev[c]*stride+e]
 			}
-			partial := (in + s.execEff[spanBase+pcur]) / r
 			outRow := outTab[e*stride:]
 			ch := pack(l, pcur, c)
 			// The targets (pt+p2, p2) all lie in row q = pt, nE2 apart.
 			ni := s.at(tOrd, pt+min2, min2, int(cls2[e]))
+			if s.latency {
+				// f adds in model.Mapping.ResponseTimes' order: exec, in, out.
+				execIn := s.execEff[spanBase+pcur] + in
+				for p2 := min2; p2 <= P-pt; p2++ {
+					f := execIn + outRow[int(eff2[p2])]
+					if nv := v + f; f/r <= s.periodCap && nv < s.val[ni] {
+						s.val[ni] = nv
+						s.choice[ni] = ch
+					}
+					ni += nE2
+				}
+				continue
+			}
+			partial := (in + s.execEff[spanBase+pcur]) / r
 			for p2 := min2; p2 <= P-pt; p2++ {
 				resp := partial + outRow[int(eff2[p2])]/r
 				nv := v
@@ -568,7 +591,8 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 
 // closeStates visits the live states of the close layers (k, l) in
 // expansion order — l ascending, then live order — each with its value
-// once the open module [k-l, k) is charged without an output edge.
+// once the open module [k-l, k) is charged without an output edge. In
+// latency mode a state whose last module exceeds the cap is skipped.
 func (s *Solver) closeStates(visit func(l, pt, pcur, c int, v float64)) {
 	k, P, stride := s.k, s.P, s.stride
 	for l := 1; l <= k; l++ {
@@ -593,6 +617,12 @@ func (s *Solver) closeStates(visit func(l, pt, pcur, c int, v float64)) {
 			in := 0.0
 			if inTab != nil {
 				in = inTab[prev[c]*stride+e]
+			}
+			if s.latency {
+				if f := s.execEff[spanBase+pcur] + in; f/float64(s.rep[spanBase+pcur]) <= s.periodCap {
+					visit(l, pt, pcur, c, v+f)
+				}
+				continue
 			}
 			resp := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
 			if resp > v {

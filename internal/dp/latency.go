@@ -2,119 +2,79 @@ package dp
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"pipemap/internal/model"
 )
 
 // MinLatency computes the mapping that minimizes one data set's pipeline
-// traversal time — the objective Ramaswamy et al. optimize and the one
-// the paper defers to Vondran's thesis. Unlike throughput, latency
-// decomposes as a sum:
-//
-//	latency = sum_i exec_i(p_i) + 2 * sum_edges ecom(p_i, p_{i+1})
-//
-// (each inter-module transfer is charged to both the sender's and the
-// receiver's response), so the DP needs only the processor count of the
-// last placed module in its state and runs in O(k^2 P^3) time. Modules
-// are single-instance: replication can only increase latency (smaller
-// instances, same per-data-set path), so the latency optimum never
-// replicates. Internal redistributions inside a module are part of its
-// composed execution cost. The DP reads the span tables the Solver
-// builds, tabulated without replication.
+// traversal time (model.Mapping.Latency, the sum of module response
+// times) — the objective Ramaswamy et al. optimize and the one the paper
+// defers to Vondran's thesis. It is one latency solve of the Solver
+// without a period cap, with replication disabled: for any replicated
+// mapping, the single-instance mapping at the same per-instance counts
+// has the same latency on fewer processors, so this is the optimum over
+// both replication settings.
 func MinLatency(c *model.Chain, pl model.Platform) (model.Mapping, error) {
-	t, err := newTables(c, pl, Options{DisableReplication: true}, nil)
+	s, err := NewSolver(c, pl, Options{DisableReplication: true})
 	if err != nil {
 		return model.Mapping{}, err
 	}
-	k, P, stride := t.k, t.P, t.stride
+	m, err := s.latencySolve(inf)
+	if err != nil {
+		return model.Mapping{}, err
+	}
+	m.Modules = slices.Clone(m.Modules)
+	return m, nil
+}
 
-	// L[b][p][u] = minimal latency of tasks [0, b) when the module ending
-	// at b holds p processors and u processors are used in total.
-	// Flattened as (b*(P+1)+p)*(P+1)+u.
-	size := (k + 1) * stride * stride
-	idx := func(b, p, u int) int { return (b*stride+p)*stride + u }
-	L := make([]float64, size)
-	fill(L, inf)
-	type choiceRec struct{ a, pPrev, uPrev int }
-	choice := make([]choiceRec, size)
-
-	// Seed: first module [0, b) with p processors. Without replication a
-	// module's instance holds all p raw processors.
-	for b := 1; b <= k; b++ {
-		min := t.minP[0*(k+1)+b]
-		if min > P {
-			continue
-		}
-		exec := t.execEff[(0*(k+1)+b)*stride:]
-		for p := min; p <= P; p++ {
-			v := exec[p]
-			i := idx(b, p, p)
-			if v < L[i] {
-				L[i] = v
-				choice[i] = choiceRec{a: -1}
+// LatencySweep traces the period/latency trade-off of the mappings one
+// Solver built with opt can place, by an ε-constraint sweep over the
+// period: the least-latency mapping, then again and again the
+// least-latency mapping whose period is below the previous mapping's,
+// until none fits. Along the returned list latency never decreases and
+// period strictly decreases, so it starts at the minimum latency and ends
+// at the minimum period. Every mapping of the space is matched by one on
+// the list with no larger latency and no larger period, so the list holds
+// the whole Pareto frontier (one mapping per exact tie).
+//
+// The cap excludes a period p by the next float below p. The period test
+// adds each module's f/r in model.Mapping.EffectiveResponseTimes'
+// arithmetic, so each solve strictly advances; a mapping over its cap
+// would mean the two disagree, and is an error rather than an endless
+// sweep.
+func LatencySweep(c *model.Chain, pl model.Platform, opt Options) ([]model.Mapping, error) {
+	s, err := NewSolver(c, pl, opt)
+	if err != nil {
+		return nil, err
+	}
+	var out []model.Mapping
+	for T := inf; ; {
+		m, err := s.latencySolve(T)
+		if err != nil {
+			if out == nil {
+				return nil, err
 			}
+			return out, nil
 		}
+		m.Modules = slices.Clone(m.Modules)
+		out = append(out, m)
+		_, period := m.Bottleneck()
+		if period > T {
+			return nil, fmt.Errorf("dp: latency solve under period cap %g returned period %g", T, period)
+		}
+		T = math.Nextafter(period, math.Inf(-1))
 	}
+}
 
-	// Extend: module [b, b2) with p2 processors after a module ending at b
-	// with p processors.
-	for b := 1; b < k; b++ {
-		for b2 := b + 1; b2 <= k; b2++ {
-			min2 := t.minP[b*(k+1)+b2]
-			if min2 > P {
-				continue
-			}
-			exec2 := t.execEff[(b*(k+1)+b2)*stride:]
-			edge := t.ecomV[(b-1)*stride*stride:]
-			for p := 1; p <= P; p++ {
-				for u := p; u <= P; u++ {
-					v := L[idx(b, p, u)]
-					if v == inf {
-						continue
-					}
-					for p2 := min2; p2 <= P-u; p2++ {
-						nv := v + exec2[p2] + 2*edge[p*stride+p2]
-						ni := idx(b2, p2, u+p2)
-						if nv < L[ni] {
-							L[ni] = nv
-							choice[ni] = choiceRec{a: b, pPrev: p, uPrev: u}
-						}
-					}
-				}
-			}
-		}
-	}
-
-	best, bestP, bestU := inf, -1, -1
-	for p := 1; p <= P; p++ {
-		for u := p; u <= P; u++ {
-			if v := L[idx(k, p, u)]; v < best {
-				best, bestP, bestU = v, p, u
-			}
-		}
-	}
-	if bestP < 0 {
-		return model.Mapping{}, fmt.Errorf("dp: no feasible mapping of %d tasks onto %d processors", k, P)
-	}
-
-	// Reconstruct right to left.
-	var rev []model.Module
-	b, p, u := k, bestP, bestU
-	for {
-		ch := choice[idx(b, p, u)]
-		a := ch.a
-		if a == -1 {
-			a = 0
-		}
-		rev = append(rev, model.Module{Lo: a, Hi: b, Procs: p, Replicas: 1})
-		if ch.a == -1 {
-			break
-		}
-		b, p, u = ch.a, ch.pPrev, ch.uPrev
-	}
-	mods := make([]model.Module, len(rev))
-	for i := range rev {
-		mods[i] = rev[len(rev)-1-i]
-	}
-	return model.Mapping{Chain: c, Modules: mods}, nil
+// latencySolve re-solves every layer for the latency objective under
+// period cap T: it returns the least-latency mapping among those whose
+// every module has f/r <= T, the first of equal ones in scan's order.
+// Seeds, dominance, live lists and choice pointers are the throughput
+// solve's: a prefix with fewer processors and no larger sum admits every
+// continuation the other does at no greater cost, as for the maximum.
+func (s *Solver) latencySolve(T float64) (model.Mapping, error) {
+	s.latency, s.periodCap = true, T
+	return s.run(0, true, s.opt.instrument())
 }

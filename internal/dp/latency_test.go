@@ -152,3 +152,20 @@ func TestMinLatencyErrors(t *testing.T) {
 		t.Error("infeasible chain accepted")
 	}
 }
+
+// TestLatencySweepEndsAtZeroPeriod: when every cost is zero, every mapping
+// has period 0, and the next cap, the float below 0, admits none.
+func TestLatencySweepEndsAtZeroPeriod(t *testing.T) {
+	c := &model.Chain{
+		Tasks: []model.Task{{Name: "a", Exec: model.ZeroExec()}, {Name: "b", Exec: model.ZeroExec()}},
+		ICom:  []model.CostFunc{model.ZeroExec()},
+		ECom:  []model.CommFunc{model.ZeroComm()},
+	}
+	ms, err := LatencySweep(c, model.Platform{Procs: 4}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].Latency() != 0 {
+		t.Errorf("sweep returned %d mappings, want one of latency 0: %v", len(ms), ms)
+	}
+}

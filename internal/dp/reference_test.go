@@ -2,6 +2,7 @@ package dp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,18 +11,45 @@ import (
 )
 
 // referencePeriods is the throughput recurrence of section 3 written
-// plainly: one dense table per layer (b, l) over (pt, pcur, peffPrev),
-// peffPrev indexed by its value, with no classes, no pruning and no live
-// lists; every finite state is expanded into every next module. best[B]
-// is the optimal period on B processors, +Inf where no mapping fits. A
-// state's value never depends on the budget, because a transition only
-// adds processors, so one table at P serves every B <= P.
+// plainly (referenceTable): best[B] is the optimal period on B
+// processors, +Inf where no mapping fits.
 //
 // Costs are added in the Solver's order: the module's composed execution
 // as model.Chain.ModuleExec sums it (spanExec's order), then
 // (in+exec)/r + out/r. The periods therefore agree with the Solver's to
 // the last bit, and the tests compare them with ==.
 func referencePeriods(c *model.Chain, pl model.Platform, opt Options) []float64 {
+	return referenceTable(c, pl, opt, func(v, exec, in, out, r float64) float64 {
+		return max(v, (in+exec)/r+out/r)
+	})
+}
+
+// referenceLatency is the Solver's latency mode under period cap T
+// written plainly on the same table: a module closes only when its share
+// f/r of the period is at most T, and adds its response f = exec + in +
+// out, in model.Mapping.ResponseTimes' order, to the value. It returns
+// the least latency on P processors, +Inf when no mapping fits the cap.
+func referenceLatency(c *model.Chain, pl model.Platform, opt Options, T float64) float64 {
+	return referenceTable(c, pl, opt, func(v, exec, in, out, r float64) float64 {
+		if f := exec + in + out; f/r <= T {
+			return v + f
+		}
+		return inf
+	})[pl.Procs]
+}
+
+// referenceTable is the recurrence of section 3 written plainly: one
+// dense table per layer (b, l) over (pt, pcur, peffPrev), peffPrev
+// indexed by its value, with no classes, no pruning and no live lists;
+// every finite state is expanded into every next module. charge returns
+// the value of a state of value v once it closes its module, whose
+// response terms are exec, in and out (0 for the first module's in and
+// the last module's out) on r instances; +Inf forbids the close. best[B]
+// is the least closing value on B processors, +Inf where no mapping
+// fits. A state's value never depends on the budget, because a
+// transition only adds processors, so one table at P serves every
+// B <= P.
+func referenceTable(c *model.Chain, pl model.Platform, opt Options, charge func(v, exec, in, out, r float64) float64) []float64 {
 	k, P := c.Len(), pl.Procs
 	n := P + 1
 	// module returns span [a, b)'s minimum raw count, or false when the
@@ -79,9 +107,9 @@ func referencePeriods(c *model.Chain, pl model.Platform, opt Options) []float64 
 						if a > 0 {
 							in = c.ECom[a-1].Eval(pe, e)
 						}
-						partial := (in + exec.Eval(e)) / r
+						ex := exec.Eval(e)
 						if b == k {
-							best[pt] = min(best[pt], max(v, partial))
+							best[pt] = min(best[pt], charge(v, ex, in, 0, r))
 							continue
 						}
 						for l2 := 1; b+l2 <= k; l2++ {
@@ -91,7 +119,7 @@ func referencePeriods(c *model.Chain, pl model.Platform, opt Options) []float64 
 							}
 							for p2 := lo2; pt+p2 <= P; p2++ {
 								e2 := split(b, b+l2, p2, lo2).ProcsPerInstance
-								nv := max(v, partial+c.ECom[b-1].Eval(e, e2)/r)
+								nv := charge(v, ex, in, c.ECom[b-1].Eval(e, e2), r)
 								i := ((pt+p2)*n+p2)*n + e
 								val[b+l2][l2][i] = min(val[b+l2][l2][i], nv)
 							}
@@ -214,6 +242,59 @@ func FuzzSolverMatchesReference(f *testing.F) {
 			pc := scaledChain(c, factors)
 			m, err := s.Resolve(pc, changed)
 			checkSolution(t, what+" resolved", s, m, err, pc, pl, opt)
+		}
+	})
+}
+
+// FuzzLatencyMatchesReference checks the Solver's latency mode against
+// referenceLatency on FuzzSolverMatchesReference's chains and option
+// sets, at three period caps: none, the period of a mapping LatencySweep
+// returns, and the next float below it, which excludes that period.
+// Latencies compare with ==, and each mapping must fit its cap. Run with
+// `go test -fuzz FuzzLatencyMatchesReference ./internal/dp`.
+func FuzzLatencyMatchesReference(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 7, 42, 1995, 65536, -1, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := testutil.RandChainConfig{
+			MinTasks: 1, MaxTasks: 6, MaxMinProcs: 1 + rng.Intn(6), AllowNonReplicable: true,
+		}
+		c, pl := testutil.RandChain(rng, cfg, 1+rng.Intn(32))
+		for _, opt := range referenceOptions {
+			what := fmt.Sprintf("seed %d %s", seed, optName(opt))
+			sweep, err := LatencySweep(c, pl, opt)
+			if err != nil {
+				if ref := referenceLatency(c, pl, opt, inf); ref != inf {
+					t.Fatalf("%s: LatencySweep: %v, reference latency %v", what, err, ref)
+				}
+				continue
+			}
+			_, period := sweep[rng.Intn(len(sweep))].Bottleneck()
+			s, err := NewSolver(c, pl, opt)
+			if err != nil {
+				t.Fatalf("%s: NewSolver: %v", what, err)
+			}
+			for _, T := range []float64{inf, period, math.Nextafter(period, math.Inf(-1))} {
+				m, err := s.latencySolve(T)
+				ref := referenceLatency(c, pl, opt, T)
+				if (err != nil) != (ref == inf) {
+					t.Fatalf("%s cap %v: err=%v, reference latency %v", what, T, err, ref)
+				}
+				if err != nil {
+					continue
+				}
+				if got := m.Latency(); got != ref {
+					t.Fatalf("%s cap %v: latency %v, reference %v\nmapping: %v", what, T, got, ref, &m)
+				}
+				if _, p := m.Bottleneck(); p > T {
+					t.Fatalf("%s cap %v: mapping %v has period %v", what, T, &m, p)
+				}
+				if err := m.Validate(pl); err != nil {
+					t.Fatalf("%s cap %v: invalid mapping %v: %v", what, T, &m, err)
+				}
+			}
 		}
 	})
 }

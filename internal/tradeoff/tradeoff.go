@@ -8,15 +8,12 @@
 // Latency here is the pipeline traversal time of one data set: the sum of
 // module response times of the mapping (model.Mapping.Latency).
 //
-// The implementation enumerates candidate mappings per clustering —
-// exhaustively over processor vectors when a clustering has at most
-// MaxExhaustiveModules modules (3 by default), and within ±2 processors
-// per module of the throughput-optimal assignment otherwise — and
-// filters the Pareto-dominated ones. It is exact only for chains of at
-// most three tasks: the four-task radar and stereo chains get their
-// four-module points from the neighbourhood, a heuristic.
-// BestThroughputUnderLatency inherits the gap. Item 4 of ROADMAP.md
-// plans an exact period/latency DP to replace the enumeration.
+// The mapping space is every clustering and processor vector, with
+// either every module maximally replicated (section 3.2) or every module
+// a single instance. The frontier is exact over it: dp.LatencySweep runs
+// the one DP engine for latency under a falling period cap, once with
+// maximal replication and once without, and this package merges the two
+// sweeps.
 package tradeoff
 
 import (
@@ -39,205 +36,96 @@ type Point struct {
 type Options struct {
 	// DisableReplication forces single-instance modules.
 	DisableReplication bool
-	// MaxExhaustiveModules bounds the clustering sizes enumerated
-	// exhaustively (default 3).
-	MaxExhaustiveModules int
-	// MinThroughputGain collapses near-ties: a candidate joins the
+	// MinThroughputGain collapses near-ties for display: a point joins the
 	// frontier only if its throughput exceeds the previous point's by this
 	// relative margin (default 1e-9, i.e. keep everything non-dominated).
+	// BestThroughputUnderLatency ignores it.
 	MinThroughputGain float64
 }
 
 // Frontier returns the Pareto frontier of (throughput up, latency down)
 // over the mapping space, sorted by increasing latency.
 func Frontier(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
-	cands, err := candidates(c, pl, opt)
+	pts, err := sweep(c, pl, opt)
 	if err != nil {
 		return nil, err
 	}
-	// Sort by latency ascending, then throughput descending; exact ties go
-	// to the fewest processors, then to the mapping string, which is
-	// unique among the deduplicated candidates. Sweep keeping mappings
-	// that strictly improve throughput.
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := &cands[i], &cands[j]
-		if a.Latency != b.Latency {
-			return a.Latency < b.Latency
-		}
-		if a.Throughput != b.Throughput {
-			return a.Throughput > b.Throughput
-		}
-		if a.procs != b.procs {
-			return a.procs < b.procs
-		}
-		return a.key < b.key
-	})
 	gain := opt.MinThroughputGain
 	if gain <= 0 {
 		gain = 1e-9
 	}
 	var frontier []Point
 	bestThr := -1.0
-	for _, p := range cands {
+	for _, p := range pts {
 		if p.Throughput > bestThr*(1+gain)+1e-12 {
-			frontier = append(frontier, p.Point)
+			frontier = append(frontier, p)
 			bestThr = p.Throughput
 		}
 	}
-	// The sweep above yields latency-minimal representatives per
-	// throughput level in increasing latency; it is the full frontier.
 	return frontier, nil
 }
 
 // MinLatency returns the mapping minimizing single-data-set latency,
-// computed exactly by the latency DP (dp.MinLatency): latency decomposes
-// as a sum, so the optimum never replicates and admits an O(k^2 P^3)
-// recurrence.
+// computed exactly by dp.MinLatency: the optimum never needs replication.
 func MinLatency(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, error) {
 	return dp.MinLatency(c, pl)
 }
 
 // BestThroughputUnderLatency returns the maximum-throughput mapping whose
-// latency does not exceed the bound.
+// latency does not exceed the bound, the least-latency one among equals.
+// It searches every swept mapping, so opt.MinThroughputGain, a display
+// filter, cannot hide a faster one.
 func BestThroughputUnderLatency(c *model.Chain, pl model.Platform, bound float64, opt Options) (model.Mapping, error) {
-	front, err := Frontier(c, pl, opt)
+	pts, err := sweep(c, pl, opt)
 	if err != nil {
 		return model.Mapping{}, err
 	}
 	var best *Point
-	for i := range front {
-		if front[i].Latency <= bound {
-			best = &front[i]
+	for i := range pts {
+		if p := &pts[i]; p.Latency <= bound && (best == nil || p.Throughput > best.Throughput) {
+			best = p
 		}
 	}
 	if best == nil {
 		return model.Mapping{}, fmt.Errorf("tradeoff: no mapping has latency <= %g (minimum is %g)",
-			bound, front[0].Latency)
+			bound, pts[0].Latency)
 	}
 	return best.Mapping, nil
 }
 
-// candidate is one enumerated mapping with its processor count and its
-// string, the deduplication key.
-type candidate struct {
-	Point
-	procs int
-	key   string
-}
-
-// candidates enumerates mappings across clusterings.
-func candidates(c *model.Chain, pl model.Platform, opt Options) ([]candidate, error) {
-	if err := c.Validate(); err != nil {
+// sweep returns the mappings of dp.LatencySweep with maximal replication
+// (unless opt.DisableReplication) and without, sorted by latency
+// ascending, then throughput descending; exact ties go to the fewest
+// processors, then to the mapping string. Every Pareto-optimal mapping of
+// the space, or one tied with it in both values, is among them.
+func sweep(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
+	ms, err := dp.LatencySweep(c, pl, dp.Options{DisableReplication: true})
+	if err != nil {
 		return nil, err
 	}
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	maxEx := opt.MaxExhaustiveModules
-	if maxEx <= 0 {
-		maxEx = 3
-	}
-	var out []candidate
-	seen := map[string]bool{}
-	add := func(m model.Mapping) {
-		key := m.String()
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, candidate{
-			Point: Point{Mapping: m, Throughput: m.Throughput(), Latency: m.Latency()},
-			procs: m.TotalProcs(), key: key,
-		})
-	}
-	for _, spans := range model.AllClusterings(c.Len()) {
-		l := len(spans)
-		mins := make([]int, l)
-		repl := make([]bool, l)
-		feasible := true
-		for i, sp := range spans {
-			min := c.ModuleMinProcs(sp.Lo, sp.Hi, pl.MemPerProc)
-			if min < 0 || min > pl.Procs {
-				feasible = false
-				break
-			}
-			mins[i] = min
-			repl[i] = c.ModuleReplicable(sp.Lo, sp.Hi) && !opt.DisableReplication
-		}
-		if !feasible {
-			continue
-		}
-		build := func(raw []int) model.Mapping {
-			mods := make([]model.Module, l)
-			for i, sp := range spans {
-				// Enumerate replication explicitly: for a given raw count
-				// we consider both the maximal replication split and the
-				// single-instance variant, since low replication can be
-				// Pareto-better on latency.
-				r := model.SplitReplicas(raw[i], mins[i], repl[i])
-				mods[i] = model.Module{Lo: sp.Lo, Hi: sp.Hi,
-					Procs: r.ProcsPerInstance, Replicas: r.Replicas}
-			}
-			return model.Mapping{Chain: c, Modules: mods}
-		}
-		buildSingle := func(raw []int) model.Mapping {
-			mods := make([]model.Module, l)
-			for i, sp := range spans {
-				mods[i] = model.Module{Lo: sp.Lo, Hi: sp.Hi, Procs: raw[i], Replicas: 1}
-			}
-			return model.Mapping{Chain: c, Modules: mods}
-		}
-		if l <= maxEx {
-			raw := make([]int, l)
-			var rec func(i, used int)
-			rec = func(i, used int) {
-				if i == l {
-					add(build(raw))
-					add(buildSingle(raw))
-					return
-				}
-				for p := mins[i]; used+p <= pl.Procs; p++ {
-					raw[i] = p
-					rec(i+1, used+p)
-				}
-			}
-			rec(0, 0)
-			continue
-		}
-		// Larger clusterings: seed from the throughput-optimal assignment
-		// and perturb.
-		dm, err := dp.AssignClustered(c, pl, spans, dp.Options{DisableReplication: opt.DisableReplication})
+	if !opt.DisableReplication {
+		repl, err := dp.LatencySweep(c, pl, dp.Options{})
 		if err != nil {
-			continue
+			return nil, err
 		}
-		base := make([]int, l)
-		for i, mod := range dm.Modules {
-			base[i] = mod.Procs * mod.Replicas
-		}
-		var rec func(i int, raw []int, used int)
-		rec = func(i int, raw []int, used int) {
-			if used > pl.Procs {
-				return
-			}
-			if i == l {
-				add(build(raw))
-				add(buildSingle(raw))
-				return
-			}
-			for d := -2; d <= 2; d++ {
-				p := base[i] + d
-				if p < mins[i] {
-					continue
-				}
-				raw[i] = p
-				rec(i+1, raw, used+p)
-			}
-		}
-		rec(0, make([]int, l), 0)
+		ms = append(ms, repl...)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("tradeoff: no feasible mappings for %d tasks on %d processors",
-			c.Len(), pl.Procs)
+	pts := make([]Point, len(ms))
+	for i, m := range ms {
+		pts[i] = Point{Mapping: m, Throughput: m.Throughput(), Latency: m.Latency()}
 	}
-	return out, nil
+	sort.Slice(pts, func(i, j int) bool {
+		a, b := &pts[i], &pts[j]
+		if a.Latency != b.Latency {
+			return a.Latency < b.Latency
+		}
+		if a.Throughput != b.Throughput {
+			return a.Throughput > b.Throughput
+		}
+		if pa, pb := a.Mapping.TotalProcs(), b.Mapping.TotalProcs(); pa != pb {
+			return pa < pb
+		}
+		return a.Mapping.String() < b.Mapping.String()
+	})
+	return pts, nil
 }
