@@ -43,10 +43,12 @@
 //
 // Adaptive remapping: -adapt closes the loop — every -adapt-interval of
 // wall time a controller refits the cost models from observed stage
-// latencies, re-solves the mapping against the surviving processors, and
-// live-migrates the plane onto a new pipeline (Plane.Swap, which drains
-// the old one without dropping a request) when the predicted gain clears
-// -adapt-threshold. A migrated mapping that measures more than 20% below
+// latencies, re-solves the mapping for throughput against the surviving
+// processors (DP or greedy as -algo auto picks; -algo sets only the
+// initial mapping, and -objective latency, -latency-bound and -grid are
+// refused), and live-migrates the plane onto a new pipeline (Plane.Swap,
+// which drains the old one without dropping a request) when the
+// predicted gain clears -adapt-threshold. A migrated mapping that measures more than 20% below
 // the pre-migration capacity is rolled back. Controller state
 // (generation, last decision, refit residuals) is served under the
 // "controller" key of /pipeline and as adapt_* series on /metrics;
@@ -138,8 +140,19 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 	if *serveAddr != "" && *asJSON {
 		return fmt.Errorf("-serve is not combinable with -json")
 	}
-	if *adapt && *serveAddr == "" {
-		return fmt.Errorf("-adapt requires -serve")
+	if *adapt {
+		// The controller re-solves for throughput on the abstract
+		// platform; refuse what it would silently drop.
+		switch {
+		case *serveAddr == "":
+			return fmt.Errorf("-adapt requires -serve")
+		case *objective != "throughput":
+			return fmt.Errorf("-adapt does not support -objective %s (the controller re-solves for throughput)", *objective)
+		case *latencyBound > 0:
+			return fmt.Errorf("-adapt does not support -latency-bound (the controller re-solves for throughput)")
+		case *grid != "":
+			return fmt.Errorf("-adapt does not support -grid machine constraints")
+		}
 	}
 	if *ingestApp != "" && *serveAddr == "" {
 		return fmt.Errorf("-ingest requires -serve")

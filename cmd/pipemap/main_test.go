@@ -128,6 +128,20 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// The adaptive controller re-solves for throughput on the abstract
+	// platform: each option it would drop is refused by name.
+	for flag, args := range map[string][]string{
+		"-objective":     {"-objective", "latency"},
+		"-latency-bound": {"-latency-bound", "100"},
+		"-grid":          {"-grid", "4x4"},
+	} {
+		args = append([]string{"-serve", "127.0.0.1:0", "-adapt", "-serve-n", "8", "-serve-for", "1ms"}, args...)
+		var out bytes.Buffer
+		err := run(context.Background(), args, strings.NewReader(specJSON), &out)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("args %v: error %v, want a refusal naming %s", args, err, flag)
+		}
+	}
 	var out bytes.Buffer
 	if err := run(context.Background(), nil, strings.NewReader("{"), &out); err == nil {
 		t.Error("malformed spec accepted")

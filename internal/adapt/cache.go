@@ -9,6 +9,7 @@ import (
 	"pipemap/internal/core"
 	"pipemap/internal/dp"
 	"pipemap/internal/model"
+	"pipemap/internal/obs"
 	"pipemap/internal/obs/live"
 )
 
@@ -22,9 +23,20 @@ const (
 	PathIncremental = "incremental"
 	// PathFullDP ran a full DP solve.
 	PathFullDP = "dp"
-	// PathGreedy ran the greedy heuristic (budget routed away from DP).
+	// PathGreedy ran the greedy heuristic (core.AutoAlgorithm routed the
+	// instance away from DP).
 	PathGreedy = "greedy"
 )
+
+// ResolveOptions carries the solver knobs of one cached re-solve.
+type ResolveOptions struct {
+	// DisableReplication and DisableClustering are forwarded to the solver.
+	DisableReplication bool
+	DisableClustering  bool
+	// Trace and Metrics receive solver spans and counters; nil disables.
+	Trace   *obs.Tracer
+	Metrics *live.Registry
+}
 
 // memoCap bounds the memoized-results map; oldest entries are evicted
 // first. Adaptive controllers oscillate between a handful of cost states
@@ -35,8 +47,8 @@ const memoCap = 64
 // SolveCache is the cross-step memoization layer between the adaptive
 // controller and the solvers. Results are keyed by a canonical hash of the
 // instance — every cost function sampled at exactly the integer points the
-// solvers evaluate, plus the platform, solver options, and the
-// budget-selected algorithm — so two ticks with bit-identical costs hit
+// solvers evaluate, plus the platform, solver options, and the algorithm
+// core.AutoAlgorithm picks — so two ticks with bit-identical costs hit
 // the cache no matter how the chain was materialized (task names never
 // enter the hash). On a miss with an unchanged structure, the cache diffs
 // the per-task execution hashes against the previous tick to recover the
@@ -180,8 +192,9 @@ func execTaskHash(t model.Task, P int) uint64 {
 // structuralSig hashes everything except the per-task execution costs:
 // chain shape, memory models, replicability, minimum processors, internal
 // and external edge costs, the platform, the solver options, and the
-// selected algorithm. A change here invalidates the retained solver, not
-// just the memo entries.
+// algorithm core.AutoAlgorithm selects (DP and greedy legitimately return
+// different mappings for the same costs). A change here invalidates the
+// retained solver, not just the memo entries.
 func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, algo core.Algorithm) uint64 {
 	P := pl.Procs
 	h := fnvOffset
@@ -213,39 +226,17 @@ func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, al
 	return h
 }
 
-// pickAlgorithm replicates Resolve's budget routing (and core's Auto
-// selection when no budget is set) so the cache knows which engine a miss
-// will run before hashing: the algorithm is part of the key, because DP
-// and greedy legitimately return different mappings for the same costs.
-func pickAlgorithm(chain *model.Chain, pl model.Platform, opt ResolveOptions) core.Algorithm {
-	p, k := float64(pl.Procs), float64(chain.Len())
-	est := p * p * p * p * k * k * k
-	if opt.Budget > 0 {
-		if est/dpOpsPerSecond > opt.Budget.Seconds() {
-			return core.Greedy
-		}
-		return core.DP
-	}
-	if est <= autoDPBudget {
-		return core.DP
-	}
-	return core.Greedy
-}
-
-// autoDPBudget mirrors core's Auto threshold (P^4 k^3 <= 5e9 picks DP).
-const autoDPBudget = 5e9
-
 // CanonicalStructSig exposes the cache's structural canonicalization for
 // callers that need to group instances into solver families: two
 // (chain, platform, options) triples with equal signatures share chain
 // shape, memory models, replicability, minimum processors, internal and
-// external edge costs, platform, solver options, and the budget-selected
-// algorithm — everything except the per-task execution costs. The fleet
-// scheduler keys its per-family SolveCache instances on this signature so
-// structurally different tenant specs never thrash one cache's
-// invalidation path.
+// external edge costs, platform, solver options, and the algorithm
+// core.AutoAlgorithm picks — everything except the per-task execution
+// costs. The fleet scheduler keys its per-family SolveCache instances on
+// this signature so structurally different tenant specs never thrash one
+// cache's invalidation path.
 func CanonicalStructSig(chain *model.Chain, pl model.Platform, opt ResolveOptions) uint64 {
-	return structuralSig(chain, pl, opt, pickAlgorithm(chain, pl, opt))
+	return structuralSig(chain, pl, opt, core.AutoAlgorithm(chain.Len(), pl.Procs))
 }
 
 // CanonicalSpecKey extends CanonicalStructSig with the per-task
@@ -262,9 +253,9 @@ func CanonicalSpecKey(chain *model.Chain, pl model.Platform, opt ResolveOptions)
 	return key
 }
 
-// Resolve is the cache-aware counterpart of the package-level Resolve: it
-// returns the identical result a fresh budgeted re-solve would produce,
-// the measured decision latency, and the path that produced it (PathMemo,
+// Resolve returns the identical result a fresh core.Map of (chain, pl)
+// under Auto with opt's solver options would produce, the measured
+// decision latency, and the path that produced it (PathMemo,
 // PathIncremental, PathFullDP or PathGreedy).
 func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, time.Duration, string, error) {
 	start := time.Now()
@@ -274,7 +265,7 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 	if err := pl.Validate(); err != nil {
 		return core.Result{}, time.Since(start), "", err
 	}
-	algo := pickAlgorithm(chain, pl, opt)
+	algo := core.AutoAlgorithm(chain.Len(), pl.Procs)
 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -301,8 +292,10 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 	if algo == core.DP {
 		res, path, err = sc.solveDP(chain, pl, opt, hashes)
 	} else {
-		res, _, err = Resolve(chain, pl, ResolveOptions{
-			Budget:             opt.Budget,
+		res, err = core.Map(core.Request{
+			Chain:              chain,
+			Platform:           pl,
+			Algorithm:          core.Greedy,
 			DisableReplication: opt.DisableReplication,
 			DisableClustering:  opt.DisableClustering,
 			Trace:              opt.Trace,
@@ -376,12 +369,11 @@ func (sc *SolveCache) execHashes(chain *model.Chain, P int) []uint64 {
 	return hashes
 }
 
-// HasFrontier reports whether ResolveBudget serves (chain, pl, opt):
-// budget routing picks DP at pl.Procs. The routing estimate grows with the
-// processor count, so every smaller budget routes to DP too and one table
-// serves them all.
-func HasFrontier(chain *model.Chain, pl model.Platform, opt ResolveOptions) bool {
-	return pickAlgorithm(chain, pl, opt) == core.DP
+// HasFrontier reports whether ResolveBudget serves (chain, pl):
+// core.AutoAlgorithm picks DP at pl.Procs, and so at every smaller budget,
+// so one table serves them all.
+func HasFrontier(chain *model.Chain, pl model.Platform) bool {
+	return core.AutoAlgorithm(chain.Len(), pl.Procs) == core.DP
 }
 
 // ResolveBudget returns the result a fresh Resolve of chain on budget
@@ -396,7 +388,7 @@ func HasFrontier(chain *model.Chain, pl model.Platform, opt ResolveOptions) bool
 // HasFrontier. The path is PathMemo for a frontier read and PathFullDP or
 // PathIncremental when a solve ran. Resolve never builds a frontier.
 func (sc *SolveCache) ResolveBudget(chain *model.Chain, pl model.Platform, opt ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
-	if !HasFrontier(chain, pl, opt) {
+	if !HasFrontier(chain, pl) {
 		return core.Result{}, "", fmt.Errorf("adapt: no per-budget frontier for %d tasks on %d processors", chain.Len(), pl.Procs)
 	}
 	if budget < 1 || budget > pl.Procs {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"pipemap/internal/core"
 	"pipemap/internal/model"
@@ -13,8 +12,8 @@ import (
 	"pipemap/internal/testutil"
 )
 
-// cacheChain is a three-task replicable chain small enough that the budget
-// routes it to DP.
+// cacheChain is a three-task replicable chain small enough that
+// core.AutoAlgorithm routes it to DP.
 func cacheChain(scale []float64) (*model.Chain, model.Platform) {
 	mk := func(i int, c2 float64) model.Task {
 		exec := model.CostFunc(model.PolyExec{C2: c2})
@@ -31,7 +30,18 @@ func cacheChain(scale []float64) (*model.Chain, model.Platform) {
 	return chain, model.Platform{Procs: 8, MemPerProc: 1}
 }
 
-var cacheOpt = ResolveOptions{Budget: time.Second}
+var cacheOpt = ResolveOptions{}
+
+// freshSolve is the uncached reference every cache result must equal:
+// core.Map under Auto with opt's solver options.
+func freshSolve(chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, error) {
+	return core.Map(core.Request{
+		Chain:              chain,
+		Platform:           pl,
+		DisableReplication: opt.DisableReplication,
+		DisableClustering:  opt.DisableClustering,
+	})
+}
 
 // TestSolveCacheMemoHit: the same canonical instance must return the
 // identical mapping without re-solving — the solve counters stay put and
@@ -80,7 +90,7 @@ func TestSolveCacheMemoHit(t *testing.T) {
 // TestSolveCachePerturbationMisses: any cost change that reaches the cache
 // (i.e. above the controller's epsilon gate, which drops sub-epsilon moves
 // before they get here) must miss and re-solve incrementally, bit-identical
-// to a fresh budgeted re-solve.
+// to a fresh solve.
 func TestSolveCachePerturbationMisses(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
@@ -100,7 +110,7 @@ func TestSolveCachePerturbationMisses(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 2 || st.IncrementalSolves != 1 {
 		t.Errorf("stats after perturbation = %+v", st)
 	}
-	fresh, _, err2 := Resolve(pert, pl, cacheOpt)
+	fresh, err2 := freshSolve(pert, pl, cacheOpt)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -161,52 +171,46 @@ func TestSolveCacheStructuralInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, _ := Resolve(chain, pl, cacheOpt)
+	fresh, _ := freshSolve(chain, pl, cacheOpt)
 	if !reflect.DeepEqual(res.Mapping.Modules, fresh.Mapping.Modules) {
 		t.Errorf("post-invalidation result wrong: %v vs fresh %v", &res.Mapping, &fresh.Mapping)
 	}
 }
 
-// TestSolveCacheGreedyPath: instances the budget routes to greedy are
-// memoized too, under the greedy-keyed hash.
+// TestSolveCacheGreedyPath: instances core.AutoAlgorithm routes to greedy
+// (here k=4 on 96 processors, P^4 k^3 = 5.4e9) are solved like core.Map
+// solves them and memoized too.
 func TestSolveCacheGreedyPath(t *testing.T) {
 	sc := NewSolveCache()
 	rng := rand.New(rand.NewSource(5))
 	chain, pl := testutil.RandChain(rng,
-		testutil.RandChainConfig{MinTasks: 4, MaxTasks: 4}, 16)
-	// A budget far below the P^4 k^3 estimate forces greedy.
-	opt := ResolveOptions{Budget: time.Nanosecond}
-	res, _, path, err := sc.Resolve(chain, pl, opt)
+		testutil.RandChainConfig{MinTasks: 4, MaxTasks: 4}, 96)
+	res, _, path, err := sc.Resolve(chain, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != PathGreedy || res.Algorithm != core.Greedy {
 		t.Fatalf("path %q algo %v, want greedy", path, res.Algorithm)
 	}
-	_, _, path, err = sc.Resolve(chain, pl, opt)
+	fresh, err := freshSolve(chain, pl, cacheOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Mapping.Modules, fresh.Mapping.Modules) || res.Throughput != fresh.Throughput {
+		t.Errorf("greedy path %v, fresh core.Map %v", &res.Mapping, &fresh.Mapping)
+	}
+	_, _, path, err = sc.Resolve(chain, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != PathMemo {
 		t.Errorf("repeat greedy path %q, want %q", path, PathMemo)
 	}
-	// Same instance under a DP budget is a *different* key: greedy's memo
-	// entry must not shadow the DP answer.
-	dpRes, _, dpPath, err := sc.Resolve(chain, pl, ResolveOptions{Budget: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dpPath == PathMemo {
-		t.Fatalf("algorithm change hit the greedy memo entry")
-	}
-	if dpRes.Algorithm != core.DP {
-		t.Errorf("algo %v under a DP budget, want DP", dpRes.Algorithm)
-	}
 }
 
 // TestSolveCacheRandomWalkMatchesFresh drives random perturbation walks
 // through the cache and checks every returned result — memo, incremental,
-// or full — against an uncached budgeted re-solve.
+// or full — against an uncached solve.
 func TestSolveCacheRandomWalkMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -225,7 +229,7 @@ func TestSolveCacheRandomWalkMatchesFresh(t *testing.T) {
 			}
 			chain, pl := cacheChain(scale)
 			got, _, _, err := sc.Resolve(chain, pl, cacheOpt)
-			fresh, _, freshErr := Resolve(chain, pl, cacheOpt)
+			fresh, freshErr := freshSolve(chain, pl, cacheOpt)
 			if (err == nil) != (freshErr == nil) {
 				t.Fatalf("seed %d step %d: error disagreement: cache=%v fresh=%v", seed, step, err, freshErr)
 			}
@@ -298,7 +302,7 @@ func TestSolveCacheConcurrent(t *testing.T) {
 	wants := make([]want, len(scales))
 	for i, scl := range scales {
 		chain, pl := cacheChain(scl)
-		fresh, _, err := Resolve(chain, pl, cacheOpt)
+		fresh, err := freshSolve(chain, pl, cacheOpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +391,7 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 		sig, key := CanonicalStructSig(chain, pl, cacheOpt), CanonicalSpecKey(chain, pl, cacheOpt)
 		for b := 1; b <= pl.Procs; b++ {
 			got, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b)
-			fresh, _, freshErr := Resolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, cacheOpt)
+			fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, cacheOpt)
 			if (err != nil) != (freshErr != nil) {
 				t.Fatalf("step %d budget %d: error %v, fresh error %v", step, b, err, freshErr)
 			}
@@ -440,25 +444,27 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 			t.Errorf("budget %d accepted", b)
 		}
 	}
-	greedy := ResolveOptions{Budget: time.Nanosecond}
-	if HasFrontier(chain, pl, greedy) {
+	// The same three tasks on 128 processors: P^4 k^3 = 7.2e9 routes them
+	// to greedy.
+	big := model.Platform{Procs: 128, MemPerProc: pl.MemPerProc}
+	if HasFrontier(chain, big) {
 		t.Error("HasFrontier true for an instance routed to greedy")
 	}
-	if _, _, err := sc.ResolveBudget(chain, pl, greedy, CanonicalStructSig(chain, pl, greedy), CanonicalSpecKey(chain, pl, greedy), 3); err == nil {
+	if _, _, err := sc.ResolveBudget(chain, big, cacheOpt, CanonicalStructSig(chain, big, cacheOpt), CanonicalSpecKey(chain, big, cacheOpt), 3); err == nil {
 		t.Error("ResolveBudget served an instance routed to greedy")
 	}
 
 	// With clustering off the retained solver keeps one module per task,
 	// and its frontier serves every budget like any other DP instance.
-	noClust := ResolveOptions{Budget: time.Second, DisableClustering: true}
-	if !HasFrontier(chain, pl, noClust) {
-		t.Fatal("HasFrontier false for a DP-routed instance without clustering")
+	noClust := ResolveOptions{DisableClustering: true}
+	if !HasFrontier(chain, pl) {
+		t.Fatal("HasFrontier false for a DP-routed instance")
 	}
 	sc = NewSolveCache()
 	sig, key = CanonicalStructSig(chain, pl, noClust), CanonicalSpecKey(chain, pl, noClust)
 	for b := 1; b <= pl.Procs; b++ {
 		got, _, err := sc.ResolveBudget(chain, pl, noClust, sig, key, b)
-		fresh, _, freshErr := Resolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, noClust)
+		fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, noClust)
 		if (err != nil) != (freshErr != nil) {
 			t.Fatalf("clustering off, budget %d: error %v, fresh error %v", b, err, freshErr)
 		}

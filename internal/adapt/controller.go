@@ -26,39 +26,11 @@ type Config struct {
 	// Threshold is the hysteresis gate: a migration needs a predicted
 	// relative throughput gain of at least this much (default 0.10).
 	Threshold float64
-	// RollbackTolerance triggers a rollback when the first post-migration
-	// observation's throughput falls more than this fraction below the
-	// pre-migration observation (default 0.20).
-	RollbackTolerance float64
-	// MinStageSamples gates refitting on the monitor window: a stage's
-	// cycle observation is used only when the window holds at least this
-	// many latency samples (default 5).
-	MinStageSamples int
 	// FitWindow and FitCycles configure the per-stage online fitter: the
 	// window of retained cycle means (default 8) and the minimum cycles
 	// before a refit is trusted (default 2).
 	FitWindow int
 	FitCycles int
-	// Budget bounds the decision latency of one re-solve; instances whose
-	// estimated DP cost exceeds it use the greedy heuristic
-	// (default 200ms).
-	Budget time.Duration
-	// CooldownCycles holds decisions after a rollback so the controller
-	// does not oscillate back onto the mapping that just failed
-	// (default 3).
-	CooldownCycles int
-	// RefitEpsilon is the relative dead-band on applying refitted cost
-	// corrections (default 1e-3): a per-task correction moving less than
-	// this is not applied, so the believed cost model stays bit-identical
-	// and the solve cache can recognize the tick as unchanged. Corrections
-	// keep gating against the last *applied* value, so sustained drift
-	// still lands.
-	RefitEpsilon float64
-	// Cache memoizes re-solves across Step calls and routes small cost
-	// updates to the incremental DP solver. Nil gets a private cache; pass
-	// a shared one to pool memoization across controllers of the same
-	// spec.
-	Cache *SolveCache
 	// TimeScale converts observed runtime seconds to model seconds: the
 	// emulation speedup factor when driving fxrt.ModelPipeline (observed
 	// seconds × TimeScale = model seconds, observed throughput ÷ TimeScale
@@ -84,35 +56,37 @@ func (c Config) withDefaults() Config {
 	if c.Threshold <= 0 {
 		c.Threshold = 0.10
 	}
-	if c.RollbackTolerance <= 0 {
-		c.RollbackTolerance = 0.20
-	}
-	if c.MinStageSamples <= 0 {
-		c.MinStageSamples = 5
-	}
 	if c.FitWindow <= 0 {
 		c.FitWindow = 8
 	}
 	if c.FitCycles <= 0 {
 		c.FitCycles = 2
 	}
-	if c.Budget <= 0 {
-		c.Budget = 200 * time.Millisecond
-	}
-	if c.CooldownCycles <= 0 {
-		c.CooldownCycles = 3
-	}
 	if c.TimeScale <= 0 {
 		c.TimeScale = 1
 	}
-	if c.RefitEpsilon <= 0 {
-		c.RefitEpsilon = 1e-3
-	}
-	if c.Cache == nil {
-		c.Cache = NewSolveCache()
-	}
 	return c
 }
+
+const (
+	// rollbackTolerance triggers a rollback when the first post-migration
+	// observation's throughput falls more than this fraction below the
+	// pre-migration observation.
+	rollbackTolerance = 0.20
+	// minStageSamples gates refitting on the monitor window: a stage's
+	// cycle observation is used only when the window holds at least this
+	// many latency samples.
+	minStageSamples = 5
+	// cooldownCycles holds decisions after a rollback so the controller
+	// does not oscillate back onto the mapping that just failed.
+	cooldownCycles = 3
+	// refitEpsilon is the relative dead-band on applying refitted cost
+	// corrections: a per-task correction moving less than this is not
+	// applied, so the believed cost model stays bit-identical and the
+	// solve cache recognizes the tick as unchanged. Corrections gate
+	// against the last applied value, so sustained drift still lands.
+	refitEpsilon = 1e-3
+)
 
 // Decision actions.
 const (
@@ -140,7 +114,7 @@ type Decision struct {
 	// (full solve).
 	SolvePath string `json:"solvePath,omitempty"`
 	// ChangedTasks is the number of task cost corrections applied this
-	// cycle (moves above RefitEpsilon).
+	// cycle (moves beyond the refit dead-band).
 	ChangedTasks int `json:"changedTasks"`
 	// ResolveSeconds is the measured decision latency of the re-solve.
 	ResolveSeconds float64 `json:"resolveSeconds"`
@@ -235,14 +209,15 @@ type Controller struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// Per-task beliefs: base execution models and the current and
-	// generation-start multiplicative corrections. tracker gates which
-	// correction moves are material (above RefitEpsilon) and records the
-	// per-cycle change set.
+	// Per-task beliefs: base execution models and the last applied and
+	// generation-start multiplicative corrections.
 	baseExec []model.CostFunc
 	ratio    []float64
 	genRatio []float64
-	tracker  *estimate.ChangeTracker
+
+	// cache memoizes re-solves across Step calls and routes small cost
+	// updates to the incremental DP solver.
+	cache *SolveCache
 
 	cur     model.Mapping // current mapping (Chain = refitted beliefs)
 	gen     int
@@ -288,7 +263,7 @@ func NewController(cfg Config) (*Controller, error) {
 		baseExec: make([]model.CostFunc, cfg.Chain.Len()),
 		ratio:    make([]float64, cfg.Chain.Len()),
 		genRatio: make([]float64, cfg.Chain.Len()),
-		tracker:  estimate.NewChangeTracker(cfg.Chain.Len(), cfg.RefitEpsilon),
+		cache:    NewSolveCache(),
 	}
 	for i := range c.baseExec {
 		c.baseExec[i] = cfg.Chain.Tasks[i].Exec
@@ -413,7 +388,7 @@ func (c *Controller) Status() Status {
 		ObservedGain:        c.obsGain,
 		Refits:              append([]StageRefit(nil), c.refits...),
 	}
-	memo := c.cfg.Cache.Stats()
+	memo := c.cache.Stats()
 	st.Memo = &memo
 	if c.lastDecision != nil {
 		d := *c.lastDecision
@@ -447,9 +422,7 @@ func (c *Controller) Step(o Observation) Decision {
 	}
 	c.ingestDeaths(o.Health)
 	c.ingestLatencies(o.Health)
-	c.tracker.Reset()
-	c.applyRefits()
-	d.ChangedTasks = len(c.tracker.Changed())
+	d.ChangedTasks = c.applyRefits()
 
 	// Re-solve on the refitted beliefs and the surviving platform, through
 	// the memo cache: an unchanged tick is a cache hit, a few moved costs
@@ -459,8 +432,7 @@ func (c *Controller) Step(o Observation) Decision {
 	// generation-start models.
 	chain := c.beliefChain()
 	c.cur.Chain = chain
-	cand, solveTime, path, err := c.cfg.Cache.Resolve(chain, c.survivingLocked(), ResolveOptions{
-		Budget:             c.cfg.Budget,
+	cand, solveTime, path, err := c.cache.Resolve(chain, c.survivingLocked(), ResolveOptions{
 		DisableReplication: c.cfg.DisableReplication,
 		DisableClustering:  c.cfg.DisableClustering,
 		Trace:              c.cfg.Trace,
@@ -469,7 +441,7 @@ func (c *Controller) Step(o Observation) Decision {
 	d.SolvePath = path
 	d.ResolveSeconds = solveTime.Seconds()
 	c.cfg.Metrics.Histogram("adapt.resolve_seconds").Observe(d.ResolveSeconds)
-	c.cfg.Cache.Publish(c.cfg.Metrics)
+	c.cache.Publish(c.cfg.Metrics)
 	if err != nil {
 		d.Reason = fmt.Sprintf("re-solve failed: %v", err)
 		c.finishCycle(&d, start)
@@ -517,7 +489,7 @@ func (c *Controller) decideEvaluation(d *Decision) {
 		c.obsGain = (post - c.preObserved) / c.preObserved
 		c.cfg.Metrics.Gauge("adapt.observed_gain").Set(c.obsGain)
 	}
-	if c.preObserved > 0 && post < c.preObserved*(1-c.cfg.RollbackTolerance) {
+	if c.preObserved > 0 && post < c.preObserved*(1-rollbackTolerance) {
 		prev := c.prevMapping
 		if prev.Chain == nil || prev.TotalProcs() > c.survivingLocked().Procs {
 			d.Reason = fmt.Sprintf("observed %.4f/s regressed %.1f%% but previous mapping no longer fits; holding",
@@ -525,10 +497,10 @@ func (c *Controller) decideEvaluation(d *Decision) {
 			return
 		}
 		c.vetoed = c.cur.String()
-		c.cooldown = c.cfg.CooldownCycles
+		c.cooldown = cooldownCycles
 		c.migrate(d, prev.Modules, ActionRollback,
 			fmt.Sprintf("observed %.4f/s vs %.4f/s pre-migration (%.1f%% regression > %.0f%% tolerance)",
-				post, c.preObserved, -100*c.obsGain, 100*c.cfg.RollbackTolerance))
+				post, c.preObserved, -100*c.obsGain, 100*rollbackTolerance))
 		c.rollbacks++
 		c.cfg.Metrics.Counter("adapt.rollbacks").Inc()
 		return
@@ -599,7 +571,7 @@ func (c *Controller) ingestLatencies(h live.Health) {
 	}
 	for i := 0; i < n; i++ {
 		lat := h.Stages[i].Latency
-		if lat.Count >= int64(c.cfg.MinStageSamples) && lat.Mean > 0 {
+		if lat.Count >= minStageSamples && lat.Mean > 0 {
 			c.fitters[i].Observe(lat.Mean * c.cfg.TimeScale)
 		}
 	}
@@ -610,12 +582,13 @@ func (c *Controller) ingestLatencies(h live.Health) {
 const cycleRatioClamp = 50.0
 
 // applyRefits refits every stage with enough evidence and folds the
-// corrections into the per-task ratios. Moves inside the RefitEpsilon
-// dead-band are dropped — the believed chain stays bit-identical, so the
-// solve cache recognizes the tick — and applied moves are recorded in the
-// tracker's change set. Returns whether any belief moved.
-func (c *Controller) applyRefits() bool {
-	moved := false
+// corrections into the per-task ratios. A correction lands only when it is
+// finite and moves beyond the refitEpsilon dead-band around the task's
+// last applied ratio; smaller moves are dropped, so the believed chain
+// stays bit-identical and the solve cache recognizes the tick. Returns the
+// number of tasks whose ratio moved.
+func (c *Controller) applyRefits() int {
+	moved := 0
 	start := time.Now()
 	maxProcs := c.cfg.Platform.Procs
 	for i, fit := range c.fitters {
@@ -633,13 +606,16 @@ func (c *Controller) applyRefits() bool {
 		c.refits[i].Ratio = ratio
 		mod := c.cur.Modules[i]
 		for t := mod.Lo; t < mod.Hi; t++ {
-			if c.tracker.Offer(t, c.genRatio[t]*ratio) {
-				c.ratio[t] = c.tracker.Value(t)
-				moved = true
+			next, cur := c.genRatio[t]*ratio, c.ratio[t]
+			if math.IsNaN(next) || math.IsInf(next, 0) ||
+				math.Abs(next-cur) <= refitEpsilon*math.Max(1, math.Abs(cur)) {
+				continue
 			}
+			c.ratio[t] = next
+			moved++
 		}
 	}
-	if moved && c.cfg.Trace.Enabled() {
+	if moved > 0 && c.cfg.Trace.Enabled() {
 		c.cfg.Trace.SpanArgs("adapt", "refit", 0, start, time.Since(start), nil)
 	}
 	return moved

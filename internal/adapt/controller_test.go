@@ -1,7 +1,9 @@
 package adapt
 
 import (
+	"math"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -370,5 +372,188 @@ func TestControllerRecordsIngestLoad(t *testing.T) {
 	c.Step(Observation{Throughput: 0.75})
 	if got := c.Status().Ingest; got == nil || got.QueueDepth != 7 {
 		t.Fatalf("status ingest after plain step = %+v, want retained load", got)
+	}
+}
+
+// TestControllerRoutesLikeCoreMap: the controller's re-solve picks DP or
+// greedy by core's Auto rule, the choice core.Map makes, and reaches every
+// DP-routed spec through the cache's DP paths. With no latency evidence
+// the beliefs do not move, so the candidate is core.Map's own mapping.
+func TestControllerRoutesLikeCoreMap(t *testing.T) {
+	for _, name := range []string{"threestage", "ffthist256", "radar64", "stereo128"} {
+		f, err := os.Open("../../specs/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, pl, err := core.ParseChainSpec(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Map(core.Request{Chain: chain, Platform: pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewController(Config{Chain: chain, Platform: pl, Initial: res.Mapping})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := c.Step(Observation{Throughput: res.Throughput})
+		if d.Algorithm != res.Algorithm.String() {
+			t.Errorf("%s: controller re-solved with %q, core.Map's Auto picks %q", name, d.Algorithm, res.Algorithm)
+		}
+		if d.Candidate != res.Mapping.String() {
+			t.Errorf("%s: controller candidate %s, core.Map %s", name, d.Candidate, res.Mapping.String())
+		}
+		if res.Algorithm == core.DP && d.SolvePath != PathFullDP && d.SolvePath != PathIncremental && d.SolvePath != PathMemo {
+			t.Errorf("%s: DP-routed re-solve took path %q", name, d.SolvePath)
+		}
+	}
+}
+
+// refitController returns a controller on cacheChain mapped as modules,
+// with a one-observation fit window, so each tick's refit ratio is the
+// stage's observed over predicted response, and a threshold no candidate
+// clears, so the mapping never moves. observe fabricates the health of
+// one tick: stage i responds ratios[i] times slower than predicted.
+func refitController(t *testing.T, modules []model.Module) (*Controller, func(ratios ...float64) Observation) {
+	t.Helper()
+	chain, pl := cacheChain(nil)
+	initial := mustMapping(t, chain, pl, modules)
+	c, err := NewController(Config{
+		Chain: chain, Platform: pl, Initial: initial,
+		Threshold: 100, FitWindow: 1, FitCycles: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := initial.ResponseTimes()
+	observe := func(ratios ...float64) Observation {
+		h := live.Health{Stages: make([]live.StageHealth, len(modules))}
+		for i, mod := range modules {
+			h.Stages[i] = live.StageHealth{
+				Stage: i, Replicas: mod.Replicas, Live: mod.Replicas,
+				Latency: live.WindowStat{Count: minStageSamples, Mean: pred[i] * ratios[i]},
+			}
+		}
+		return Observation{Health: h, Throughput: 1}
+	}
+	return c, observe
+}
+
+var oneModule = []model.Module{{Lo: 0, Hi: 3, Procs: 8, Replicas: 1}}
+
+// TestControllerSubEpsilonRefitIsMemoHit: a correction inside the refit
+// dead-band is not applied, so the belief chain stays bit-identical and
+// the tick is a memo hit.
+func TestControllerSubEpsilonRefitIsMemoHit(t *testing.T) {
+	c, observe := refitController(t, oneModule)
+	if d := c.Step(observe(1.25)); d.ChangedTasks != 3 {
+		t.Fatalf("first refit moved %d tasks, want 3", d.ChangedTasks)
+	}
+	before := append([]float64(nil), c.ratio...)
+	d := c.Step(observe(1.25 * (1 + refitEpsilon/2)))
+	if d.ChangedTasks != 0 || d.SolvePath != PathMemo {
+		t.Errorf("sub-epsilon refit: %d tasks moved, path %q; want 0 and %q", d.ChangedTasks, d.SolvePath, PathMemo)
+	}
+	if !reflect.DeepEqual(c.ratio, before) {
+		t.Errorf("sub-epsilon refit changed the beliefs: %v, was %v", c.ratio, before)
+	}
+}
+
+// TestControllerSubEpsilonDriftLands pins the dead-band's anchor: it gates
+// against the last applied ratio, so a drift of sub-epsilon steps lands
+// once the steps add up to more than epsilon instead of being dropped one
+// step at a time forever.
+func TestControllerSubEpsilonDriftLands(t *testing.T) {
+	c, observe := refitController(t, oneModule)
+	r := 1.25
+	c.Step(observe(r))
+	applied := c.ratio[0]
+	landed := 0
+	for i := 0; i < 10; i++ {
+		r *= 1 + 0.4*refitEpsilon
+		d := c.Step(observe(r))
+		switch {
+		case d.ChangedTasks > 0:
+			landed++
+		case d.SolvePath != PathMemo:
+			t.Errorf("step %d: dropped drift step took path %q, want %q", i, d.SolvePath, PathMemo)
+		}
+	}
+	if landed == 0 || landed == 10 {
+		t.Errorf("%d of 10 sub-epsilon drift steps landed, want some but not all", landed)
+	}
+	if c.ratio[0] == applied {
+		t.Error("sustained drift never moved the applied ratio")
+	}
+}
+
+// TestControllerRefusesNonFiniteCorrections: a NaN or infinite correction
+// is never applied. A refit ratio is clamped finite, so the poison here
+// is the generation-start correction it multiplies.
+func TestControllerRefusesNonFiniteCorrections(t *testing.T) {
+	c, observe := refitController(t, oneModule)
+	c.genRatio[0], c.genRatio[1], c.genRatio[2] = math.NaN(), math.Inf(1), math.Inf(-1)
+	d := c.Step(observe(1.25))
+	if d.ChangedTasks != 0 {
+		t.Errorf("%d non-finite corrections applied", d.ChangedTasks)
+	}
+	for i, r := range c.ratio {
+		if r != 1 {
+			t.Errorf("task %d ratio %v after a non-finite correction, want 1", i, r)
+		}
+	}
+}
+
+// TestControllerChangedTasksCountsEachTaskOnce: ChangedTasks counts the
+// tasks whose correction moved this cycle, each once, whatever the number
+// of stages.
+func TestControllerChangedTasksCountsEachTaskOnce(t *testing.T) {
+	c, observe := refitController(t, []model.Module{
+		{Lo: 0, Hi: 1, Procs: 4, Replicas: 1},
+		{Lo: 1, Hi: 3, Procs: 4, Replicas: 1},
+	})
+	for i, step := range []struct {
+		ratios []float64
+		want   int
+	}{
+		{[]float64{1, 1.25}, 2},   // the two-task stage moves
+		{[]float64{1, 1.25}, 0},   // nothing moves
+		{[]float64{1.5, 1.25}, 1}, // the one-task stage moves
+		{[]float64{2, 2}, 3},      // every task moves
+	} {
+		if d := c.Step(observe(step.ratios...)); d.ChangedTasks != step.want {
+			t.Errorf("step %d: %d changed tasks, want %d", i, d.ChangedTasks, step.want)
+		}
+	}
+}
+
+// TestControllerChangedTasksRestartsEachCycle: the change count starts
+// from zero each cycle while the applied corrections carry over, so a
+// later cycle's dead-band is centred on the applied value, not on 1.
+func TestControllerChangedTasksRestartsEachCycle(t *testing.T) {
+	c, observe := refitController(t, oneModule)
+	if d := c.Step(observe(2)); d.ChangedTasks != 3 {
+		t.Fatalf("first refit moved %d tasks, want 3", d.ChangedTasks)
+	}
+	if d := c.Step(observe(2)); d.ChangedTasks != 0 {
+		t.Errorf("next cycle counted %d changed tasks, want 0", d.ChangedTasks)
+	}
+	for i, r := range c.ratio {
+		if r != 2 {
+			t.Errorf("task %d ratio %v after an unchanged cycle, want the applied 2", i, r)
+		}
+	}
+	if d := c.Step(observe(2 * (1 + refitEpsilon/2))); d.ChangedTasks != 0 {
+		t.Errorf("move inside the dead-band around the applied 2 counted %d tasks, want 0", d.ChangedTasks)
+	}
+	if d := c.Step(observe(2.2)); d.ChangedTasks != 3 {
+		t.Errorf("move outside the dead-band counted %d tasks, want 3", d.ChangedTasks)
+	}
+	for i, r := range c.ratio {
+		if r != 2.2 {
+			t.Errorf("task %d ratio %v, want the newly applied 2.2", i, r)
+		}
 	}
 }

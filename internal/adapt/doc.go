@@ -9,8 +9,8 @@
 //	         windowed observations, MAD outlier rejection, sample-count
 //	         confidence gating)
 //	re-solve the mapping on the refitted models and the surviving
-//	         processor count, under a decision-latency budget (DP when it
-//	         fits the budget, greedy otherwise)
+//	         processor count, DP or greedy by core.AutoAlgorithm, the rule
+//	         core.Map uses, through the solve cache (memo, incremental DP)
 //	migrate  when the predicted throughput gain clears a hysteresis
 //	         threshold: the caller swaps the serving ingest plane onto a
 //	         pipeline of the new mapping (ingest.Plane.Swap drains the old

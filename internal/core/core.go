@@ -51,6 +51,19 @@ func (a Algorithm) String() string {
 // (about a second of compute).
 const autoDPBudget = 5e9
 
+// AutoAlgorithm is the Auto rule, the one place that chooses between the
+// exact DP and the greedy heuristic: DP for k tasks on procs processors
+// while P^4*k^3 stays within autoDPBudget, greedy beyond it. The estimate
+// grows with procs, so an instance routed to DP is routed to DP at every
+// smaller processor count too.
+func AutoAlgorithm(k, procs int) Algorithm {
+	p, kk := float64(procs), float64(k)
+	if p*p*p*p*kk*kk*kk <= autoDPBudget {
+		return DP
+	}
+	return Greedy
+}
+
 // Objective selects what the mapping tool optimizes.
 type Objective int
 
@@ -181,12 +194,7 @@ func Map(req Request) (Result, error) {
 
 	algo := req.Algorithm
 	if algo == Auto {
-		p, k := float64(req.Platform.Procs), float64(req.Chain.Len())
-		if p*p*p*p*k*k*k <= autoDPBudget {
-			algo = DP
-		} else {
-			algo = Greedy
-		}
+		algo = AutoAlgorithm(req.Chain.Len(), req.Platform.Procs)
 	}
 
 	var m model.Mapping

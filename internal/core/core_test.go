@@ -45,6 +45,26 @@ func TestMapAutoFallsBackToGreedy(t *testing.T) {
 	}
 }
 
+// TestAutoAlgorithmThreshold pins the Auto rule at the instances the docs
+// name: DP while P^4 k^3 <= 5e9, greedy beyond.
+func TestAutoAlgorithmThreshold(t *testing.T) {
+	for _, c := range []struct {
+		k, procs int
+		want     Algorithm
+	}{
+		{4, 64, DP},      // 1.07e9: radar64 and stereo128
+		{4, 96, Greedy},  // 5.4e9
+		{3, 96, DP},      // 2.3e9: ffthist256 at 96
+		{3, 128, Greedy}, // 7.2e9
+		{1, 265, DP},     // 4.93e9
+		{1, 266, Greedy}, // 5.006e9
+	} {
+		if got := AutoAlgorithm(c.k, c.procs); got != c.want {
+			t.Errorf("AutoAlgorithm(%d, %d) = %v, want %v", c.k, c.procs, got, c.want)
+		}
+	}
+}
+
 func TestMapDPAndGreedyAgreeOnFFTHist(t *testing.T) {
 	c, err := apps.FFTHist(256, apps.Message)
 	if err != nil {

@@ -39,12 +39,15 @@ func MinLatency(c *model.Chain, pl model.Platform) (model.Mapping, error) {
 // the list with no larger latency and no larger period, so the list holds
 // the whole Pareto frontier (one mapping per exact tie).
 //
+// The sweep stops after the first mapping whose latency exceeds bound: no
+// later one can fit it. Pass +Inf for the whole trade-off.
+//
 // The cap excludes a period p by the next float below p. The period test
 // adds each module's f/r in model.Mapping.EffectiveResponseTimes'
 // arithmetic, so each solve strictly advances; a mapping over its cap
 // would mean the two disagree, and is an error rather than an endless
 // sweep.
-func LatencySweep(c *model.Chain, pl model.Platform, opt Options) ([]model.Mapping, error) {
+func LatencySweep(c *model.Chain, pl model.Platform, opt Options, bound float64) ([]model.Mapping, error) {
 	s, err := NewSolver(c, pl, opt)
 	if err != nil {
 		return nil, err
@@ -63,6 +66,9 @@ func LatencySweep(c *model.Chain, pl model.Platform, opt Options) ([]model.Mappi
 		_, period := m.Bottleneck()
 		if period > T {
 			return nil, fmt.Errorf("dp: latency solve under period cap %g returned period %g", T, period)
+		}
+		if m.Latency() > bound {
+			return out, nil
 		}
 		T = math.Nextafter(period, math.Inf(-1))
 	}

@@ -161,7 +161,7 @@ func TestLatencySweepEndsAtZeroPeriod(t *testing.T) {
 		ICom:  []model.CostFunc{model.ZeroExec()},
 		ECom:  []model.CommFunc{model.ZeroComm()},
 	}
-	ms, err := LatencySweep(c, model.Platform{Procs: 4}, Options{})
+	ms, err := LatencySweep(c, model.Platform{Procs: 4}, Options{}, inf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pipemap/internal/model"
@@ -250,7 +251,9 @@ func FuzzSolverMatchesReference(f *testing.F) {
 // referenceLatency on FuzzSolverMatchesReference's chains and option
 // sets, at three period caps: none, the period of a mapping LatencySweep
 // returns, and the next float below it, which excludes that period.
-// Latencies compare with ==, and each mapping must fit its cap. Run with
+// Latencies compare with ==, and each mapping must fit its cap. A sweep
+// bounded by that mapping's latency must be the unbounded sweep's prefix
+// through its first mapping over the bound. Run with
 // `go test -fuzz FuzzLatencyMatchesReference ./internal/dp`.
 func FuzzLatencyMatchesReference(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 7, 42, 1995, 65536, -1, 1 << 40} {
@@ -264,14 +267,32 @@ func FuzzLatencyMatchesReference(f *testing.F) {
 		c, pl := testutil.RandChain(rng, cfg, 1+rng.Intn(32))
 		for _, opt := range referenceOptions {
 			what := fmt.Sprintf("seed %d %s", seed, optName(opt))
-			sweep, err := LatencySweep(c, pl, opt)
+			sweep, err := LatencySweep(c, pl, opt, inf)
 			if err != nil {
 				if ref := referenceLatency(c, pl, opt, inf); ref != inf {
 					t.Fatalf("%s: LatencySweep: %v, reference latency %v", what, err, ref)
 				}
 				continue
 			}
-			_, period := sweep[rng.Intn(len(sweep))].Bottleneck()
+			picked := sweep[rng.Intn(len(sweep))]
+			_, period := picked.Bottleneck()
+			bound := picked.Latency()
+			want := len(sweep)
+			for i := range sweep {
+				if sweep[i].Latency() > bound {
+					want = i + 1
+					break
+				}
+			}
+			cut, err := LatencySweep(c, pl, opt, bound)
+			if err != nil || len(cut) != want {
+				t.Fatalf("%s bound %v: sweep of %d mappings (err %v), want the first %d of %d", what, bound, len(cut), err, want, len(sweep))
+			}
+			for i := range cut {
+				if !slices.Equal(cut[i].Modules, sweep[i].Modules) {
+					t.Fatalf("%s bound %v: mapping %d is %v, unbounded sweep has %v", what, bound, i, &cut[i], &sweep[i])
+				}
+			}
 			s, err := NewSolver(c, pl, opt)
 			if err != nil {
 				t.Fatalf("%s: NewSolver: %v", what, err)

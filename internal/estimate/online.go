@@ -17,12 +17,13 @@ type OnlineOptions struct {
 	// MinSamples is the confidence gate: Refit reports not-ready until the
 	// window holds at least this many observations (default 3).
 	MinSamples int
-	// OutlierK rejects observations further than OutlierK median absolute
-	// deviations from the window median (default 5). When the MAD is zero
-	// (a majority of identical observations) only exact-median samples are
-	// kept, so a lone wild value among constants is still rejected.
-	OutlierK float64
 }
+
+// outlierK rejects observations further than outlierK median absolute
+// deviations from the window median. When the MAD is zero (a majority of
+// identical observations) only exact-median samples are kept, so a lone
+// wild value among constants is still rejected.
+const outlierK = 5
 
 func (o OnlineOptions) withDefaults() OnlineOptions {
 	if o.Window <= 0 {
@@ -30,9 +31,6 @@ func (o OnlineOptions) withDefaults() OnlineOptions {
 	}
 	if o.MinSamples <= 0 {
 		o.MinSamples = 3
-	}
-	if o.OutlierK <= 0 {
-		o.OutlierK = 5
 	}
 	return o
 }
@@ -121,7 +119,7 @@ func (f *OnlineFitter) accept() ([]float64, int) {
 	}
 	sort.Float64s(devs)
 	mad := devs[len(devs)/2]
-	bound := f.opt.OutlierK * mad
+	bound := outlierK * mad
 	if mad == 0 {
 		// Degenerate spread: keep only the (majority) median value, with a
 		// tiny relative tolerance for float noise.

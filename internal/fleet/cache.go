@@ -147,8 +147,8 @@ func (c *Cache) Solve(chain *model.Chain, pl model.Platform, opt adapt.ResolveOp
 // DP solve, and a re-placement at another allocation is a memo lookup.
 // sig and key are adapt.CanonicalStructSig and adapt.CanonicalSpecKey of
 // (chain, capPl, opt), computed once by the caller; the instance must
-// satisfy adapt.HasFrontier. The result equals a fresh adapt.Resolve on
-// budget processors, and its mapping is a detached copy.
+// satisfy adapt.HasFrontier. The result equals a fresh core.Map under Auto
+// on budget processors, and its mapping is a detached copy.
 func (c *Cache) SolveBudget(chain *model.Chain, capPl model.Platform, opt adapt.ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
 	return c.family(sig).ResolveBudget(chain, capPl, opt, sig, key, budget)
 }

@@ -39,7 +39,8 @@ type Config struct {
 	// grid size (and defaults to it when zero).
 	Grid machine.Grid
 	// Solve carries the solver knobs forwarded to every per-pipeline solve
-	// (budget routing, replication/clustering switches).
+	// (replication/clustering switches); core.AutoAlgorithm picks DP or
+	// greedy.
 	Solve adapt.ResolveOptions
 	// MaxPipelines bounds concurrent admissions (0 = unbounded).
 	MaxPipelines int
@@ -273,7 +274,7 @@ func (f *Fleet) Admit(s Spec) (Placement, error) {
 		priority: pri, min: min, cap: capProcs,
 		sig:      adapt.CanonicalStructSig(s.Chain, capPl, f.cfg.Solve),
 		key:      adapt.CanonicalSpecKey(s.Chain, capPl, f.cfg.Solve),
-		frontier: adapt.HasFrontier(s.Chain, capPl, f.cfg.Solve),
+		frontier: adapt.HasFrontier(s.Chain, capPl),
 	}
 	// Mutation-free pre-check: run the partition with the candidate
 	// included (rank and partition only read min/priority); if the

@@ -26,7 +26,7 @@ func scaleChain(c *model.Chain, k float64) *model.Chain {
 // that the fleet solves once per distinct cost state, however often the
 // allocations move: every re-placement is read from the per-budget
 // frontier of the spec solved at its 64-processor cap. After every
-// mutation each placement must equal a fresh adapt.Resolve at its
+// mutation each placement must equal a fresh core.Map at its
 // allocation.
 func TestChurnScriptSolvesOncePerCostState(t *testing.T) {
 	const (
@@ -66,7 +66,7 @@ func TestChurnScriptSolvesOncePerCostState(t *testing.T) {
 			t.Fatalf("%s: no pipelines placed", step)
 		}
 		for _, p := range ps {
-			want, _, err := adapt.Resolve(chains[p.ID], model.Platform{Procs: p.Alloc, MemPerProc: pl.MemPerProc}, adapt.ResolveOptions{})
+			want, err := freshSolve(chains[p.ID], model.Platform{Procs: p.Alloc, MemPerProc: pl.MemPerProc}, adapt.ResolveOptions{})
 			if err != nil {
 				t.Fatalf("%s: fresh solve of pipeline %d at %d processors: %v", step, p.ID, p.Alloc, err)
 			}
@@ -114,7 +114,7 @@ func TestChurnScriptSolvesOncePerCostState(t *testing.T) {
 
 // placeFourSpecs admits four 7-task specs, two per distinct chain, on a
 // pool under opt, then fails an eighth of the pool. After every step each
-// placement must equal a fresh adapt.Resolve at its allocation. frontier
+// placement must equal a fresh core.Map at its allocation. frontier
 // is whether the specs are served by the frontier of their cap solve.
 func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier bool) *Fleet {
 	t.Helper()
@@ -127,7 +127,7 @@ func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier b
 	check := func(step string) {
 		t.Helper()
 		for _, p := range f.Placements() {
-			want, _, err := adapt.Resolve(chains[p.ID], model.Platform{Procs: p.Alloc}, opt)
+			want, err := freshSolve(chains[p.ID], model.Platform{Procs: p.Alloc}, opt)
 			if err != nil {
 				t.Fatalf("%s: fresh solve of pipeline %d: %v", step, p.ID, err)
 			}
@@ -139,7 +139,7 @@ func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier b
 	}
 	for i := 0; i < 4; i++ {
 		c := genChain(rand.New(rand.NewSource(int64(i%2))), 7)
-		if got := adapt.HasFrontier(c, capPl, opt); got != frontier {
+		if got := adapt.HasFrontier(c, capPl); got != frontier {
 			t.Fatalf("spec %d: HasFrontier = %v at cap %d, want %v", i, got, pool, frontier)
 		}
 		p, err := f.Admit(Spec{Tenant: "t", Chain: c})

@@ -18,11 +18,11 @@ import (
 
 // FuzzFleetCacheMatchesFresh is the differential fuzz target: for a random
 // spec and pool slice, a fleet-cache hit must return a placement
-// bit-identical to a fresh, uncached adapt.Resolve of the same spec on the
+// bit-identical to a fresh, uncached core.Map of the same spec on the
 // same slice — same modules, same predicted throughput and latency. The
 // slice doubles as an allocation cap: a placement at a random allocation
 // below it, read from the cap solve's per-budget frontier, must equal a
-// fresh adapt.Resolve at that allocation, on the first read and on the
+// fresh core.Map at that allocation, on the first read and on the
 // memo hit after it. A divergence means the canonical key is collapsing
 // specs it must not, the memo is returning stale state, or the frontier
 // disagrees with a fresh solve.
@@ -38,7 +38,7 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 
 		cache := NewCache()
 		first, firstPath, err := cache.Solve(chain, pl, opt)
-		fresh, _, freshErr := adapt.Resolve(chain, pl, opt)
+		fresh, freshErr := freshSolve(chain, pl, opt)
 		if (err != nil) != (freshErr != nil) {
 			t.Fatalf("seed %d: cached error %v vs fresh error %v", seed, err, freshErr)
 		}
@@ -84,7 +84,7 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 		// The same spec placed below its cap, from the cap's frontier.
 		alloc := 1 + rng.Intn(pl.Procs)
 		sig, key := adapt.CanonicalStructSig(chain, pl, opt), adapt.CanonicalSpecKey(chain, pl, opt)
-		freshAt, _, freshAtErr := adapt.Resolve(chain, model.Platform{Procs: alloc}, opt)
+		freshAt, freshAtErr := freshSolve(chain, model.Platform{Procs: alloc}, opt)
 		for i, wantPath := range []string{"", adapt.PathMemo} {
 			got, path, err := cache.SolveBudget(chain, pl, opt, sig, key, alloc)
 			if (err != nil) != (freshAtErr != nil) {

@@ -5,12 +5,24 @@ import (
 	"math/rand"
 
 	"pipemap/internal/adapt"
+	"pipemap/internal/core"
 	"pipemap/internal/machine"
 	"pipemap/internal/model"
 )
 
 // adaptOptions returns the default solver knobs used across the battery.
 func adaptOptions() adapt.ResolveOptions { return adapt.ResolveOptions{} }
+
+// freshSolve is the uncached reference every placement must equal:
+// core.Map under Auto with opt's solver options.
+func freshSolve(chain *model.Chain, pl model.Platform, opt adapt.ResolveOptions) (core.Result, error) {
+	return core.Map(core.Request{
+		Chain:              chain,
+		Platform:           pl,
+		DisableReplication: opt.DisableReplication,
+		DisableClustering:  opt.DisableClustering,
+	})
+}
 
 // genChain builds a random but deterministic (per rng) chain of k tasks
 // with polynomial cost models, a mix of replicable and pinned tasks, and

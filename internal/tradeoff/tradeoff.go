@@ -18,6 +18,7 @@ package tradeoff
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pipemap/internal/dp"
@@ -46,7 +47,7 @@ type Options struct {
 // Frontier returns the Pareto frontier of (throughput up, latency down)
 // over the mapping space, sorted by increasing latency.
 func Frontier(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
-	pts, err := sweep(c, pl, opt)
+	pts, err := sweep(c, pl, opt, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func MinLatency(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, 
 // It searches every swept mapping, so opt.MinThroughputGain, a display
 // filter, cannot hide a faster one.
 func BestThroughputUnderLatency(c *model.Chain, pl model.Platform, bound float64, opt Options) (model.Mapping, error) {
-	pts, err := sweep(c, pl, opt)
+	pts, err := sweep(c, pl, opt, bound)
 	if err != nil {
 		return model.Mapping{}, err
 	}
@@ -93,18 +94,20 @@ func BestThroughputUnderLatency(c *model.Chain, pl model.Platform, bound float64
 	return best.Mapping, nil
 }
 
-// sweep returns the mappings of dp.LatencySweep with maximal replication
-// (unless opt.DisableReplication) and without, sorted by latency
-// ascending, then throughput descending; exact ties go to the fewest
-// processors, then to the mapping string. Every Pareto-optimal mapping of
-// the space, or one tied with it in both values, is among them.
-func sweep(c *model.Chain, pl model.Platform, opt Options) ([]Point, error) {
-	ms, err := dp.LatencySweep(c, pl, dp.Options{DisableReplication: true})
+// sweep returns the mappings of dp.LatencySweep under the latency bound
+// with maximal replication (unless opt.DisableReplication) and without,
+// sorted by latency ascending, then throughput descending; exact ties go
+// to the fewest processors, then to the mapping string. Every
+// Pareto-optimal mapping of the space within the bound, or one tied with
+// it in both values, is among them, and so is each sweep's first mapping,
+// the least-latency one, even over the bound.
+func sweep(c *model.Chain, pl model.Platform, opt Options, bound float64) ([]Point, error) {
+	ms, err := dp.LatencySweep(c, pl, dp.Options{DisableReplication: true}, bound)
 	if err != nil {
 		return nil, err
 	}
 	if !opt.DisableReplication {
-		repl, err := dp.LatencySweep(c, pl, dp.Options{})
+		repl, err := dp.LatencySweep(c, pl, dp.Options{}, bound)
 		if err != nil {
 			return nil, err
 		}

@@ -298,7 +298,7 @@ func NewLiveServer(opt LiveServerOptions) *LiveServer { return live.NewServer(op
 // IngestPlane's Swap, which migrates live without dropping a request.
 type (
 	// AdaptConfig configures the controller (chain, platform, initial
-	// mapping, thresholds, decision-latency budget).
+	// mapping, migration threshold, fit window, time scale).
 	AdaptConfig = adapt.Config
 	// AdaptController is the closed-loop decision engine.
 	AdaptController = adapt.Controller
