@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"pipemap/internal/core"
 	"pipemap/internal/dp"
@@ -45,21 +44,24 @@ type ResolveOptions struct {
 const memoCap = 64
 
 // SolveCache is the cross-step memoization layer between the adaptive
-// controller and the solvers. Results are keyed by a canonical hash of the
-// instance — every cost function sampled at exactly the integer points the
-// solvers evaluate, plus the platform, solver options, and the algorithm
-// core.AutoAlgorithm picks — so two ticks with bit-identical costs hit
-// the cache no matter how the chain was materialized (task names never
-// enter the hash). On a miss with an unchanged structure, the cache diffs
-// the per-task execution hashes against the previous tick to recover the
-// exact changed-task set and routes it to the retained incremental DP
-// solver; only structural changes (platform size, memory models, edge
-// costs, options) force a full rebuild.
+// controller and the solvers. Results are keyed by CanonicalKeys, a
+// canonical hash of the instance — every cost function sampled at exactly
+// the integer points the solvers evaluate, plus the platform, solver
+// options, and the algorithm core.AutoAlgorithm picks — so two ticks with
+// bit-identical costs hit the cache no matter how the chain was
+// materialized (task names never enter the hash). On a miss with an
+// unchanged structure, the cache diffs the per-task execution hashes
+// against the previous tick to recover the exact changed-task set and
+// routes it to the retained incremental DP solver; only structural
+// changes (platform size, memory models, edge costs, options) force a
+// full rebuild.
 //
-// The canonical hash samples Exec and ICom at p = 1..P and ECom at every
-// (ps, pr) in 1..P x 1..P — precisely the grid the DP tabulates — so hash
-// equality implies the solvers see bit-identical inputs and the memoized
-// mapping is exactly what a fresh solve would return.
+// The canonical hash samples Exec and ICom at p = 1..P and ECom on
+// dp.CommGrid's points: per edge, every count a module ending there can
+// hold against every count a module starting there can hold, the grid the
+// DP tabulates and every solver reads. Hash equality therefore implies
+// the solvers see bit-identical inputs, and the memoized mapping is
+// exactly what a fresh solve would return.
 //
 // A SolveCache is safe for concurrent use; a fleet of controllers may
 // share one instance per pipeline spec, though each cache retains one
@@ -191,10 +193,12 @@ func execTaskHash(t model.Task, P int) uint64 {
 
 // structuralSig hashes everything except the per-task execution costs:
 // chain shape, memory models, replicability, minimum processors, internal
-// and external edge costs, the platform, the solver options, and the
-// algorithm core.AutoAlgorithm selects (DP and greedy legitimately return
-// different mappings for the same costs). A change here invalidates the
-// retained solver, not just the memo entries.
+// edge costs at p = 1..P and external ones on dp.CommGrid's points, the
+// platform, the solver options, and the algorithm core.AutoAlgorithm
+// selects (DP and greedy legitimately return different mappings for the
+// same costs). Everything that fixes the grid is mixed in before the first
+// ECom sample, so equal signatures sample equal grids. A change here
+// invalidates the retained solver, not just the memo entries.
 func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, algo core.Algorithm) uint64 {
 	P := pl.Procs
 	h := fnvOffset
@@ -216,71 +220,59 @@ func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, al
 			h = mixF(h, f.Eval(p))
 		}
 	}
-	for _, f := range chain.ECom {
-		for ps := 1; ps <= P; ps++ {
-			for pr := 1; pr <= P; pr++ {
+	gridOpt := dp.Options{DisableReplication: opt.DisableReplication, DisableClustering: opt.DisableClustering}
+	dp.CommGrid(chain, pl, gridOpt, func(e int, send, recv []int) {
+		f := chain.ECom[e]
+		for _, ps := range send {
+			for _, pr := range recv {
 				h = mixF(h, f.Eval(ps, pr))
 			}
 		}
-	}
+	})
 	return h
 }
 
-// CanonicalStructSig exposes the cache's structural canonicalization for
-// callers that need to group instances into solver families: two
-// (chain, platform, options) triples with equal signatures share chain
-// shape, memory models, replicability, minimum processors, internal and
-// external edge costs, platform, solver options, and the algorithm
-// core.AutoAlgorithm picks — everything except the per-task execution
-// costs. The fleet scheduler keys its per-family SolveCache instances on
-// this signature so structurally different tenant specs never thrash one
-// cache's invalidation path.
-func CanonicalStructSig(chain *model.Chain, pl model.Platform, opt ResolveOptions) uint64 {
-	return structuralSig(chain, pl, opt, core.AutoAlgorithm(chain.Len(), pl.Procs))
-}
-
-// CanonicalSpecKey extends CanonicalStructSig with the per-task
-// execution-cost hashes, sampling every cost function at exactly the
-// integer points the solvers evaluate: it is the full solve-once-place-many
-// key. Key equality implies the solvers see bit-identical inputs, so one
-// solved mapping serves every spec with the same key (task names never
-// enter the hash).
-func CanonicalSpecKey(chain *model.Chain, pl model.Platform, opt ResolveOptions) uint64 {
-	key := CanonicalStructSig(chain, pl, opt)
+// CanonicalKeys hashes (chain, pl, opt) once into the cache's two
+// canonical keys. sig is the structural signature: everything except the
+// per-task execution costs (see structuralSig). The fleet groups instances
+// into solver families by it, so structurally different tenant specs never
+// thrash one cache's invalidation path. key extends sig with every task's
+// execution cost at p = 1..P: it is the full solve-once-place-many key.
+// Each cost function is sampled at exactly the points the solvers
+// evaluate, so key equality implies the solvers see bit-identical inputs
+// and one solved mapping serves every spec with the same key (task names
+// never enter the hash). Resolve and ResolveBudget take both. The chain
+// must be valid.
+func CanonicalKeys(chain *model.Chain, pl model.Platform, opt ResolveOptions) (sig, key uint64) {
+	sig = structuralSig(chain, pl, opt, core.AutoAlgorithm(chain.Len(), pl.Procs))
+	key = sig
 	for i := range chain.Tasks {
 		key = mix(key, execTaskHash(chain.Tasks[i], pl.Procs))
 	}
-	return key
+	return sig, key
 }
 
 // Resolve returns the identical result a fresh core.Map of (chain, pl)
-// under Auto with opt's solver options would produce, the measured
-// decision latency, and the path that produced it (PathMemo,
-// PathIncremental, PathFullDP or PathGreedy).
-func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, time.Duration, string, error) {
-	start := time.Now()
+// under Auto with opt's solver options would produce, and the path that
+// produced it (PathMemo, PathIncremental, PathFullDP or PathGreedy). sig
+// and key must be CanonicalKeys of (chain, pl, opt): a memo hit is then a
+// lookup, and only a miss samples the execution costs again, to diff them
+// against the previous solve.
+func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt ResolveOptions, sig, key uint64) (core.Result, string, error) {
 	if err := chain.Validate(); err != nil {
-		return core.Result{}, time.Since(start), "", err
+		return core.Result{}, "", err
 	}
 	if err := pl.Validate(); err != nil {
-		return core.Result{}, time.Since(start), "", err
+		return core.Result{}, "", err
 	}
-	algo := core.AutoAlgorithm(chain.Len(), pl.Procs)
 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 
-	sig := structuralSig(chain, pl, opt, algo)
-	hashes := sc.execHashes(chain, pl.Procs)
-	key := sig
-	for _, h := range hashes {
-		key = mix(key, h)
-	}
-
 	sc.reset(sig)
 	if ent, ok := sc.results[key]; ok {
 		sc.hits++
-		return ent.result(chain), time.Since(start), PathMemo, nil
+		return ent.result(chain), PathMemo, nil
 	}
 	sc.misses++
 
@@ -289,7 +281,8 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 		path string
 		err  error
 	)
-	if algo == core.DP {
+	hashes := sc.execHashes(chain, pl.Procs)
+	if core.AutoAlgorithm(chain.Len(), pl.Procs) == core.DP {
 		res, path, err = sc.solveDP(chain, pl, opt, hashes)
 	} else {
 		res, err = core.Map(core.Request{
@@ -306,7 +299,7 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 	}
 	if err != nil {
 		sc.prevOK = false
-		return core.Result{}, time.Since(start), path, err
+		return core.Result{}, path, err
 	}
 
 	sc.remember(key, hashes, memoEntry{
@@ -315,7 +308,7 @@ func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt Resolve
 		throughput: res.Throughput,
 		latency:    res.Latency,
 	})
-	return res, time.Since(start), path, nil
+	return res, path, nil
 }
 
 // reset drops every memo entry and the retained solver when the
@@ -382,9 +375,9 @@ func HasFrontier(chain *model.Chain, pl model.Platform) bool {
 // at the cap thus serves every budget below it: a miss solves the cap
 // instance through the retained solver (incrementally when only execution
 // costs moved) and memoizes the whole frontier under the same canonical
-// key Resolve uses; a hit is a lookup. sig and key must be
-// CanonicalStructSig and CanonicalSpecKey of (chain, pl, opt): callers that
-// place one spec at many budgets hash it once. The instance must satisfy
+// key Resolve uses; a hit is a lookup. sig and key must be CanonicalKeys
+// of (chain, pl, opt): callers that place one spec at many budgets hash it
+// once. The instance must satisfy
 // HasFrontier. The path is PathMemo for a frontier read and PathFullDP or
 // PathIncremental when a solve ran. Resolve never builds a frontier.
 func (sc *SolveCache) ResolveBudget(chain *model.Chain, pl model.Platform, opt ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {

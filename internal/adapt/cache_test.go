@@ -43,13 +43,20 @@ func freshSolve(chain *model.Chain, pl model.Platform, opt ResolveOptions) (core
 	})
 }
 
+// resolve hashes (chain, pl, opt) and resolves it through sc, as the
+// controller does.
+func resolve(sc *SolveCache, chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, string, error) {
+	sig, key := CanonicalKeys(chain, pl, opt)
+	return sc.Resolve(chain, pl, opt, sig, key)
+}
+
 // TestSolveCacheMemoHit: the same canonical instance must return the
 // identical mapping without re-solving — the solve counters stay put and
 // the hit counter moves.
 func TestSolveCacheMemoHit(t *testing.T) {
 	sc := NewSolveCache()
 	chainA, pl := cacheChain(nil)
-	first, _, path, err := sc.Resolve(chainA, pl, cacheOpt)
+	first, path, err := resolve(sc, chainA, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +68,7 @@ func TestSolveCacheMemoHit(t *testing.T) {
 	// A freshly materialized but bit-identical chain: pointer differs,
 	// costs do not.
 	chainB, _ := cacheChain(nil)
-	second, _, path, err := sc.Resolve(chainB, pl, cacheOpt)
+	second, path, err := resolve(sc, chainB, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +101,12 @@ func TestSolveCacheMemoHit(t *testing.T) {
 func TestSolveCachePerturbationMisses(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
-	if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
 		t.Fatal(err)
 	}
 	// Perturb one task by 0.1% — tiny, but applied, so the hash must move.
 	pert, _ := cacheChain([]float64{1, 1.001, 1})
-	got, _, path, err := sc.Resolve(pert, pl, cacheOpt)
+	got, path, err := resolve(sc, pert, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +135,14 @@ func TestSolveCachePerturbationMisses(t *testing.T) {
 func TestSolveCacheNameInsensitive(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
-	if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
 		t.Fatal(err)
 	}
 	renamed, _ := cacheChain(nil)
 	for i := range renamed.Tasks {
 		renamed.Tasks[i].Name = "stage-" + string(rune('x'+i))
 	}
-	_, _, path, err := sc.Resolve(renamed, pl, cacheOpt)
+	_, path, err := resolve(sc, renamed, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +157,12 @@ func TestSolveCacheNameInsensitive(t *testing.T) {
 func TestSolveCacheStructuralInvalidation(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
-	if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
 		t.Fatal(err)
 	}
 	small := pl
 	small.Procs = 6
-	_, _, path, err := sc.Resolve(chain, small, cacheOpt)
+	_, path, err := resolve(sc, chain, small, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestSolveCacheStructuralInvalidation(t *testing.T) {
 	}
 	// And back: the old entries are gone, so this is a miss, not a stale
 	// hit against the 6-processor platform.
-	res, _, _, err := sc.Resolve(chain, pl, cacheOpt)
+	res, _, err := resolve(sc, chain, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +192,7 @@ func TestSolveCacheGreedyPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	chain, pl := testutil.RandChain(rng,
 		testutil.RandChainConfig{MinTasks: 4, MaxTasks: 4}, 96)
-	res, _, path, err := sc.Resolve(chain, pl, cacheOpt)
+	res, path, err := resolve(sc, chain, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +206,7 @@ func TestSolveCacheGreedyPath(t *testing.T) {
 	if !reflect.DeepEqual(res.Mapping.Modules, fresh.Mapping.Modules) || res.Throughput != fresh.Throughput {
 		t.Errorf("greedy path %v, fresh core.Map %v", &res.Mapping, &fresh.Mapping)
 	}
-	_, _, path, err = sc.Resolve(chain, pl, cacheOpt)
+	_, path, err = resolve(sc, chain, pl, cacheOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +235,7 @@ func TestSolveCacheRandomWalkMatchesFresh(t *testing.T) {
 				}
 			}
 			chain, pl := cacheChain(scale)
-			got, _, _, err := sc.Resolve(chain, pl, cacheOpt)
+			got, _, err := resolve(sc, chain, pl, cacheOpt)
 			fresh, freshErr := freshSolve(chain, pl, cacheOpt)
 			if (err == nil) != (freshErr == nil) {
 				t.Fatalf("seed %d step %d: error disagreement: cache=%v fresh=%v", seed, step, err, freshErr)
@@ -319,7 +326,7 @@ func TestSolveCacheConcurrent(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				which := rng.Intn(len(scales))
 				chain, pl := cacheChain(scales[which])
-				res, _, _, err := sc.Resolve(chain, pl, cacheOpt)
+				res, _, err := resolve(sc, chain, pl, cacheOpt)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -357,7 +364,7 @@ func TestSolveCachePublish(t *testing.T) {
 	}
 	chain, pl := cacheChain(nil)
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+		if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +395,7 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 	wantPaths := []string{PathFullDP, PathIncremental, PathIncremental, PathMemo}
 	for step, scale := range scales {
 		chain, pl := cacheChain(scale)
-		sig, key := CanonicalStructSig(chain, pl, cacheOpt), CanonicalSpecKey(chain, pl, cacheOpt)
+		sig, key := CanonicalKeys(chain, pl, cacheOpt)
 		for b := 1; b <= pl.Procs; b++ {
 			got, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b)
 			fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, cacheOpt)
@@ -418,20 +425,20 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 
 	// A Resolve at the cap hits the frontier's entry.
 	chain, pl := cacheChain(nil)
-	if _, _, path, err := sc.Resolve(chain, pl, cacheOpt); err != nil || path != PathMemo {
+	if _, path, err := resolve(sc, chain, pl, cacheOpt); err != nil || path != PathMemo {
 		t.Fatalf("Resolve after ResolveBudget: path %q err %v, want a memo hit", path, err)
 	}
 
 	// A Resolve entry carries no frontier: the first budget read re-scans
 	// the retained tables, and the next one is a hit.
 	sc = NewSolveCache()
-	if _, _, _, err := sc.Resolve(chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
 		t.Fatal(err)
 	}
-	if ent := sc.results[CanonicalSpecKey(chain, pl, cacheOpt)]; ent.frontier != nil {
+	if _, key := CanonicalKeys(chain, pl, cacheOpt); sc.results[key].frontier != nil {
 		t.Fatal("Resolve built a frontier")
 	}
-	sig, key := CanonicalStructSig(chain, pl, cacheOpt), CanonicalSpecKey(chain, pl, cacheOpt)
+	sig, key := CanonicalKeys(chain, pl, cacheOpt)
 	for i, want := range []string{PathIncremental, PathMemo} {
 		if _, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, 3); err != nil || path != want {
 			t.Fatalf("budget read %d after Resolve: path %q err %v, want %q", i, path, err, want)
@@ -450,7 +457,8 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 	if HasFrontier(chain, big) {
 		t.Error("HasFrontier true for an instance routed to greedy")
 	}
-	if _, _, err := sc.ResolveBudget(chain, big, cacheOpt, CanonicalStructSig(chain, big, cacheOpt), CanonicalSpecKey(chain, big, cacheOpt), 3); err == nil {
+	bigSig, bigKey := CanonicalKeys(chain, big, cacheOpt)
+	if _, _, err := sc.ResolveBudget(chain, big, cacheOpt, bigSig, bigKey, 3); err == nil {
 		t.Error("ResolveBudget served an instance routed to greedy")
 	}
 
@@ -461,7 +469,7 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 		t.Fatal("HasFrontier false for a DP-routed instance")
 	}
 	sc = NewSolveCache()
-	sig, key = CanonicalStructSig(chain, pl, noClust), CanonicalSpecKey(chain, pl, noClust)
+	sig, key = CanonicalKeys(chain, pl, noClust)
 	for b := 1; b <= pl.Procs; b++ {
 		got, _, err := sc.ResolveBudget(chain, pl, noClust, sig, key, b)
 		fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, noClust)

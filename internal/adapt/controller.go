@@ -116,7 +116,8 @@ type Decision struct {
 	// ChangedTasks is the number of task cost corrections applied this
 	// cycle (moves beyond the refit dead-band).
 	ChangedTasks int `json:"changedTasks"`
-	// ResolveSeconds is the measured decision latency of the re-solve.
+	// ResolveSeconds is the measured decision latency of the re-solve:
+	// the canonical hash and the cached solve behind it.
 	ResolveSeconds float64 `json:"resolveSeconds"`
 	// CurrentPredicted and CandidatePredicted are model throughputs under
 	// the refitted models: the current mapping at live replica counts, and
@@ -432,14 +433,18 @@ func (c *Controller) Step(o Observation) Decision {
 	// generation-start models.
 	chain := c.beliefChain()
 	c.cur.Chain = chain
-	cand, solveTime, path, err := c.cache.Resolve(chain, c.survivingLocked(), ResolveOptions{
+	resolveStart := time.Now()
+	pl := c.survivingLocked()
+	opt := ResolveOptions{
 		DisableReplication: c.cfg.DisableReplication,
 		DisableClustering:  c.cfg.DisableClustering,
 		Trace:              c.cfg.Trace,
 		Metrics:            c.cfg.Metrics,
-	})
+	}
+	sig, key := CanonicalKeys(chain, pl, opt)
+	cand, path, err := c.cache.Resolve(chain, pl, opt, sig, key)
 	d.SolvePath = path
-	d.ResolveSeconds = solveTime.Seconds()
+	d.ResolveSeconds = time.Since(resolveStart).Seconds()
 	c.cfg.Metrics.Histogram("adapt.resolve_seconds").Observe(d.ResolveSeconds)
 	c.cache.Publish(c.cfg.Metrics)
 	if err != nil {

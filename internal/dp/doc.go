@@ -22,6 +22,14 @@
 // recurrence, dominance pruning, incremental Resolve and per-budget
 // Frontier are the same for every span set.
 //
+// The tables hold each edge's external transfer cost only where a solve
+// reads it: between a count a module ending at the edge can hold (its
+// class in E, below) and a count a module starting there can hold. Under
+// maximal replication a replicable span of minimum m holds only m..2m-1,
+// so an edge keeps a few rows of P+1 instead of a (P+1)^2 square. CommGrid
+// enumerates those points with the code the tables use, and package adapt
+// samples exactly them for its canonical cache keys.
+//
 // The same Solver also minimizes latency, the sum of module response
 // times, under a period cap T: an unexported mode in which closing a
 // module adds its response f to the value and is allowed only when

@@ -3,6 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -53,9 +54,11 @@ var inf = math.Inf(1)
 // module [a', a) ending at the open module's start a = b-l, and maximal
 // replication maps most raw counts onto a handful of instance sizes. So
 // each layer indexes that axis by class — the position of peffPrev in E_a,
-// the ascending set of counts any feasible span [a', a) can hold,
-// derived once from the structural eff table. Only a non-replicable
-// module reaching many counts makes a class axis long.
+// the ascending set of counts any feasible span [a', a) can hold, which
+// newTables derives once with the transfer-cost grid (commGrid). Only a
+// non-replicable module reaching many counts makes a class axis long. The
+// transfer table shares the classes: a state of class c reads its input
+// edge at row c.
 //
 // Nor does a layer store the (pt, pcur) square. A state of layer (b, l)
 // holds pcur >= min = minP[b-l, b) and q = pt - pcur >= lowQ[b-l], the
@@ -114,12 +117,6 @@ type Solver struct {
 	val    []float64
 	choice []uint64
 	shape  []layerShape
-	// effVals[a] is E_a: the distinct per-instance counts, ascending, that
-	// a module ending at a can hold (E_0 = {0}: there is no previous
-	// module). effCls[a*stride+v] is the class of count v — its index in
-	// effVals[a] — or -1 when v is not in E_a.
-	effVals [][]int
-	effCls  []int32
 	// live[ord] lists the non-inf, non-dominated states of a layer, each
 	// (pt, pcur, class) packed by pack, in ascending (pt, pcur, peffPrev)
 	// order; rebuilt whenever the layer is recomputed, reused read-only
@@ -181,8 +178,9 @@ func unpack(w uint64) (x, y, z int) {
 
 // tables is the one cost tabulation every DP in this package reads: per
 // module span [a, b) of the chain, its minimum processors and, at every
-// raw processor count p, its replication split and execution time, plus
-// every edge's external transfer cost at effective endpoint counts. Span
+// raw processor count p, its replication split and execution time; the
+// per-instance counts a module ending at each task boundary can hold; and
+// every edge's external transfer cost at the points a solve reads. Span
 // [a, b) lives at index a*(k+1)+b; per-count entries at
 // (a*(k+1)+b)*(P+1)+p.
 //
@@ -200,9 +198,17 @@ type tables struct {
 	// execEff is the span's execution time at eff (+Inf where eff is 0):
 	// the only table an exec-cost update touches.
 	execEff []float64
-	// ecomV[(e*(P+1)+ps)*(P+1)+pr] is edge e's external transfer cost at
-	// effective endpoint counts (ps, pr).
-	ecomV []float64
+	// effVals[a] is E_a: the distinct per-instance counts, ascending, that
+	// a module ending at a can hold (E_0 = {0}: there is no previous
+	// module). effCls[a*stride+v] is the class of count v — its index in
+	// effVals[a] — or -1 when v is not in E_a.
+	effVals [][]int
+	effCls  []int32
+	// ecom[e] is edge e's external transfer cost on its read grid, one
+	// row of P+1 per class of E_{e+1}: ecom[e][c*stride+pr] is the cost
+	// from effVals[e+1][c] sending processors to pr receiving ones, filled
+	// at every pr in R_e (see commGrid) and never read elsewhere.
+	ecom [][]float64
 }
 
 // newTables validates the instance and tabulates the spans a module may
@@ -219,10 +225,7 @@ func newTables(c *model.Chain, pl model.Platform, opt Options, spans []model.Spa
 	}
 	k, P := c.Len(), pl.Procs
 	stride := P + 1
-	if spans == nil && opt.DisableClustering {
-		spans = model.Singletons(k)
-	}
-	var allowed []bool // nil: every span
+	var allowed []bool // nil: moduleSplit's default span set
 	if spans != nil {
 		allowed = make([]bool, k*(k+1))
 		for _, sp := range spans {
@@ -235,41 +238,136 @@ func newTables(c *model.Chain, pl model.Platform, opt Options, spans []model.Spa
 		eff:     make([]int32, k*(k+1)*stride),
 		rep:     make([]int32, k*(k+1)*stride),
 		execEff: make([]float64, k*(k+1)*stride),
-		ecomV:   make([]float64, (k-1)*stride*stride),
+		effVals: make([][]int, k),
+		effCls:  make([]int32, k*stride),
+		ecom:    make([][]float64, k-1),
 	}
 	fill(t.execEff, inf)
 	for a := 0; a < k; a++ {
 		for b := a + 1; b <= k; b++ {
 			span := a*(k+1) + b
-			min := c.ModuleMinProcs(a, b, pl.MemPerProc)
-			if min < 0 || min > P || (allowed != nil && !allowed[span]) {
-				// Not a module here; other clusterings may avoid the
-				// span, so mark rather than fail.
-				t.minP[span] = P + 1
-				continue
-			}
+			// Not a module here leaves minP = P+1; other clusterings may
+			// avoid the span, so mark rather than fail.
+			min, repl := moduleSplit(c, pl, opt, allowed, a, b)
 			t.minP[span] = min
-			repl := c.ModuleReplicable(a, b) && !opt.DisableReplication
-			for p := 0; p <= P; p++ {
+			for p := min; p <= P; p++ {
 				r := model.SplitReplicas(p, min, repl)
-				if r.Replicas == 0 {
-					continue
-				}
 				t.eff[span*stride+p] = int32(r.ProcsPerInstance)
 				t.rep[span*stride+p] = int32(r.Replicas)
 			}
 		}
 	}
-	for e := 0; e < k-1; e++ {
-		base := e * stride * stride
-		for ps := 1; ps <= P; ps++ {
-			for pr := 1; pr <= P; pr++ {
-				t.ecomV[base+ps*stride+pr] = c.ECom[e].Eval(ps, pr)
+	// E_0 = {0}: a first module has no previous one.
+	t.effVals[0] = []int{0}
+	commGrid(c, pl, opt, allowed, func(e int, send, recv []int) {
+		t.effVals[e+1] = slices.Clone(send)
+		f := c.ECom[e]
+		tab := make([]float64, len(send)*stride)
+		for cls, ps := range send {
+			row := tab[cls*stride : (cls+1)*stride]
+			for _, pr := range recv {
+				row[pr] = f.Eval(ps, pr)
 			}
+		}
+		t.ecom[e] = tab
+	})
+	for a, vals := range t.effVals {
+		cls := t.effCls[a*stride : (a+1)*stride]
+		for v := range cls {
+			cls[v] = -1
+		}
+		for i, v := range vals {
+			cls[v] = int32(i)
 		}
 	}
 	t.tabulateExecAll(c)
 	return t, nil
+}
+
+// moduleSplit returns the minimum processors of span [a, b) as a module
+// and whether maximal replication applies to it, or min = P+1 when the
+// span is not a module here: it does not fit the platform, or it lies
+// outside allowed (nil allows every span, or the singletons only under
+// opt.DisableClustering).
+func moduleSplit(c *model.Chain, pl model.Platform, opt Options, allowed []bool, a, b int) (min int, repl bool) {
+	k := c.Len()
+	if allowed != nil && !allowed[a*(k+1)+b] || allowed == nil && opt.DisableClustering && b > a+1 {
+		return pl.Procs + 1, false
+	}
+	min = c.ModuleMinProcs(a, b, pl.MemPerProc)
+	if min < 0 || min > pl.Procs {
+		return pl.Procs + 1, false
+	}
+	return min, c.ModuleReplicable(a, b) && !opt.DisableReplication
+}
+
+// CommGrid visits, edge by edge, every point at which a solve of (c, pl)
+// under opt reads an external transfer cost: edge e, between tasks e and
+// e+1, at every ps in send and every pr in recv. send is E_{e+1}, the
+// per-instance counts a module ending at task e+1 can hold, and recv is
+// R_e, the counts a module starting there can hold; both ascend, and both
+// are scratch that is valid only during the visit. A replicable span of
+// minimum m holds only m..2m-1, so an edge has a few points where the full
+// (ps, pr) square has P^2.
+//
+// The Solver tabulates ECom on exactly this grid, with the same code.
+// Every mapping it, greedy.Map or machine.FeasibleOptimal returns under
+// opt holds each module at one of these counts, so the mapping's
+// Throughput and Latency read the grid too. The grid depends only on c's
+// length, memory models, MinProcs and Replicable flags, on pl and on opt's
+// two switches: instances that agree on those and on ECom at these points
+// are solved identically. The chain must be valid.
+func CommGrid(c *model.Chain, pl model.Platform, opt Options, visit func(e int, send, recv []int)) {
+	commGrid(c, pl, opt, nil, visit)
+}
+
+// commGrid is CommGrid over the spans allowed admits (see moduleSplit). It
+// marks each module span's counts in two bitsets per task boundary, one
+// for modules ending there and one for modules starting there, in one
+// pass over the spans.
+func commGrid(c *model.Chain, pl model.Platform, opt Options, allowed []bool, visit func(e int, send, recv []int)) {
+	k, P := c.Len(), pl.Procs
+	if k < 2 || P < 1 {
+		return // no edge, or no module fits
+	}
+	words := P/64 + 1
+	// Boundary a (1 <= a < k) has its send bitset at (2a-2)*words and its
+	// recv bitset right after it.
+	sets := make([]uint64, 2*(k-1)*words)
+	for a := 0; a < k; a++ {
+		for b := a + 1; b <= k; b++ {
+			if a == 0 && b == k {
+				continue // the whole chain meets no boundary
+			}
+			min, repl := moduleSplit(c, pl, opt, allowed, a, b)
+			for p := min; p <= P; p++ {
+				v := model.SplitReplicas(p, min, repl).ProcsPerInstance
+				if b < k {
+					sets[(2*b-2)*words+v/64] |= 1 << (v % 64)
+				}
+				if a > 0 {
+					sets[(2*a-1)*words+v/64] |= 1 << (v % 64)
+				}
+			}
+		}
+	}
+	list := make([]int, 2*(P+1))
+	for e := 0; e < k-1; e++ {
+		send := appendCounts(list[:0], sets[2*e*words:(2*e+1)*words])
+		recv := appendCounts(list[len(send):len(send)], sets[(2*e+1)*words:(2*e+2)*words])
+		visit(e, send, recv)
+	}
+}
+
+// appendCounts appends the members of bitset set to dst, ascending.
+func appendCounts(dst []int, set []uint64) []int {
+	for w, word := range set {
+		for word != 0 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return dst
 }
 
 // spanExec evaluates the composed execution cost of span [a, b) at
@@ -334,40 +432,19 @@ func newSolver(c *model.Chain, pl model.Platform, opt Options, spans []model.Spa
 		tgts:    make([]int, 0, t.k),
 		mods:    make([]model.Module, 0, t.k),
 	}
-	s.classify()
+	s.layout()
 	s.seed()
 	return s, nil
 }
 
-// classify derives the peffPrev classes E_a from the structural eff table
-// and lays out the arena: layer (b, l) gets its triangle of reachable
+// layout lays out the arena: layer (b, l) gets its triangle of reachable
 // (q, pcur) cells times |E_{b-l}| classes. The arena is left zero: seed
 // writes every seed-layer cell and run(0) clears every other layer.
-func (s *Solver) classify() {
+func (s *Solver) layout() {
 	k, P, stride := s.k, s.P, s.stride
-	s.effVals = make([][]int, k)
-	s.effCls = make([]int32, k*stride)
-	seen := make([]bool, stride)
 	maxE := 0
-	for a := 0; a < k; a++ {
-		clear(seen)
-		for a2 := 0; a2 < a; a2++ {
-			base := (a2*(k+1) + a) * stride
-			for p := 0; p <= P; p++ {
-				seen[s.eff[base+p]] = true
-			}
-		}
-		// eff 0 marks a raw count a span cannot hold, so 0 is a class only
-		// at a = 0, where there is no previous module.
-		seen[0] = a == 0
-		for v, ok := range seen {
-			s.effCls[a*stride+v] = -1
-			if ok {
-				s.effCls[a*stride+v] = int32(len(s.effVals[a]))
-				s.effVals[a] = append(s.effVals[a], v)
-			}
-		}
-		maxE = max(maxE, len(s.effVals[a]))
+	for _, vals := range s.effVals {
+		maxE = max(maxE, len(vals))
 	}
 	// lowQ[a] is the fewest processors any feasible cover of [0, a) holds.
 	lowQ := make([]int, k)
@@ -481,18 +558,17 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 	tOrd := s.ord(b+l2, l2)
 	nE2 := len(s.effVals[b])
 	cls2 := s.effCls[b*stride:]
-	outTab := s.ecomV[(b-1)*stride*stride:]
+	outTab := s.ecom[b-1]
 	for l := 1; l <= b; l++ {
 		a := b - l
 		if s.minP[a*(k+1)+b] > P {
 			continue
 		}
 		ord := s.ord(b, l)
-		prev := s.effVals[a]
 		spanBase := (a*(k+1) + b) * stride
 		var inTab []float64
 		if a > 0 {
-			inTab = s.ecomV[(a-1)*stride*stride:]
+			inTab = s.ecom[a-1]
 		}
 		for _, st := range s.live[ord] {
 			pt, pcur, c := unpack(st)
@@ -510,12 +586,15 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			r := float64(s.rep[spanBase+pcur])
 			in := 0.0
 			if inTab != nil {
-				in = inTab[prev[c]*stride+e]
+				in = inTab[c*stride+e]
 			}
-			outRow := outTab[e*stride:]
+			// The open module sends over edge b-1 from e per instance: row
+			// cls2[e] of its table, and the target class.
+			c2 := int(cls2[e])
+			outRow := outTab[c2*stride:]
 			ch := pack(l, pcur, c)
 			// The targets (pt+p2, p2) all lie in row q = pt, nE2 apart.
-			ni := s.at(tOrd, pt+min2, min2, int(cls2[e]))
+			ni := s.at(tOrd, pt+min2, min2, c2)
 			if s.latency {
 				// f adds in model.Mapping.ResponseTimes' order: exec, in, out.
 				execIn := s.execEff[spanBase+pcur] + in
@@ -601,11 +680,10 @@ func (s *Solver) closeStates(visit func(l, pt, pcur, c int, v float64)) {
 			continue
 		}
 		ord := s.ord(k, l)
-		prev := s.effVals[a]
 		spanBase := (a*(k+1) + k) * stride
 		var inTab []float64
 		if a > 0 {
-			inTab = s.ecomV[(a-1)*stride*stride:]
+			inTab = s.ecom[a-1]
 		}
 		for _, st := range s.live[ord] {
 			pt, pcur, c := unpack(st)
@@ -616,7 +694,7 @@ func (s *Solver) closeStates(visit func(l, pt, pcur, c int, v float64)) {
 			v := s.val[s.at(ord, pt, pcur, c)]
 			in := 0.0
 			if inTab != nil {
-				in = inTab[prev[c]*stride+e]
+				in = inTab[c*stride+e]
 			}
 			if s.latency {
 				if f := s.execEff[spanBase+pcur] + in; f/float64(s.rep[spanBase+pcur]) <= s.periodCap {

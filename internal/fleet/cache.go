@@ -19,16 +19,16 @@ const familyCap = 256
 const gridMemoCap = 256
 
 // Cache is the fleet-level solve-once-place-many layer. It groups specs
-// into structural families keyed by adapt.CanonicalStructSig and delegates
-// each family to its own adapt.SolveCache, so two tenants alternating
-// structurally different specs never thrash one cache's invalidation path,
-// while N tenants submitting the identical spec share one memo entry and
-// one retained incremental solver. SolveBudget keys a family by the
-// structure at the spec's allocation cap and serves every allocation up
-// to the cap from one solve's per-budget frontier; Solve keys it by the
-// structure at the allocation itself. Machine-constrained (grid) solves,
-// which the SolveCache cannot express, are memoized separately keyed by
-// (canonical spec key, region dims).
+// into structural families keyed by the sig of adapt.CanonicalKeys and
+// delegates each family to its own adapt.SolveCache, so two tenants
+// alternating structurally different specs never thrash one cache's
+// invalidation path, while N tenants submitting the identical spec share
+// one memo entry and one retained incremental solver. SolveBudget keys a
+// family by the structure at the spec's allocation cap and serves every
+// allocation up to the cap from one solve's per-budget frontier; Solve
+// keys it by the structure at the allocation itself. Machine-constrained
+// (grid) solves, which the SolveCache cannot express, are memoized
+// separately keyed by (canonical spec key, region dims).
 //
 // A Cache is safe for concurrent use.
 type Cache struct {
@@ -135,20 +135,20 @@ func (c *Cache) family(sig uint64) *adapt.SolveCache {
 // routes through the family's incremental-DP warm path and memoizes the
 // result. The returned path is one of adapt.PathMemo, PathIncremental,
 // PathFullDP or PathGreedy, and the mapping is always a detached copy.
+// The spec is hashed once, for both its family and its memo key.
 func (c *Cache) Solve(chain *model.Chain, pl model.Platform, opt adapt.ResolveOptions) (core.Result, string, error) {
-	fam := c.family(adapt.CanonicalStructSig(chain, pl, opt))
-	res, _, path, err := fam.Resolve(chain, pl, opt)
-	return res, path, err
+	sig, key := adapt.CanonicalKeys(chain, pl, opt)
+	return c.family(sig).Resolve(chain, pl, opt, sig, key)
 }
 
 // SolveBudget maps a chain onto budget processors from the per-budget
 // frontier of the same chain solved at its allocation cap capPl, through
 // the family of the cap structure: every allocation of one spec shares one
 // DP solve, and a re-placement at another allocation is a memo lookup.
-// sig and key are adapt.CanonicalStructSig and adapt.CanonicalSpecKey of
-// (chain, capPl, opt), computed once by the caller; the instance must
-// satisfy adapt.HasFrontier. The result equals a fresh core.Map under Auto
-// on budget processors, and its mapping is a detached copy.
+// sig and key are adapt.CanonicalKeys of (chain, capPl, opt), computed
+// once by the caller; the instance must satisfy adapt.HasFrontier. The
+// result equals a fresh core.Map under Auto on budget processors, and its
+// mapping is a detached copy.
 func (c *Cache) SolveBudget(chain *model.Chain, capPl model.Platform, opt adapt.ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
 	return c.family(sig).ResolveBudget(chain, capPl, opt, sig, key, budget)
 }
@@ -165,7 +165,8 @@ const PathGridMemo = "grid-memo"
 // finds the best mapping feasible on the region (machine.FeasibleOptimal)
 // and memoizes it by (canonical spec key, region dims).
 func (c *Cache) SolveGrid(chain *model.Chain, pl model.Platform, opt adapt.ResolveOptions, g machine.Grid) (core.Result, string, error) {
-	key := gridKey{spec: adapt.CanonicalSpecKey(chain, pl, opt), rows: g.Rows, cols: g.Cols}
+	_, spec := adapt.CanonicalKeys(chain, pl, opt)
+	key := gridKey{spec: spec, rows: g.Rows, cols: g.Cols}
 	c.mu.Lock()
 	if ent, ok := c.gridMemo[key]; ok {
 		c.gridHits++

@@ -13,12 +13,14 @@
 // each of which re-packs the pool and re-places only the pipelines whose
 // allocation actually changed. Unchanged pipelines keep their mapping
 // without touching the cache. Admission hashes each spec once, at its
-// allocation cap, and its family's adapt.SolveCache solves it there once:
-// that DP table holds the optimum at every smaller budget too, so every
-// re-placement reads the new allocation's mapping from the memoized
-// per-budget frontier, with no hashing and no solve. That holds with
-// clustering off too. Specs routed to greedy at the cap have no frontier
-// and solve per allocation through the same caches.
+// allocation cap: one adapt.CanonicalKeys pass names both its family and
+// its memo key, sampling each cost only where a solver reads it. Its
+// family's adapt.SolveCache solves it there once: that DP table holds the
+// optimum at every smaller budget too, so every re-placement reads the
+// new allocation's mapping from the memoized per-budget frontier, with no
+// hashing and no solve. That holds with clustering off too. Specs routed
+// to greedy at the cap have no frontier and solve per allocation through
+// the same caches, hashed once per solve.
 //
 // # Packing policy (normative)
 //

@@ -268,12 +268,12 @@ func (f *Fleet) Admit(s Spec) (Placement, error) {
 	}
 
 	capPl := model.Platform{Procs: capProcs, MemPerProc: f.cfg.Pool.MemPerProc}
+	sig, key := adapt.CanonicalKeys(s.Chain, capPl, f.cfg.Solve)
 	f.nextID++
 	cand := &pipeline{
 		id: f.nextID, tenant: s.Tenant, chain: s.Chain,
 		priority: pri, min: min, cap: capProcs,
-		sig:      adapt.CanonicalStructSig(s.Chain, capPl, f.cfg.Solve),
-		key:      adapt.CanonicalSpecKey(s.Chain, capPl, f.cfg.Solve),
+		sig: sig, key: key,
 		frontier: adapt.HasFrontier(s.Chain, capPl),
 	}
 	// Mutation-free pre-check: run the partition with the candidate

@@ -83,7 +83,7 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 
 		// The same spec placed below its cap, from the cap's frontier.
 		alloc := 1 + rng.Intn(pl.Procs)
-		sig, key := adapt.CanonicalStructSig(chain, pl, opt), adapt.CanonicalSpecKey(chain, pl, opt)
+		sig, key := adapt.CanonicalKeys(chain, pl, opt)
 		freshAt, freshAtErr := freshSolve(chain, model.Platform{Procs: alloc}, opt)
 		for i, wantPath := range []string{"", adapt.PathMemo} {
 			got, path, err := cache.SolveBudget(chain, pl, opt, sig, key, alloc)
