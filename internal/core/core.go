@@ -27,7 +27,10 @@ type Algorithm int
 const (
 	// Auto uses dynamic programming when the instance is small enough for
 	// the O(P^4 k^2) cost to be negligible and the greedy heuristic
-	// otherwise.
+	// otherwise. The estimate prices the whole table; a cold DP solve
+	// (dp.MapChain) skips the states above its incumbent and often fills
+	// far less of it, while the retained solvers of package adapt fill it
+	// all.
 	Auto Algorithm = iota
 	// DP is the provably optimal dynamic programming algorithm.
 	DP

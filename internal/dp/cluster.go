@@ -29,19 +29,25 @@ type Options struct {
 // O(P^4 k^3) and memory O(P^3 k^2) in the worst case (the paper reports
 // O(P^4 k^2); the extra factor of k comes from carrying the span of the
 // open module explicitly, which keeps the recurrence direct). Practical
-// for k <= 8 on P <= 64; use the greedy heuristic beyond that.
+// for k <= 8 on P <= 64; use the greedy heuristic beyond that. The solve
+// is capped by its incumbent (see Solver), which skips the states already
+// slower than a complete mapping it holds and returns exactly the
+// mapping an uncapped NewSolver's Solve returns.
 func MapChain(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, error) {
 	return solveOnce(c, pl, opt, nil)
 }
 
 // solveOnce solves a fresh solver restricted to spans (nil: newSolver's
 // default) and detaches the mapping from the solver's scratch, so the
-// solver and its arenas can be collected.
+// solver and its arenas can be collected. Nothing reads the tables again,
+// so the solve is capped by its incumbent ("Capped cold solves" on
+// Solver).
 func solveOnce(c *model.Chain, pl model.Platform, opt Options, spans []model.Span) (model.Mapping, error) {
 	s, err := newSolver(c, pl, opt, spans)
 	if err != nil {
 		return model.Mapping{}, err
 	}
+	s.capped = true
 	m, err := s.Solve()
 	if err != nil {
 		return model.Mapping{}, err
@@ -75,7 +81,8 @@ func MapExhaustive(c *model.Chain, pl model.Platform, opt Options) (model.Mappin
 
 // AssignClustered solves optimal processor assignment (with replication
 // unless disabled) for a fixed clustering: the Solver with its modules
-// restricted to the clustering's spans.
+// restricted to the clustering's spans, capped by its incumbent as
+// MapChain's solve is.
 func AssignClustered(c *model.Chain, pl model.Platform, spans []model.Span, opt Options) (model.Mapping, error) {
 	if !model.ValidClustering(spans, c.Len()) {
 		return model.Mapping{}, fmt.Errorf("dp: invalid clustering %v for %d tasks", spans, c.Len())

@@ -30,6 +30,16 @@
 // enumerates those points with the code the tables use, and package adapt
 // samples exactly them for its canonical cache keys.
 //
+// A solve whose Solver is dropped afterwards, MapChain's or
+// AssignClustered's, is capped by its incumbent: the least period of the
+// complete mappings its finished close layers hold. The period is a
+// bottleneck, so a state whose value or open-module partial response is
+// already above the incumbent cannot lead to a better mapping, and the
+// solve skips it. A strict comparison keeps every tie, so the mapping is
+// the uncapped solve's to the bit; on ffthist256 the cap skips nine
+// transitions in ten. NewSolver's solvers stay uncapped, because
+// Frontier and Resolve read states above any one solve's optimum.
+//
 // The same Solver also minimizes latency, the sum of module response
 // times, under a period cap T: an unexported mode in which closing a
 // module adds its response f to the value and is allowed only when

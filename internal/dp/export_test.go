@@ -3,10 +3,12 @@ package dp
 import "pipemap/internal/model"
 
 // The external tests, which load the committed specs through the core
-// package's parser, reach the reference check and its option sets here.
+// package's parser, reach the reference and capped-solve checks and their
+// option sets here.
 var (
-	CheckAgainstReference = checkAgainstReference
-	ReferenceOptions      = referenceOptions
+	CheckAgainstReference  = checkAgainstReference
+	CheckCappedMatchesFull = checkCappedMatchesFull
+	ReferenceOptions       = referenceOptions
 )
 
 // TransferTableLen tabulates (c, pl) under opt and returns how many floats

@@ -88,6 +88,27 @@ var inf = math.Inf(1)
 // a pure function of the table and the incremental recompute reproduces
 // it bit-exactly.
 //
+// # Capped cold solves
+//
+// The period is a bottleneck: a state's value never decreases along a
+// path, and neither does the open module's partial response (in+exec)/r,
+// to which a transition only adds the output transfer. So once some
+// complete mapping of period I is known, no state whose value or partial
+// exceeds I lies on a path to a mapping better than I. A capped solver
+// (solveOnce: MapChain and AssignClustered, which read one optimum and
+// drop the tables) keeps that incumbent I: the least close value of the
+// seed close layer (k, k) before pass 1, lowered by close layer (k, k-b)
+// after pass b. It changes only between passes, so the parallel targets
+// read a constant, and target skips, before counting it, every source
+// state above it. The skip is exact to the bit: I is the period of a real
+// mapping, so at least the optimum, and a strict > keeps every state at
+// or below the optimum, so each such state holds the value, choice and
+// dominance fate of the uncapped table, and scan picks the same winner
+// and follows the same choices. The states above I differ, so a capped
+// solver's tables answer no other budget and no other costs: NewSolver's
+// solvers, which Frontier and Resolve read, and the latency mode, whose
+// sum the incumbent does not bound, stay uncapped.
+//
 // # Allocation discipline
 //
 // All tables, layer arenas and live-state lists are allocated at
@@ -138,6 +159,14 @@ type Solver struct {
 	// Only latencySolve sets it, so such a Solver never leaves the package.
 	latency   bool
 	periodCap float64
+
+	// capped marks a solver that answers one Solve and is dropped
+	// (solveOnce): run keeps incumbent, the least close value of the close
+	// layers completed so far, and target skips every source state above
+	// it. Every other solver keeps incumbent at +Inf; see "Capped cold
+	// solves" above.
+	capped    bool
+	incumbent float64
 }
 
 // SolveCount returns the number of completed Solve/Resolve runs on this
@@ -322,9 +351,9 @@ func CommGrid(c *model.Chain, pl model.Platform, opt Options, visit func(e int, 
 }
 
 // commGrid is CommGrid over the spans allowed admits (see moduleSplit). It
-// marks each module span's counts in two bitsets per task boundary, one
-// for modules ending there and one for modules starting there, in one
-// pass over the spans.
+// marks each module span's counts, one range (see maxInstance), in two
+// bitsets per task boundary, one for modules ending there and one for
+// modules starting there, in one pass over the spans.
 func commGrid(c *model.Chain, pl model.Platform, opt Options, allowed []bool, visit func(e int, send, recv []int)) {
 	k, P := c.Len(), pl.Procs
 	if k < 2 || P < 1 {
@@ -340,14 +369,15 @@ func commGrid(c *model.Chain, pl model.Platform, opt Options, allowed []bool, vi
 				continue // the whole chain meets no boundary
 			}
 			min, repl := moduleSplit(c, pl, opt, allowed, a, b)
-			for p := min; p <= P; p++ {
-				v := model.SplitReplicas(p, min, repl).ProcsPerInstance
-				if b < k {
-					sets[(2*b-2)*words+v/64] |= 1 << (v % 64)
-				}
-				if a > 0 {
-					sets[(2*a-1)*words+v/64] |= 1 << (v % 64)
-				}
+			if min > P {
+				continue
+			}
+			hi := maxInstance(min, P, repl)
+			if b < k {
+				setRange(sets[(2*b-2)*words:], min, hi)
+			}
+			if a > 0 {
+				setRange(sets[(2*a-1)*words:], min, hi)
 			}
 		}
 	}
@@ -356,6 +386,32 @@ func commGrid(c *model.Chain, pl model.Platform, opt Options, allowed []bool, vi
 		send := appendCounts(list[:0], sets[2*e*words:(2*e+1)*words])
 		recv := appendCounts(list[len(send):len(send)], sets[(2*e+1)*words:(2*e+2)*words])
 		visit(e, send, recv)
+	}
+}
+
+// maxInstance is the largest per-instance count a module of minimum m
+// holds on up to P processors; it holds every count from m to there, and
+// no other. Under maximal replication p raw processors run r = p/m
+// instances of p/r each, and m <= p/r <= 2m-1: each count of that range is
+// held at r = 1. Without replication a module holds its raw count, up to P.
+func maxInstance(m, P int, repl bool) int {
+	if repl {
+		return min(2*m-1, P)
+	}
+	return P
+}
+
+// setRange sets bits lo..hi of bitset set.
+func setRange(set []uint64, lo, hi int) {
+	for w := lo / 64; w <= hi/64; w++ {
+		mask := ^uint64(0)
+		if w == lo/64 {
+			mask &= ^uint64(0) << (lo % 64)
+		}
+		if w == hi/64 {
+			mask &= ^uint64(0) >> (63 - hi%64)
+		}
+		set[w] |= mask
 	}
 }
 
@@ -428,9 +484,10 @@ func newSolver(c *model.Chain, pl model.Platform, opt Options, spans []model.Spa
 	s := &Solver{
 		tables: t,
 		pl:     pl, opt: opt, chain: c,
-		changed: make([]bool, t.k),
-		tgts:    make([]int, 0, t.k),
-		mods:    make([]model.Module, 0, t.k),
+		incumbent: inf,
+		changed:   make([]bool, t.k),
+		tgts:      make([]int, 0, t.k),
+		mods:      make([]model.Module, 0, t.k),
 	}
 	s.layout()
 	s.seed()
@@ -559,6 +616,7 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 	nE2 := len(s.effVals[b])
 	cls2 := s.effCls[b*stride:]
 	outTab := s.ecom[b-1]
+	inc := s.incumbent
 	for l := 1; l <= b; l++ {
 		a := b - l
 		if s.minP[a*(k+1)+b] > P {
@@ -576,18 +634,22 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			if e == 0 {
 				continue
 			}
-			nStates++
-			n := P - pt - min2 + 1
-			if n <= 0 {
-				continue
-			}
-			nTrans += int64(n)
 			v := s.val[s.at(ord, pt, pcur, c)]
 			r := float64(s.rep[spanBase+pcur])
 			in := 0.0
 			if inTab != nil {
 				in = inTab[c*stride+e]
 			}
+			partial := (in + s.execEff[spanBase+pcur]) / r
+			if v > inc || partial > inc {
+				continue // every target of this state is above the incumbent
+			}
+			nStates++
+			n := P - pt - min2 + 1
+			if n <= 0 {
+				continue
+			}
+			nTrans += int64(n)
 			// The open module sends over edge b-1 from e per instance: row
 			// cls2[e] of its table, and the target class.
 			c2 := int(cls2[e])
@@ -608,7 +670,6 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 				}
 				continue
 			}
-			partial := (in + s.execEff[spanBase+pcur]) / r
 			for p2 := min2; p2 <= P-pt; p2++ {
 				resp := partial + outRow[int(eff2[p2])]/r
 				nv := v
@@ -669,45 +730,51 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 }
 
 // closeStates visits the live states of the close layers (k, l) in
-// expansion order — l ascending, then live order — each with its value
-// once the open module [k-l, k) is charged without an output edge. In
-// latency mode a state whose last module exceeds the cap is skipped.
+// expansion order — l ascending, then live order — as closeLayer does.
 func (s *Solver) closeStates(visit func(l, pt, pcur, c int, v float64)) {
-	k, P, stride := s.k, s.P, s.stride
-	for l := 1; l <= k; l++ {
-		a := k - l
-		if s.minP[a*(k+1)+k] > P {
+	for l := 1; l <= s.k; l++ {
+		s.closeLayer(l, visit)
+	}
+}
+
+// closeLayer visits the live states of close layer (k, l) in live order,
+// each with its value once the open module [k-l, k) is charged without an
+// output edge. In latency mode a state whose last module exceeds the cap
+// is skipped.
+func (s *Solver) closeLayer(l int, visit func(l, pt, pcur, c int, v float64)) {
+	k, stride := s.k, s.stride
+	a := k - l
+	if s.minP[a*(k+1)+k] > s.P {
+		return
+	}
+	ord := s.ord(k, l)
+	spanBase := (a*(k+1) + k) * stride
+	var inTab []float64
+	if a > 0 {
+		inTab = s.ecom[a-1]
+	}
+	for _, st := range s.live[ord] {
+		pt, pcur, c := unpack(st)
+		e := int(s.eff[spanBase+pcur])
+		if e == 0 {
 			continue
 		}
-		ord := s.ord(k, l)
-		spanBase := (a*(k+1) + k) * stride
-		var inTab []float64
-		if a > 0 {
-			inTab = s.ecom[a-1]
+		v := s.val[s.at(ord, pt, pcur, c)]
+		in := 0.0
+		if inTab != nil {
+			in = inTab[c*stride+e]
 		}
-		for _, st := range s.live[ord] {
-			pt, pcur, c := unpack(st)
-			e := int(s.eff[spanBase+pcur])
-			if e == 0 {
-				continue
+		if s.latency {
+			if f := s.execEff[spanBase+pcur] + in; f/float64(s.rep[spanBase+pcur]) <= s.periodCap {
+				visit(l, pt, pcur, c, v+f)
 			}
-			v := s.val[s.at(ord, pt, pcur, c)]
-			in := 0.0
-			if inTab != nil {
-				in = inTab[c*stride+e]
-			}
-			if s.latency {
-				if f := s.execEff[spanBase+pcur] + in; f/float64(s.rep[spanBase+pcur]) <= s.periodCap {
-					visit(l, pt, pcur, c, v+f)
-				}
-				continue
-			}
-			resp := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
-			if resp > v {
-				v = resp
-			}
-			visit(l, pt, pcur, c, v)
+			continue
 		}
+		resp := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
+		if resp > v {
+			v = resp
+		}
+		visit(l, pt, pcur, c, v)
 	}
 }
 
@@ -777,6 +844,13 @@ func (s *Solver) run(m int, par bool, ins instrument) (model.Mapping, error) {
 		}
 	}
 	for b := m + 1; b < s.k; b++ {
+		if s.capped {
+			// Close layer (k, k-b+1), whose last module starts at b-1, is
+			// complete: seed wrote it for b = 1, pass b-1 otherwise.
+			s.closeLayer(s.k-b+1, func(_, _, _, _ int, v float64) {
+				s.incumbent = min(s.incumbent, v)
+			})
+		}
 		s.pass(b, par, ins)
 	}
 	mapping, err := s.scan()

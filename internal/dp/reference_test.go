@@ -158,7 +158,8 @@ func solverPeriod(m model.Mapping) float64 {
 }
 
 // checkAgainstReference solves c on a fresh Solver, checks the answer
-// with checkSolution and returns the solver.
+// with checkSolution, checks MapChain's capped solve against the same
+// reference period and returns the solver.
 func checkAgainstReference(t *testing.T, what string, c *model.Chain, pl model.Platform, opt Options) *Solver {
 	t.Helper()
 	s, err := NewSolver(c, pl, opt)
@@ -166,22 +167,30 @@ func checkAgainstReference(t *testing.T, what string, c *model.Chain, pl model.P
 		t.Fatalf("%s: NewSolver: %v", what, err)
 	}
 	m, err := s.Solve()
-	checkSolution(t, what, s, m, err, c, pl, opt)
+	ref := checkSolution(t, what, s, m, err, c, pl, opt)[pl.Procs]
+	m, err = MapChain(c, pl, opt)
+	if (err != nil) != (ref == inf) {
+		t.Fatalf("%s: MapChain err=%v, reference period %v", what, err, ref)
+	}
+	if err == nil && solverPeriod(m) != ref {
+		t.Fatalf("%s: MapChain period %v, reference %v\nmapping: %v", what, solverPeriod(m), ref, &m)
+	}
 	return s
 }
 
 // checkSolution asserts that m (with error err), the answer of s's last
 // Solve or Resolve on chain c, and s's Frontier at every budget have the
 // plain recurrence's period to the last bit, and that the budgets the
-// reference cannot map are exactly the ones the Solver leaves empty.
-func checkSolution(t *testing.T, what string, s *Solver, m model.Mapping, err error, c *model.Chain, pl model.Platform, opt Options) {
+// reference cannot map are exactly the ones the Solver leaves empty. It
+// returns the reference periods.
+func checkSolution(t *testing.T, what string, s *Solver, m model.Mapping, err error, c *model.Chain, pl model.Platform, opt Options) []float64 {
 	t.Helper()
 	ref := referencePeriods(c, pl, opt)
 	if (err != nil) != (ref[pl.Procs] == inf) {
 		t.Fatalf("%s: Solve err=%v, reference period %v", what, err, ref[pl.Procs])
 	}
 	if err != nil {
-		return
+		return ref
 	}
 	if got := solverPeriod(m); got != ref[pl.Procs] {
 		t.Fatalf("%s: Solve period %v, reference %v\nmapping: %v", what, got, ref[pl.Procs], &m)
@@ -204,6 +213,7 @@ func checkSolution(t *testing.T, what string, s *Solver, m model.Mapping, err er
 			t.Fatalf("%s budget %d: frontier period %v, reference %v\nmapping: %v", what, b, got, ref[b], &fm)
 		}
 	}
+	return ref
 }
 
 // referenceOptions are the three option sets the reference checks run

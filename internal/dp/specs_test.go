@@ -9,7 +9,11 @@ import (
 	"pipemap/internal/core"
 	"pipemap/internal/dp"
 	"pipemap/internal/model"
+	"pipemap/internal/obs/live"
 )
+
+// specNames are the committed chain specs under specs/.
+var specNames = []string{"radar64", "ffthist256", "stereo128", "threestage"}
 
 // loadSpec parses the committed spec specs/name.json.
 func loadSpec(t *testing.T, name string) (*model.Chain, model.Platform) {
@@ -33,7 +37,7 @@ func TestSolverMatchesReferenceOnSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the dense reference tables take tens of MB at P=64")
 	}
-	for _, name := range []string{"radar64", "ffthist256", "stereo128", "threestage"} {
+	for _, name := range specNames {
 		c, pl := loadSpec(t, name)
 		pl.Procs = 64
 		for i, opt := range dp.ReferenceOptions {
@@ -71,6 +75,70 @@ func TestTransferTableSize(t *testing.T) {
 			if got != want[i]*(P+1) {
 				t.Errorf("%s P=%d: transfer table holds %d floats, want %d x %d", name, P, got, want[i], P+1)
 			}
+		}
+	}
+}
+
+// TestCappedSolveMatchesFullOnSpecs checks the capped cold solves against
+// the uncapped Solver on the four committed specs at P = 16, 32, 64 and
+// 128 (not under -short), under the three option sets: MapChain, and
+// AssignClustered on every clustering.
+func TestCappedSolveMatchesFullOnSpecs(t *testing.T) {
+	for _, name := range specNames {
+		c, pl := loadSpec(t, name)
+		for _, P := range []int{16, 32, 64, 128} {
+			if P == 128 && testing.Short() {
+				continue
+			}
+			pl.Procs = P
+			for i, opt := range dp.ReferenceOptions {
+				what := fmt.Sprintf("%s P=%d options %d", name, P, i)
+				dp.CheckCappedMatchesFull(t, what, c, pl, opt, nil)
+				for _, spans := range model.AllClusterings(c.Len()) {
+					dp.CheckCappedMatchesFull(t, what, c, pl, opt, spans)
+				}
+			}
+		}
+	}
+}
+
+// TestCappedSolveSkipsWork checks that the cap saves work, which no
+// identity test sees: an incumbent never lowered from +Inf returns the
+// same mappings. MapChain's solve counts the source states it expands and
+// their transitions, and skips the states above its incumbent before
+// counting them. On ffthist256 at P=64 the optimum closes in the first
+// pass, so the capped solve makes at most a quarter of the uncapped
+// solve's transitions; on radar64 few states lie above it, and the capped
+// solve still makes no more.
+func TestCappedSolveSkipsWork(t *testing.T) {
+	work := func(reg *live.Registry) (states, transitions int64) {
+		return reg.Counter("dp.map_chain.states").Total(), reg.Counter("dp.map_chain.transitions").Total()
+	}
+	for _, tc := range []struct {
+		name string
+		div  int64 // capped transitions * div <= uncapped transitions
+	}{{"ffthist256", 4}, {"radar64", 1}} {
+		c, pl := loadSpec(t, tc.name)
+		pl.Procs = 64
+		capped, full := live.NewRegistry(live.Options{}), live.NewRegistry(live.Options{})
+		if _, err := dp.MapChain(c, pl, dp.Options{Metrics: capped}); err != nil {
+			t.Fatal(err)
+		}
+		s, err := dp.NewSolver(c, pl, dp.Options{Metrics: full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		cs, ct := work(capped)
+		fs, ft := work(full)
+		t.Logf("%s: capped %d states, %d transitions; uncapped %d states, %d transitions", tc.name, cs, ct, fs, ft)
+		if ct == 0 || ct*tc.div > ft {
+			t.Errorf("%s: capped solve made %d transitions, want at most 1/%d of the uncapped %d", tc.name, ct, tc.div, ft)
+		}
+		if cs > fs {
+			t.Errorf("%s: capped solve expanded %d states, uncapped %d", tc.name, cs, fs)
 		}
 	}
 }

@@ -16,7 +16,10 @@ type CostFunc interface {
 
 // CommFunc is the time, in seconds, to transfer one data set between two
 // tasks mapped to disjoint processor sets, as a function of the number of
-// processors assigned to the sending and the receiving task.
+// processors assigned to the sending and the receiving task. As for
+// CostFunc, implementations must return non-negative values for counts
+// >= 1: the DP's capped cold solve relies on a transfer never lowering a
+// module's response.
 type CommFunc interface {
 	Eval(psend, precv int) float64
 }
