@@ -35,7 +35,7 @@ func run(argv []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrun", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_solver.json", "output path for the JSON report (empty = stdout only)")
 	gate := fs.String("gate", "", "baseline BENCH_solver.json to gate against: fail when a spec's adapt decision latency, cold DP solve time or fleet rebalance latency, or a served app's kernel time per data set, regresses more than 2x (with a 0.5ms absolute floor)")
-	quick := fs.Bool("quick", false, "reduced-size run for CI (fewer data sets and repetitions)")
+	quick := fs.Bool("quick", false, "reduced-size run for CI (fewer data sets, faster emulation)")
 	runs := fs.Int("runs", 0, "timing repetitions per solver (0 = default)")
 	datasets := fs.Int("datasets", 0, "data sets streamed through the runtime (0 = default)")
 	speedup := fs.Float64("speedup", 0, "runtime time compression (0 = default)")
@@ -50,9 +50,8 @@ func run(argv []string, stdout io.Writer) error {
 	}
 	opt := bench.PerfOptions{Runs: *runs, DataSets: *datasets, Speedup: *speedup}
 	if *quick {
-		if opt.Runs == 0 {
-			opt.Runs = 2
-		}
+		// Quick runs time the same three repetitions as full runs, so the
+		// gate compares a median with the baseline's median.
 		if opt.DataSets == 0 {
 			opt.DataSets = 80
 		}

@@ -16,14 +16,15 @@ import (
 )
 
 // twoStageChain is a two-task chain whose tasks cost aC2/p and bC2/p on an
-// 8-processor platform.
+// 8-processor platform. Clustering them costs a whole second of internal
+// redistribution, so every mapping worth solving for keeps two modules.
 func twoStageChain(aC2, bC2 float64) (*model.Chain, model.Platform) {
 	chain := &model.Chain{
 		Tasks: []model.Task{
 			{Name: "a", Exec: model.PolyExec{C2: aC2}},
 			{Name: "b", Exec: model.PolyExec{C2: bC2}},
 		},
-		ICom: []model.CostFunc{model.ZeroExec()},
+		ICom: []model.CostFunc{model.PolyExec{C1: 1}},
 		ECom: []model.CommFunc{model.ZeroComm()},
 	}
 	return chain, model.Platform{Procs: 8, MemPerProc: 1}
@@ -60,9 +61,7 @@ func newWrongCostRig(t *testing.T) *loopRig {
 	truth, _ := twoStageChain(1, 8)
 	const speedup = 400.0
 
-	res, err := core.Map(core.Request{
-		Chain: believed, Platform: pl, Algorithm: core.DP, DisableClustering: true,
-	})
+	res, err := core.Map(core.Request{Chain: believed, Platform: pl, Algorithm: core.DP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func newWrongCostRig(t *testing.T) *loopRig {
 	}
 	ctrl, err := adapt.NewController(adapt.Config{
 		Chain: believed, Platform: pl, Initial: res.Mapping,
-		Threshold: 0.2, TimeScale: speedup, DisableClustering: true,
+		Threshold: 0.2, TimeScale: speedup,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,8 +82,9 @@ type feedStats struct {
 	// completed and failed count the data sets that came back with and
 	// without a result (a shed counts as failed).
 	completed, failed int
-	// throughput is measured as fxrt's batch runs measure it: the
-	// completions after the first n/5, over their window.
+	// throughput is measured as fxrt's batch runs measure it
+	// (fxrt.WindowThroughput): the least-squares slope of the completions
+	// after the first n/5.
 	throughput float64
 }
 
@@ -91,13 +92,13 @@ type feedStats struct {
 // submitters and returns once every submission has its outcome, or ctx
 // ends.
 func feed(ctx context.Context, plane *ingest.Plane, n, workers int) feedStats {
-	warmup := n / 5
 	var (
-		next                   atomic.Int64
-		wg                     sync.WaitGroup
-		mu                     sync.Mutex
-		st                     feedStats
-		windowStart, windowEnd time.Time
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		st    feedStats
+		done  = make([]time.Duration, 0, n) // completion times since start
+		start = time.Now()
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -109,25 +110,20 @@ func feed(ctx context.Context, plane *ingest.Plane, n, workers int) feedStats {
 					return
 				}
 				out, err := plane.Submit(ctx, "", i, 0)
-				now := time.Now()
 				mu.Lock()
 				if err != nil || out.Err != nil {
 					st.failed++
 				} else {
 					st.completed++
-					windowEnd = now
-					if st.completed == warmup+1 {
-						windowStart = now
-					}
+					// Read under the lock, so done stays ascending.
+					done = append(done, time.Since(start))
 				}
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if window := windowEnd.Sub(windowStart); st.completed > warmup+1 && window > 0 {
-		st.throughput = float64(st.completed-warmup-1) / window.Seconds()
-	}
+	st.throughput = fxrt.WindowThroughput(done, n/5)
 	return st
 }
 

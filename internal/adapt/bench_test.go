@@ -27,7 +27,7 @@ func BenchmarkCanonicalKeys(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/P=%d", name, P), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					CanonicalKeys(c, pl, ResolveOptions{})
+					CanonicalKeys(c, pl)
 				}
 			})
 		}

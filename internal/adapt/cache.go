@@ -12,7 +12,7 @@ import (
 	"pipemap/internal/obs/live"
 )
 
-// Solve paths reported by SolveCache.Resolve: how the answer was obtained,
+// Solve paths reported by SolveCache.Solve: how the answer was obtained,
 // in decreasing order of cheapness.
 const (
 	// PathMemo returned a memoized result without touching a solver.
@@ -27,16 +27,6 @@ const (
 	PathGreedy = "greedy"
 )
 
-// ResolveOptions carries the solver knobs of one cached re-solve.
-type ResolveOptions struct {
-	// DisableReplication and DisableClustering are forwarded to the solver.
-	DisableReplication bool
-	DisableClustering  bool
-	// Trace and Metrics receive solver spans and counters; nil disables.
-	Trace   *obs.Tracer
-	Metrics *live.Registry
-}
-
 // memoCap bounds the memoized-results map; oldest entries are evicted
 // first. Adaptive controllers oscillate between a handful of cost states
 // (hysteresis, rollback, cooldown), so a small cache captures nearly all
@@ -44,17 +34,19 @@ type ResolveOptions struct {
 const memoCap = 64
 
 // SolveCache is the cross-step memoization layer between the adaptive
-// controller and the solvers. Results are keyed by CanonicalKeys, a
-// canonical hash of the instance — every cost function sampled at exactly
-// the integer points the solvers evaluate, plus the platform, solver
-// options, and the algorithm core.AutoAlgorithm picks — so two ticks with
-// bit-identical costs hit the cache no matter how the chain was
-// materialized (task names never enter the hash). On a miss with an
-// unchanged structure, the cache diffs the per-task execution hashes
-// against the previous tick to recover the exact changed-task set and
-// routes it to the retained incremental DP solver; only structural
-// changes (platform size, memory models, edge costs, options) force a
-// full rebuild.
+// controller (or a fleet family) and the solvers. An instance is keyed at
+// its cap, the largest platform it is ever placed on, by CanonicalKeys, a
+// canonical hash of every cost function sampled at exactly the integer
+// points the solvers evaluate, plus the platform and the algorithm
+// core.AutoAlgorithm picks at the cap; two requests with bit-identical
+// costs hit the cache no matter how the chain was materialized (task
+// names never enter the hash). Solve reads any budget up to the cap: a cap
+// routed to DP is solved once and every smaller budget is read from that
+// table's per-budget frontier. On a miss with an unchanged structure, the
+// cache diffs the per-task execution hashes against the previous solve to
+// recover the exact changed-task set and routes it to the retained
+// incremental DP solver; only structural changes (cap size, memory
+// models, edge costs) force a full rebuild.
 //
 // The canonical hash samples Exec and ICom at p = 1..P and ECom on
 // dp.CommGrid's points: per edge, every count a module ending there can
@@ -70,11 +62,22 @@ type SolveCache struct {
 	mu sync.Mutex
 
 	sig      uint64   // structural signature; 0 = empty cache
-	execHash []uint64 // per-task exec sample hash of the last solved tick
+	execHash []uint64 // per-task exec sample hash of the solver's last solve
 	prevOK   bool     // execHash describes a completed solve
 	solver   *dp.Solver
 	results  map[uint64]memoEntry
 	order    []uint64 // FIFO eviction order
+
+	// trace and metrics receive solver spans and counters (the
+	// controller's; a fleet family leaves them nil).
+	trace   *obs.Tracer
+	metrics *live.Registry
+	// onDemand reads a DP cap's frontier only when a budget below the cap
+	// is asked for. The controller sets it: its budget is its nominal
+	// platform until an instance dies. A fleet family, whose allocations
+	// move with every rebalance, reads the frontier on every DP miss,
+	// while the retained solver still holds the instance.
+	onDemand bool
 
 	// Counters behind Stats, guarded by mu like the rest of the cache.
 	hits, misses, invalidations   int64
@@ -89,9 +92,9 @@ type memoEntry struct {
 	algorithm  core.Algorithm
 	throughput float64
 	latency    float64
-	// frontier, once ResolveBudget has read it from the solver, holds the
-	// entry of every budget 0..P (nil modules where no mapping fits);
-	// entry P equals the fields above.
+	// frontier, once a budget below the cap has been asked for, holds the
+	// entry of every budget 0..P read from the solver (nil modules where
+	// no mapping fits); entry P equals the fields above.
 	frontier []memoEntry
 }
 
@@ -108,7 +111,9 @@ func (e memoEntry) result(chain *model.Chain) core.Result {
 	return res
 }
 
-// NewSolveCache returns an empty cache.
+// NewSolveCache returns an empty cache that reads a DP cap's per-budget
+// frontier on every DP miss, for an owner that places one instance at
+// moving budgets, as a fleet family does.
 func NewSolveCache() *SolveCache {
 	return &SolveCache{results: map[uint64]memoEntry{}}
 }
@@ -194,19 +199,17 @@ func execTaskHash(t model.Task, P int) uint64 {
 // structuralSig hashes everything except the per-task execution costs:
 // chain shape, memory models, replicability, minimum processors, internal
 // edge costs at p = 1..P and external ones on dp.CommGrid's points, the
-// platform, the solver options, and the algorithm core.AutoAlgorithm
-// selects (DP and greedy legitimately return different mappings for the
-// same costs). Everything that fixes the grid is mixed in before the first
-// ECom sample, so equal signatures sample equal grids. A change here
-// invalidates the retained solver, not just the memo entries.
-func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, algo core.Algorithm) uint64 {
+// platform, and the algorithm core.AutoAlgorithm selects (DP and greedy
+// legitimately return different mappings for the same costs). Everything
+// that fixes the grid is mixed in before the first ECom sample, so equal
+// signatures sample equal grids. A change here invalidates the retained
+// solver, not just the memo entries.
+func structuralSig(chain *model.Chain, pl model.Platform, algo core.Algorithm) uint64 {
 	P := pl.Procs
 	h := fnvOffset
 	h = mix(h, uint64(chain.Len()))
 	h = mix(h, uint64(P))
 	h = mixF(h, pl.MemPerProc)
-	h = mixB(h, opt.DisableReplication)
-	h = mixB(h, opt.DisableClustering)
 	h = mix(h, uint64(algo))
 	for _, t := range chain.Tasks {
 		h = mixF(h, t.Mem.Fixed)
@@ -220,8 +223,7 @@ func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, al
 			h = mixF(h, f.Eval(p))
 		}
 	}
-	gridOpt := dp.Options{DisableReplication: opt.DisableReplication, DisableClustering: opt.DisableClustering}
-	dp.CommGrid(chain, pl, gridOpt, func(e int, send, recv []int) {
+	dp.CommGrid(chain, pl, dp.Options{}, func(e int, send, recv []int) {
 		f := chain.ECom[e]
 		for _, ps := range send {
 			for _, pr := range recv {
@@ -232,19 +234,21 @@ func structuralSig(chain *model.Chain, pl model.Platform, opt ResolveOptions, al
 	return h
 }
 
-// CanonicalKeys hashes (chain, pl, opt) once into the cache's two
-// canonical keys. sig is the structural signature: everything except the
-// per-task execution costs (see structuralSig). The fleet groups instances
-// into solver families by it, so structurally different tenant specs never
+// CanonicalKeys hashes (chain, pl) once into the cache's two canonical
+// keys, where pl is the cap: the largest platform the instance is solved
+// on. sig is the structural signature: everything except the per-task
+// execution costs (see structuralSig). The fleet groups instances into
+// solver families by it, so structurally different tenant specs never
 // thrash one cache's invalidation path. key extends sig with every task's
 // execution cost at p = 1..P: it is the full solve-once-place-many key.
 // Each cost function is sampled at exactly the points the solvers
-// evaluate, so key equality implies the solvers see bit-identical inputs
-// and one solved mapping serves every spec with the same key (task names
-// never enter the hash). Resolve and ResolveBudget take both. The chain
+// evaluate on pl, a superset of those they evaluate on any smaller budget,
+// so key equality implies the solvers see bit-identical inputs at every
+// budget up to the cap and one solved mapping serves every spec with the
+// same key (task names never enter the hash). Solve takes both. The chain
 // must be valid.
-func CanonicalKeys(chain *model.Chain, pl model.Platform, opt ResolveOptions) (sig, key uint64) {
-	sig = structuralSig(chain, pl, opt, core.AutoAlgorithm(chain.Len(), pl.Procs))
+func CanonicalKeys(chain *model.Chain, pl model.Platform) (sig, key uint64) {
+	sig = structuralSig(chain, pl, core.AutoAlgorithm(chain.Len(), pl.Procs))
 	key = sig
 	for i := range chain.Tasks {
 		key = mix(key, execTaskHash(chain.Tasks[i], pl.Procs))
@@ -252,63 +256,68 @@ func CanonicalKeys(chain *model.Chain, pl model.Platform, opt ResolveOptions) (s
 	return sig, key
 }
 
-// Resolve returns the identical result a fresh core.Map of (chain, pl)
-// under Auto with opt's solver options would produce, and the path that
-// produced it (PathMemo, PathIncremental, PathFullDP or PathGreedy). sig
-// and key must be CanonicalKeys of (chain, pl, opt): a memo hit is then a
-// lookup, and only a miss samples the execution costs again, to diff them
-// against the previous solve.
-func (sc *SolveCache) Resolve(chain *model.Chain, pl model.Platform, opt ResolveOptions, sig, key uint64) (core.Result, string, error) {
-	if err := chain.Validate(); err != nil {
-		return core.Result{}, "", err
+// Solve returns the result a fresh core.Map of chain under Auto returns on
+// budget processors (1 <= budget <= capPl.Procs, with capPl's memory per
+// processor), and the path that produced it: PathMemo, PathIncremental,
+// PathFullDP or PathGreedy. capPl is the cap the instance is keyed at, and
+// sig and key must be CanonicalKeys of (chain, capPl): a caller that
+// places one instance at many budgets hashes it once, and a memo hit is a
+// lookup, with no solve and no rehash.
+//
+// A cap core.AutoAlgorithm routes to DP is solved at the cap on the
+// retained solver, incrementally when only execution costs moved since
+// its last solve. Every smaller budget routes to DP too and is read from
+// that table's per-budget frontier, memoized beside the cap's mapping. A
+// NewSolveCache reads the frontier on every DP miss; the controller's
+// cache only when a budget below the cap is asked for, so the first such
+// request for an entry solved at the cap solves it again on the retained
+// solver (a re-scan alone when the solver still holds it). A cap routed
+// to greedy has no table to read: each budget is solved cold as core.Map
+// solves it, DP or greedy, and memoized under the cap's key and the
+// budget.
+func (sc *SolveCache) Solve(chain *model.Chain, capPl model.Platform, sig, key uint64, budget int) (core.Result, string, error) {
+	if budget < 1 || budget > capPl.Procs {
+		return core.Result{}, "", fmt.Errorf("adapt: budget %d outside [1, %d]", budget, capPl.Procs)
 	}
-	if err := pl.Validate(); err != nil {
-		return core.Result{}, "", err
+	dpCap := core.AutoAlgorithm(chain.Len(), capPl.Procs) == core.DP
+	below := budget < capPl.Procs
+	if !dpCap {
+		key = mix(key, uint64(budget))
 	}
 
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 
 	sc.reset(sig)
-	if ent, ok := sc.results[key]; ok {
+	path := PathMemo
+	ent, ok := sc.results[key]
+	if ok && (!dpCap || !below || ent.frontier != nil) {
 		sc.hits++
-		return ent.result(chain), PathMemo, nil
-	}
-	sc.misses++
-
-	var (
-		res  core.Result
-		path string
-		err  error
-	)
-	hashes := sc.execHashes(chain, pl.Procs)
-	if core.AutoAlgorithm(chain.Len(), pl.Procs) == core.DP {
-		res, path, err = sc.solveDP(chain, pl, opt, hashes)
 	} else {
-		res, err = core.Map(core.Request{
-			Chain:              chain,
-			Platform:           pl,
-			Algorithm:          core.Greedy,
-			DisableReplication: opt.DisableReplication,
-			DisableClustering:  opt.DisableClustering,
-			Trace:              opt.Trace,
-			Metrics:            opt.Metrics,
-		})
-		path = PathGreedy
-		sc.fullSolves++
+		sc.misses++
+		if err := chain.Validate(); err != nil {
+			return core.Result{}, "", err
+		}
+		if err := capPl.Validate(); err != nil {
+			return core.Result{}, "", err
+		}
+		var err error
+		if dpCap {
+			ent, path, err = sc.solveDP(chain, capPl, below || !sc.onDemand)
+		} else {
+			ent, path, err = sc.solveCold(chain, model.Platform{Procs: budget, MemPerProc: capPl.MemPerProc})
+		}
+		if err != nil {
+			return core.Result{}, path, err
+		}
+		sc.remember(key, ent)
 	}
-	if err != nil {
-		sc.prevOK = false
-		return core.Result{}, path, err
+	if dpCap && below {
+		if ent = ent.frontier[budget]; ent.modules == nil {
+			return core.Result{}, path, fmt.Errorf("adapt: no feasible mapping of %d tasks onto %d processors", chain.Len(), budget)
+		}
 	}
-
-	sc.remember(key, hashes, memoEntry{
-		modules:    append([]model.Module(nil), res.Mapping.Modules...),
-		algorithm:  res.Algorithm,
-		throughput: res.Throughput,
-		latency:    res.Latency,
-	})
-	return res, path, nil
+	return ent.result(chain), path, nil
 }
 
 // reset drops every memo entry and the retained solver when the
@@ -327,17 +336,9 @@ func (sc *SolveCache) reset(sig uint64) {
 	sc.order = sc.order[:0]
 }
 
-// remember records a completed solve's per-task hashes as the incremental
-// baseline and memoizes its entry under key, evicting the oldest entry
-// beyond memoCap.
-func (sc *SolveCache) remember(key uint64, hashes []uint64, ent memoEntry) {
-	k := len(hashes)
-	if cap(sc.execHash) < k {
-		sc.execHash = make([]uint64, k)
-	}
-	sc.execHash = sc.execHash[:k]
-	copy(sc.execHash, hashes)
-	sc.prevOK = true
+// remember memoizes ent under key, evicting the oldest entry beyond
+// memoCap.
+func (sc *SolveCache) remember(key uint64, ent memoEntry) {
 	if _, ok := sc.results[key]; !ok {
 		if len(sc.order) >= memoCap {
 			delete(sc.results, sc.order[0])
@@ -362,104 +363,13 @@ func (sc *SolveCache) execHashes(chain *model.Chain, P int) []uint64 {
 	return hashes
 }
 
-// HasFrontier reports whether ResolveBudget serves (chain, pl):
-// core.AutoAlgorithm picks DP at pl.Procs, and so at every smaller budget,
-// so one table serves them all.
-func HasFrontier(chain *model.Chain, pl model.Platform) bool {
-	return core.AutoAlgorithm(chain.Len(), pl.Procs) == core.DP
-}
-
-// ResolveBudget returns the result a fresh Resolve of chain on budget
-// processors (1 <= budget <= pl.Procs) returns, read from the per-budget
-// frontier of the instance solved at pl, the allocation cap. One DP solve
-// at the cap thus serves every budget below it: a miss solves the cap
-// instance through the retained solver (incrementally when only execution
-// costs moved) and memoizes the whole frontier under the same canonical
-// key Resolve uses; a hit is a lookup. sig and key must be CanonicalKeys
-// of (chain, pl, opt): callers that place one spec at many budgets hash it
-// once. The instance must satisfy
-// HasFrontier. The path is PathMemo for a frontier read and PathFullDP or
-// PathIncremental when a solve ran. Resolve never builds a frontier.
-func (sc *SolveCache) ResolveBudget(chain *model.Chain, pl model.Platform, opt ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
-	if !HasFrontier(chain, pl) {
-		return core.Result{}, "", fmt.Errorf("adapt: no per-budget frontier for %d tasks on %d processors", chain.Len(), pl.Procs)
-	}
-	if budget < 1 || budget > pl.Procs {
-		return core.Result{}, "", fmt.Errorf("adapt: budget %d outside [1, %d]", budget, pl.Procs)
-	}
-
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-
-	sc.reset(sig)
-	path := PathMemo
-	ent, ok := sc.results[key]
-	if ok && ent.frontier != nil {
-		sc.hits++
-	} else {
-		sc.misses++
-		if err := chain.Validate(); err != nil {
-			return core.Result{}, "", err
-		}
-		if err := pl.Validate(); err != nil {
-			return core.Result{}, "", err
-		}
-		hashes := sc.execHashes(chain, pl.Procs)
-		var err error
-		ent, path, err = sc.solveFrontier(chain, pl, opt, hashes)
-		if err != nil {
-			sc.prevOK = false
-			return core.Result{}, path, err
-		}
-		sc.remember(key, hashes, ent)
-	}
-	at := ent.frontier[budget]
-	if at.modules == nil {
-		return core.Result{}, path, fmt.Errorf("adapt: no feasible mapping of %d tasks onto %d processors", chain.Len(), budget)
-	}
-	return at.result(chain), path, nil
-}
-
-// solveFrontier solves the cap instance through the retained solver and
-// reads its per-budget frontier into a memo entry. Budgets that share a
-// winner share its module slice.
-func (sc *SolveCache) solveFrontier(chain *model.Chain, pl model.Platform, opt ResolveOptions, hashes []uint64) (memoEntry, string, error) {
-	_, path, err := sc.solveDP(chain, pl, opt, hashes)
-	if err != nil {
-		return memoEntry{}, path, err
-	}
-	fr, err := sc.solver.Frontier()
-	if err != nil {
-		return memoEntry{}, path, err
-	}
-	front := make([]memoEntry, len(fr))
-	for b, m := range fr {
-		if m.Modules == nil {
-			continue
-		}
-		front[b] = memoEntry{
-			modules:    m.Modules,
-			algorithm:  core.DP,
-			throughput: m.Throughput(),
-			latency:    m.Latency(),
-		}
-	}
-	// The solve succeeded at the cap, so the cap's entry is the mapping
-	// Resolve would memoize for this key.
-	ent := front[pl.Procs]
-	ent.frontier = front
-	return ent, path, nil
-}
-
-// solveDP runs the DP engine, incrementally when the previous tick solved
-// the same structure and left per-task hashes to diff against.
-func (sc *SolveCache) solveDP(chain *model.Chain, pl model.Platform, opt ResolveOptions, hashes []uint64) (core.Result, string, error) {
-	dpOpt := dp.Options{
-		DisableReplication: opt.DisableReplication,
-		DisableClustering:  opt.DisableClustering,
-		Trace:              opt.Trace,
-		Metrics:            opt.Metrics,
-	}
+// solveDP solves the cap instance on the retained DP solver, incrementally
+// when it last solved the same structure and left per-task hashes to diff
+// against, and returns the cap's memo entry, carrying the per-budget
+// frontier when withFrontier. Budgets that share a winner share its
+// module slice.
+func (sc *SolveCache) solveDP(chain *model.Chain, pl model.Platform, withFrontier bool) (memoEntry, string, error) {
+	hashes := sc.execHashes(chain, pl.Procs)
 	path := PathFullDP
 	var (
 		m   model.Mapping
@@ -467,15 +377,16 @@ func (sc *SolveCache) solveDP(chain *model.Chain, pl model.Platform, opt Resolve
 	)
 	switch {
 	case sc.solver == nil:
-		sc.solver, err = dp.NewSolver(chain, pl, dpOpt)
+		sc.solver, err = dp.NewSolver(chain, pl, dp.Options{Trace: sc.trace, Metrics: sc.metrics})
 		if err != nil {
-			return core.Result{}, path, err
+			return memoEntry{}, path, err
 		}
 		m, err = sc.solver.Solve()
 		sc.fullSolves++
 	case sc.prevOK:
 		// Diff the per-task exec hashes to recover the changed set; the
-		// caller's belief about what moved is never trusted.
+		// caller's belief about what moved is never trusted. An empty set
+		// only re-scans the retained tables.
 		sc.changed = sc.changed[:0]
 		for i, h := range hashes {
 			if h != sc.execHash[i] {
@@ -496,17 +407,52 @@ func (sc *SolveCache) solveDP(chain *model.Chain, pl model.Platform, opt Resolve
 		m, err = sc.solver.Resolve(chain, sc.changed)
 		sc.fullSolves++
 	}
+	sc.prevOK = err == nil
 	if err != nil {
-		return core.Result{}, path, err
+		return memoEntry{}, path, err
 	}
+	sc.execHash = append(sc.execHash[:0], hashes...)
 	// The solver's mapping aliases its scratch; detach before it escapes.
-	m.Modules = append([]model.Module(nil), m.Modules...)
-	res := core.Result{
-		Mapping:       m,
-		Algorithm:     core.DP,
-		Throughput:    m.Throughput(),
-		Latency:       m.Latency(),
-		Unconstrained: m,
+	ent := dpEntry(append([]model.Module(nil), m.Modules...), m)
+	if withFrontier {
+		fr, err := sc.solver.Frontier()
+		if err != nil {
+			return memoEntry{}, path, err
+		}
+		ent.frontier = make([]memoEntry, len(fr))
+		for b, fm := range fr {
+			if fm.Modules != nil {
+				ent.frontier[b] = dpEntry(fm.Modules, fm)
+			}
+		}
 	}
-	return res, path, nil
+	return ent, path, nil
+}
+
+// dpEntry is the memo entry of a DP mapping m whose modules are stored as
+// modules.
+func dpEntry(modules []model.Module, m model.Mapping) memoEntry {
+	return memoEntry{modules: modules, algorithm: core.DP, throughput: m.Throughput(), latency: m.Latency()}
+}
+
+// solveCold solves one budget of a cap routed to greedy as core.Map does:
+// DP or greedy by core.AutoAlgorithm at the budget, with no retained
+// tables. A budget routed to DP gets no retained solver: its table would
+// serve that budget alone.
+func (sc *SolveCache) solveCold(chain *model.Chain, pl model.Platform) (memoEntry, string, error) {
+	path := PathGreedy
+	if core.AutoAlgorithm(chain.Len(), pl.Procs) == core.DP {
+		path = PathFullDP
+	}
+	sc.fullSolves++
+	res, err := core.Map(core.Request{Chain: chain, Platform: pl, Trace: sc.trace, Metrics: sc.metrics})
+	if err != nil {
+		return memoEntry{}, path, err
+	}
+	return memoEntry{
+		modules:    res.Mapping.Modules,
+		algorithm:  res.Algorithm,
+		throughput: res.Throughput,
+		latency:    res.Latency,
+	}, path, nil
 }

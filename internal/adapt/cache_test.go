@@ -30,24 +30,25 @@ func cacheChain(scale []float64) (*model.Chain, model.Platform) {
 	return chain, model.Platform{Procs: 8, MemPerProc: 1}
 }
 
-var cacheOpt = ResolveOptions{}
-
 // freshSolve is the uncached reference every cache result must equal:
-// core.Map under Auto with opt's solver options.
-func freshSolve(chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, error) {
-	return core.Map(core.Request{
-		Chain:              chain,
-		Platform:           pl,
-		DisableReplication: opt.DisableReplication,
-		DisableClustering:  opt.DisableClustering,
-	})
+// core.Map under Auto.
+func freshSolve(chain *model.Chain, pl model.Platform) (core.Result, error) {
+	return core.Map(core.Request{Chain: chain, Platform: pl})
 }
 
-// resolve hashes (chain, pl, opt) and resolves it through sc, as the
-// controller does.
-func resolve(sc *SolveCache, chain *model.Chain, pl model.Platform, opt ResolveOptions) (core.Result, string, error) {
-	sig, key := CanonicalKeys(chain, pl, opt)
-	return sc.Resolve(chain, pl, opt, sig, key)
+// resolve hashes (chain, pl) and solves it through sc at its cap, as the
+// controller does while no processor is lost.
+func resolve(sc *SolveCache, chain *model.Chain, pl model.Platform) (core.Result, string, error) {
+	sig, key := CanonicalKeys(chain, pl)
+	return sc.Solve(chain, pl, sig, key, pl.Procs)
+}
+
+// sameResult reports whether a cached result is a fresh one's to the bit,
+// re-anchored on chain.
+func sameResult(got, fresh core.Result, chain *model.Chain) bool {
+	return reflect.DeepEqual(got.Mapping.Modules, fresh.Mapping.Modules) &&
+		got.Throughput == fresh.Throughput && got.Latency == fresh.Latency &&
+		got.Algorithm == fresh.Algorithm && got.Mapping.Chain == chain
 }
 
 // TestSolveCacheMemoHit: the same canonical instance must return the
@@ -56,7 +57,7 @@ func resolve(sc *SolveCache, chain *model.Chain, pl model.Platform, opt ResolveO
 func TestSolveCacheMemoHit(t *testing.T) {
 	sc := NewSolveCache()
 	chainA, pl := cacheChain(nil)
-	first, path, err := resolve(sc, chainA, pl, cacheOpt)
+	first, path, err := resolve(sc, chainA, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestSolveCacheMemoHit(t *testing.T) {
 	// A freshly materialized but bit-identical chain: pointer differs,
 	// costs do not.
 	chainB, _ := cacheChain(nil)
-	second, path, err := resolve(sc, chainB, pl, cacheOpt)
+	second, path, err := resolve(sc, chainB, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +102,12 @@ func TestSolveCacheMemoHit(t *testing.T) {
 func TestSolveCachePerturbationMisses(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
-	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl); err != nil {
 		t.Fatal(err)
 	}
 	// Perturb one task by 0.1% — tiny, but applied, so the hash must move.
 	pert, _ := cacheChain([]float64{1, 1.001, 1})
-	got, path, err := resolve(sc, pert, pl, cacheOpt)
+	got, path, err := resolve(sc, pert, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSolveCachePerturbationMisses(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 2 || st.IncrementalSolves != 1 {
 		t.Errorf("stats after perturbation = %+v", st)
 	}
-	fresh, err2 := freshSolve(pert, pl, cacheOpt)
+	fresh, err2 := freshSolve(pert, pl)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -135,14 +136,14 @@ func TestSolveCachePerturbationMisses(t *testing.T) {
 func TestSolveCacheNameInsensitive(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
-	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl); err != nil {
 		t.Fatal(err)
 	}
 	renamed, _ := cacheChain(nil)
 	for i := range renamed.Tasks {
 		renamed.Tasks[i].Name = "stage-" + string(rune('x'+i))
 	}
-	_, path, err := resolve(sc, renamed, pl, cacheOpt)
+	_, path, err := resolve(sc, renamed, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +158,12 @@ func TestSolveCacheNameInsensitive(t *testing.T) {
 func TestSolveCacheStructuralInvalidation(t *testing.T) {
 	sc := NewSolveCache()
 	chain, pl := cacheChain(nil)
-	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl); err != nil {
 		t.Fatal(err)
 	}
 	small := pl
 	small.Procs = 6
-	_, path, err := resolve(sc, chain, small, cacheOpt)
+	_, path, err := resolve(sc, chain, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,44 +175,61 @@ func TestSolveCacheStructuralInvalidation(t *testing.T) {
 	}
 	// And back: the old entries are gone, so this is a miss, not a stale
 	// hit against the 6-processor platform.
-	res, _, err := resolve(sc, chain, pl, cacheOpt)
+	res, _, err := resolve(sc, chain, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := freshSolve(chain, pl, cacheOpt)
+	fresh, _ := freshSolve(chain, pl)
 	if !reflect.DeepEqual(res.Mapping.Modules, fresh.Mapping.Modules) {
 		t.Errorf("post-invalidation result wrong: %v vs fresh %v", &res.Mapping, &fresh.Mapping)
 	}
 }
 
-// TestSolveCacheGreedyPath: instances core.AutoAlgorithm routes to greedy
-// (here k=4 on 96 processors, P^4 k^3 = 5.4e9) are solved like core.Map
-// solves them and memoized too.
+// TestSolveCacheGreedyPath reads a cap core.AutoAlgorithm routes to
+// greedy (k=4 on 96 processors, P^4 k^3 = 5.4e9) at budgets on both sides
+// of the Auto threshold: each equals a fresh core.Map at the budget
+// (greedy at 95 and 96, DP at 94 and below), solves once, and is a memo
+// hit when read again. The cap's table holds no frontier, so no budget is
+// read from it.
 func TestSolveCacheGreedyPath(t *testing.T) {
-	sc := NewSolveCache()
 	rng := rand.New(rand.NewSource(5))
 	chain, pl := testutil.RandChain(rng,
 		testutil.RandChainConfig{MinTasks: 4, MaxTasks: 4}, 96)
-	res, path, err := resolve(sc, chain, pl, cacheOpt)
-	if err != nil {
-		t.Fatal(err)
+	if core.AutoAlgorithm(4, 95) != core.Greedy || core.AutoAlgorithm(4, 94) != core.DP {
+		t.Fatal("the Auto threshold for 4 tasks no longer lies between 94 and 95 processors")
 	}
-	if path != PathGreedy || res.Algorithm != core.Greedy {
-		t.Fatalf("path %q algo %v, want greedy", path, res.Algorithm)
+	sc := NewSolveCache()
+	sig, key := CanonicalKeys(chain, pl)
+	budgets := []int{96, 95, 94, 40, 7}
+	for round := 0; round < 2; round++ {
+		for _, b := range budgets {
+			got, path, err := sc.Solve(chain, pl, sig, key, b)
+			if err != nil {
+				t.Fatalf("budget %d: %v", b, err)
+			}
+			fresh, err := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := PathMemo
+			if round == 0 {
+				want = PathFullDP
+				if fresh.Algorithm == core.Greedy {
+					want = PathGreedy
+				}
+			}
+			if path != want {
+				t.Errorf("round %d budget %d: path %q, want %q", round, b, path, want)
+			}
+			if !sameResult(got, fresh, chain) {
+				t.Errorf("round %d budget %d: cache %v (%v), fresh core.Map %v (%v)",
+					round, b, &got.Mapping, got.Algorithm, &fresh.Mapping, fresh.Algorithm)
+			}
+		}
 	}
-	fresh, err := freshSolve(chain, pl, cacheOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Mapping.Modules, fresh.Mapping.Modules) || res.Throughput != fresh.Throughput {
-		t.Errorf("greedy path %v, fresh core.Map %v", &res.Mapping, &fresh.Mapping)
-	}
-	_, path, err = resolve(sc, chain, pl, cacheOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path != PathMemo {
-		t.Errorf("repeat greedy path %q, want %q", path, PathMemo)
+	if st := sc.Stats(); st.FullSolves != int64(len(budgets)) || st.IncrementalSolves != 0 ||
+		st.Hits != int64(len(budgets)) || st.Invalidations != 0 {
+		t.Errorf("stats %+v, want one cold solve and one hit per budget", st)
 	}
 }
 
@@ -235,8 +253,8 @@ func TestSolveCacheRandomWalkMatchesFresh(t *testing.T) {
 				}
 			}
 			chain, pl := cacheChain(scale)
-			got, _, err := resolve(sc, chain, pl, cacheOpt)
-			fresh, freshErr := freshSolve(chain, pl, cacheOpt)
+			got, _, err := resolve(sc, chain, pl)
+			fresh, freshErr := freshSolve(chain, pl)
 			if (err == nil) != (freshErr == nil) {
 				t.Fatalf("seed %d step %d: error disagreement: cache=%v fresh=%v", seed, step, err, freshErr)
 			}
@@ -309,7 +327,7 @@ func TestSolveCacheConcurrent(t *testing.T) {
 	wants := make([]want, len(scales))
 	for i, scl := range scales {
 		chain, pl := cacheChain(scl)
-		fresh, err := freshSolve(chain, pl, cacheOpt)
+		fresh, err := freshSolve(chain, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +344,7 @@ func TestSolveCacheConcurrent(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				which := rng.Intn(len(scales))
 				chain, pl := cacheChain(scales[which])
-				res, _, err := resolve(sc, chain, pl, cacheOpt)
+				res, _, err := resolve(sc, chain, pl)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -364,7 +382,7 @@ func TestSolveCachePublish(t *testing.T) {
 	}
 	chain, pl := cacheChain(nil)
 	for i := 0; i < 2; i++ {
-		if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
+		if _, _, err := resolve(sc, chain, pl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,21 +402,21 @@ func TestSolveCachePublish(t *testing.T) {
 	(*SolveCache)(nil).Publish(reg)
 }
 
-// TestSolveCacheResolveBudget: one solve at the cap serves every budget
-// below it, each equal to a fresh Resolve at that budget; a random walk of
-// cost scales re-solves once per new cost state and hits the memo for a
-// revisited one; Resolve and ResolveBudget share the memo entry without
-// Resolve ever reading a frontier.
-func TestSolveCacheResolveBudget(t *testing.T) {
+// TestSolveCacheReadsEveryBudget: one solve at the cap serves every
+// budget below it, each equal to a fresh core.Map at that budget; a random
+// walk of cost scales re-solves once per new cost state and hits the memo
+// for a revisited one; a request at the cap shares the memo entry, and
+// builds a frontier only where the cache reads it on every DP miss.
+func TestSolveCacheReadsEveryBudget(t *testing.T) {
 	sc := NewSolveCache()
 	scales := [][]float64{{1, 1, 1}, {1, 1.5, 1}, {2, 1, 0.5}, {1, 1, 1}}
 	wantPaths := []string{PathFullDP, PathIncremental, PathIncremental, PathMemo}
 	for step, scale := range scales {
 		chain, pl := cacheChain(scale)
-		sig, key := CanonicalKeys(chain, pl, cacheOpt)
+		sig, key := CanonicalKeys(chain, pl)
 		for b := 1; b <= pl.Procs; b++ {
-			got, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b)
-			fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, cacheOpt)
+			got, path, err := sc.Solve(chain, pl, sig, key, b)
+			fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc})
 			if (err != nil) != (freshErr != nil) {
 				t.Fatalf("step %d budget %d: error %v, fresh error %v", step, b, err, freshErr)
 			}
@@ -409,12 +427,7 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 			if path != want {
 				t.Fatalf("step %d budget %d: path %q, want %q", step, b, path, want)
 			}
-			if err != nil {
-				continue
-			}
-			if !reflect.DeepEqual(got.Mapping.Modules, fresh.Mapping.Modules) ||
-				got.Throughput != fresh.Throughput || got.Latency != fresh.Latency ||
-				got.Algorithm != fresh.Algorithm || got.Mapping.Chain != chain {
+			if err == nil && !sameResult(got, fresh, chain) {
 				t.Fatalf("step %d budget %d: frontier %v, fresh %v", step, b, &got.Mapping, &fresh.Mapping)
 			}
 		}
@@ -423,69 +436,42 @@ func TestSolveCacheResolveBudget(t *testing.T) {
 		t.Errorf("solves = %d full, %d incremental; want 1 and 2", st.FullSolves, st.IncrementalSolves)
 	}
 
-	// A Resolve at the cap hits the frontier's entry.
+	// A request at the cap hits the frontier's entry.
 	chain, pl := cacheChain(nil)
-	if _, path, err := resolve(sc, chain, pl, cacheOpt); err != nil || path != PathMemo {
-		t.Fatalf("Resolve after ResolveBudget: path %q err %v, want a memo hit", path, err)
+	if _, path, err := resolve(sc, chain, pl); err != nil || path != PathMemo {
+		t.Fatalf("request at the cap after the budget reads: path %q err %v, want a memo hit", path, err)
 	}
 
-	// A Resolve entry carries no frontier: the first budget read re-scans
-	// the retained tables, and the next one is a hit.
+	// NewSolveCache reads the frontier on every DP miss, the
+	// controller's cache only below the cap: there an entry solved at the
+	// cap carries no frontier, the first budget read re-scans the retained
+	// tables, and the next one is a hit.
 	sc = NewSolveCache()
-	if _, _, err := resolve(sc, chain, pl, cacheOpt); err != nil {
+	if _, _, err := resolve(sc, chain, pl); err != nil {
 		t.Fatal(err)
 	}
-	if _, key := CanonicalKeys(chain, pl, cacheOpt); sc.results[key].frontier != nil {
-		t.Fatal("Resolve built a frontier")
-	}
-	sig, key := CanonicalKeys(chain, pl, cacheOpt)
-	for i, want := range []string{PathIncremental, PathMemo} {
-		if _, path, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, 3); err != nil || path != want {
-			t.Fatalf("budget read %d after Resolve: path %q err %v, want %q", i, path, err, want)
-		}
-	}
-
-	// Out-of-range budgets and instances routed to greedy are refused.
-	for _, b := range []int{0, pl.Procs + 1} {
-		if _, _, err := sc.ResolveBudget(chain, pl, cacheOpt, sig, key, b); err == nil {
-			t.Errorf("budget %d accepted", b)
-		}
-	}
-	// The same three tasks on 128 processors: P^4 k^3 = 7.2e9 routes them
-	// to greedy.
-	big := model.Platform{Procs: 128, MemPerProc: pl.MemPerProc}
-	if HasFrontier(chain, big) {
-		t.Error("HasFrontier true for an instance routed to greedy")
-	}
-	bigSig, bigKey := CanonicalKeys(chain, big, cacheOpt)
-	if _, _, err := sc.ResolveBudget(chain, big, cacheOpt, bigSig, bigKey, 3); err == nil {
-		t.Error("ResolveBudget served an instance routed to greedy")
-	}
-
-	// With clustering off the retained solver keeps one module per task,
-	// and its frontier serves every budget like any other DP instance.
-	noClust := ResolveOptions{DisableClustering: true}
-	if !HasFrontier(chain, pl) {
-		t.Fatal("HasFrontier false for a DP-routed instance")
+	sig, key := CanonicalKeys(chain, pl)
+	if sc.results[key].frontier == nil {
+		t.Fatal("a DP miss at the cap did not read the frontier")
 	}
 	sc = NewSolveCache()
-	sig, key = CanonicalKeys(chain, pl, noClust)
-	for b := 1; b <= pl.Procs; b++ {
-		got, _, err := sc.ResolveBudget(chain, pl, noClust, sig, key, b)
-		fresh, freshErr := freshSolve(chain, model.Platform{Procs: b, MemPerProc: pl.MemPerProc}, noClust)
-		if (err != nil) != (freshErr != nil) {
-			t.Fatalf("clustering off, budget %d: error %v, fresh error %v", b, err, freshErr)
-		}
-		if err != nil {
-			continue
-		}
-		if !reflect.DeepEqual(got.Mapping.Modules, fresh.Mapping.Modules) ||
-			got.Throughput != fresh.Throughput || got.Latency != fresh.Latency ||
-			len(got.Mapping.Modules) != chain.Len() {
-			t.Fatalf("clustering off, budget %d: frontier %v, fresh %v", b, &got.Mapping, &fresh.Mapping)
+	sc.onDemand = true
+	if _, _, err := resolve(sc, chain, pl); err != nil {
+		t.Fatal(err)
+	}
+	if sc.results[key].frontier != nil {
+		t.Fatal("a request at the cap built a frontier on demand")
+	}
+	for i, want := range []string{PathIncremental, PathMemo} {
+		if _, path, err := sc.Solve(chain, pl, sig, key, 3); err != nil || path != want {
+			t.Fatalf("budget read %d after the cap: path %q err %v, want %q", i, path, err, want)
 		}
 	}
-	if st := sc.Stats(); st.FullSolves != 1 {
-		t.Errorf("clustering off: %d full solves, want 1", st.FullSolves)
+
+	// Out-of-range budgets are refused.
+	for _, b := range []int{0, pl.Procs + 1} {
+		if _, _, err := sc.Solve(chain, pl, sig, key, b); err == nil {
+			t.Errorf("budget %d accepted", b)
+		}
 	}
 }

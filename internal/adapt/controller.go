@@ -18,8 +18,8 @@ type Config struct {
 	// solved against. The controller refits a working copy; the original is
 	// never mutated.
 	Chain *model.Chain
-	// Platform is the nominal platform. Instance deaths shrink the live
-	// processor budget the controller re-solves against.
+	// Platform is the nominal platform: every re-solve is keyed at it, and
+	// instance deaths shrink the processor budget read from that solve.
 	Platform model.Platform
 	// Initial is the generation-0 mapping in force when the loop starts.
 	Initial model.Mapping
@@ -36,10 +36,6 @@ type Config struct {
 	// seconds × TimeScale = model seconds, observed throughput ÷ TimeScale
 	// = model throughput). Default 1.
 	TimeScale float64
-	// DisableReplication and DisableClustering are forwarded to every
-	// re-solve, mirroring the knobs of the original request.
-	DisableReplication bool
-	DisableClustering  bool
 	// Trace receives one span per controller phase (refit, resolve,
 	// migrate) per decision cycle; nil disables.
 	Trace *obs.Tracer
@@ -266,6 +262,7 @@ func NewController(cfg Config) (*Controller, error) {
 		genRatio: make([]float64, cfg.Chain.Len()),
 		cache:    NewSolveCache(),
 	}
+	c.cache.trace, c.cache.metrics, c.cache.onDemand = cfg.Trace, cfg.Metrics, true
 	for i := range c.baseExec {
 		c.baseExec[i] = cfg.Chain.Tasks[i].Exec
 		c.ratio[i] = 1
@@ -425,24 +422,18 @@ func (c *Controller) Step(o Observation) Decision {
 	c.ingestLatencies(o.Health)
 	d.ChangedTasks = c.applyRefits()
 
-	// Re-solve on the refitted beliefs and the surviving platform, through
-	// the memo cache: an unchanged tick is a cache hit, a few moved costs
-	// route to the incremental DP. The current mapping is re-anchored on
-	// the same beliefs so its predicted throughput (status, monitor
-	// config) tracks what the controller now believes, not the stale
-	// generation-start models.
+	// Re-solve on the refitted beliefs for the surviving processors,
+	// through the memo cache keyed at the nominal platform: an unchanged
+	// tick is a cache hit, a few moved costs route to the incremental DP,
+	// and a processor loss reads the nominal table's per-budget frontier.
+	// The current mapping is re-anchored on the same beliefs so its
+	// predicted throughput (status, monitor config) tracks what the
+	// controller now believes, not the stale generation-start models.
 	chain := c.beliefChain()
 	c.cur.Chain = chain
 	resolveStart := time.Now()
-	pl := c.survivingLocked()
-	opt := ResolveOptions{
-		DisableReplication: c.cfg.DisableReplication,
-		DisableClustering:  c.cfg.DisableClustering,
-		Trace:              c.cfg.Trace,
-		Metrics:            c.cfg.Metrics,
-	}
-	sig, key := CanonicalKeys(chain, pl, opt)
-	cand, path, err := c.cache.Resolve(chain, pl, opt, sig, key)
+	sig, key := CanonicalKeys(chain, c.cfg.Platform)
+	cand, path, err := c.cache.Solve(chain, c.cfg.Platform, sig, key, c.survivingLocked().Procs)
 	d.SolvePath = path
 	d.ResolveSeconds = time.Since(resolveStart).Seconds()
 	c.cfg.Metrics.Histogram("adapt.resolve_seconds").Observe(d.ResolveSeconds)

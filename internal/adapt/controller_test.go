@@ -13,16 +13,18 @@ import (
 	"pipemap/internal/obs/live"
 )
 
-// twoStage returns a two-task non-replicable chain with free communication:
-// with clustering disabled the only mapping freedom is the processor split,
-// so solver decisions are easy to predict in tests.
+// twoStage returns a two-task non-replicable chain with free external
+// communication and an internal redistribution of a whole second, which
+// no clustering of the two tasks can pay back: the only competitive
+// mapping freedom is the processor split, so solver decisions are easy to
+// predict in tests.
 func twoStage(aC2, bC2 float64) (*model.Chain, model.Platform) {
 	chain := &model.Chain{
 		Tasks: []model.Task{
 			{Name: "a", Exec: model.PolyExec{C2: aC2}},
 			{Name: "b", Exec: model.PolyExec{C2: bC2}},
 		},
-		ICom: []model.CostFunc{model.ZeroExec()},
+		ICom: []model.CostFunc{model.PolyExec{C1: 1}},
 		ECom: []model.CommFunc{model.ZeroComm()},
 	}
 	return chain, model.Platform{Procs: 8, MemPerProc: 1}
@@ -50,7 +52,7 @@ func TestControllerHoldsBelowThreshold(t *testing.T) {
 	})
 	c, err := NewController(Config{
 		Chain: chain, Platform: pl, Initial: initial,
-		Threshold: 0.50, DisableClustering: true,
+		Threshold: 0.50,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +80,7 @@ func TestControllerMigratesAboveThreshold(t *testing.T) {
 	})
 	c, err := NewController(Config{
 		Chain: chain, Platform: pl, Initial: initial,
-		Threshold: 0.05, DisableClustering: true,
+		Threshold: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +108,7 @@ func TestControllerRollsBackOnRegression(t *testing.T) {
 	})
 	c, err := NewController(Config{
 		Chain: chain, Platform: pl, Initial: initial,
-		Threshold: 0.05, DisableClustering: true,
+		Threshold: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +244,75 @@ func TestControllerRemapAgreementAcrossDeaths(t *testing.T) {
 	}
 }
 
+// loadSpec parses the committed spec specs/name.json.
+func loadSpec(t *testing.T, name string) (*model.Chain, model.Platform) {
+	t.Helper()
+	f, err := os.Open("../../specs/" + name + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	chain, pl, err := core.ParseChainSpec(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain, pl
+}
+
+// TestControllerDeathReadsFrontier: the controller keys its re-solve at
+// its nominal platform and asks for the surviving budget, so an instance
+// death moves neither key. The death tick reads the surviving budget from
+// the retained nominal table's per-budget frontier, with no invalidation
+// and no full solve, and its candidate is core.Remap's; the next tick at
+// that budget is a memo hit.
+func TestControllerDeathReadsFrontier(t *testing.T) {
+	for _, name := range []string{"threestage", "ffthist256", "radar64", "stereo128"} {
+		chain, pl := loadSpec(t, name)
+		req := core.Request{Chain: chain, Platform: pl}
+		res, err := core.Map(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A threshold no candidate clears keeps generation 0 serving.
+		c, err := NewController(Config{Chain: chain, Platform: pl, Initial: res.Mapping, Threshold: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stage := -1
+		for i, mod := range res.Mapping.Modules {
+			if mod.Replicas > 1 {
+				stage = i
+				break
+			}
+		}
+		if stage < 0 {
+			t.Fatalf("%s: no replicated stage in %s", name, res.Mapping.String())
+		}
+		c.Step(Observation{Health: healthFor(res.Mapping, nil), Throughput: 1})
+		before := *c.Status().Memo
+
+		dead := healthFor(res.Mapping, map[int]int64{stage: 1})
+		d := c.Step(Observation{Health: dead, Throughput: 1})
+		want, err := core.Remap(req, res.Mapping.Modules[stage].Procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Candidate != want.Mapping.String() || d.CandidatePredicted != want.Throughput {
+			t.Errorf("%s: death tick candidate %s (%v/s), core.Remap %s (%v/s)",
+				name, d.Candidate, d.CandidatePredicted, want.Mapping.String(), want.Throughput)
+		}
+		after := *c.Status().Memo
+		if after.Invalidations != 0 || after.FullSolves != before.FullSolves {
+			t.Errorf("%s: death tick took path %q with %d invalidations and %d full solves (was %d), want a frontier read",
+				name, d.SolvePath, after.Invalidations, after.FullSolves, before.FullSolves)
+		}
+		if d = c.Step(Observation{Health: dead, Throughput: 1}); d.SolvePath != PathMemo || d.Candidate != want.Mapping.String() {
+			t.Errorf("%s: tick after the death took path %q to %s, want a memo hit on %s",
+				name, d.SolvePath, d.Candidate, want.Mapping.String())
+		}
+	}
+}
+
 // TestControllerDeathAccountingClampedPerGeneration re-reports the same
 // death count across segments of one generation (as re-built segment runs
 // do) and checks the loss is not double counted.
@@ -304,7 +375,7 @@ func TestControllerHammerConcurrentReaders(t *testing.T) {
 	})
 	c, err := NewController(Config{
 		Chain: chain, Platform: pl, Initial: initial,
-		Threshold: 0.05, DisableClustering: true,
+		Threshold: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +424,7 @@ func TestControllerRecordsIngestLoad(t *testing.T) {
 	})
 	c, err := NewController(Config{
 		Chain: chain, Platform: pl, Initial: initial,
-		Threshold: 0.50, DisableClustering: true,
+		Threshold: 0.50,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,11 @@
 //	refit    the polynomial cost models online (estimate.OnlineFitter:
 //	         windowed observations, MAD outlier rejection, sample-count
 //	         confidence gating)
-//	re-solve the mapping on the refitted models and the surviving
+//	re-solve the mapping on the refitted models for the surviving
 //	         processor count, DP or greedy by core.AutoAlgorithm, the rule
-//	         core.Map uses, through the solve cache (memo, incremental DP)
+//	         core.Map uses, through the solve cache keyed at the nominal
+//	         platform (memo, incremental DP, and after an instance death
+//	         the nominal table's per-budget frontier)
 //	migrate  when the predicted throughput gain clears a hysteresis
 //	         threshold: the caller swaps the serving ingest plane onto a
 //	         pipeline of the new mapping (ingest.Plane.Swap drains the old

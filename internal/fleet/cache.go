@@ -19,16 +19,16 @@ const familyCap = 256
 const gridMemoCap = 256
 
 // Cache is the fleet-level solve-once-place-many layer. It groups specs
-// into structural families keyed by the sig of adapt.CanonicalKeys and
-// delegates each family to its own adapt.SolveCache, so two tenants
-// alternating structurally different specs never thrash one cache's
-// invalidation path, while N tenants submitting the identical spec share
-// one memo entry and one retained incremental solver. SolveBudget keys a
-// family by the structure at the spec's allocation cap and serves every
-// allocation up to the cap from one solve's per-budget frontier; Solve
-// keys it by the structure at the allocation itself. Machine-constrained
-// (grid) solves, which the SolveCache cannot express, are memoized
-// separately keyed by (canonical spec key, region dims).
+// into structural families keyed by the sig of adapt.CanonicalKeys at the
+// spec's allocation cap and delegates each family to its own
+// adapt.SolveCache, so two tenants alternating structurally different
+// specs never thrash one cache's invalidation path, while N tenants
+// submitting the identical spec share one memo entry and one retained
+// incremental solver. Solve serves every allocation up to the cap from
+// the family: from one DP solve's per-budget frontier when the cap routes
+// to DP, from one memoized solve per allocation when it routes to greedy.
+// Machine-constrained (grid) solves, which the SolveCache cannot express,
+// are memoized separately keyed by (cap key, allocation, region dims).
 //
 // A Cache is safe for concurrent use.
 type Cache struct {
@@ -44,8 +44,8 @@ type Cache struct {
 }
 
 type gridKey struct {
-	spec       uint64
-	rows, cols int
+	key               uint64 // canonical spec key at the cap
+	procs, rows, cols int
 }
 
 type gridEntry struct {
@@ -130,27 +130,16 @@ func (c *Cache) family(sig uint64) *adapt.SolveCache {
 	return f
 }
 
-// Solve maps a chain onto an allocation-sized platform through the cache:
-// a hit returns the memoized mapping without touching a solver, a miss
-// routes through the family's incremental-DP warm path and memoizes the
-// result. The returned path is one of adapt.PathMemo, PathIncremental,
-// PathFullDP or PathGreedy, and the mapping is always a detached copy.
-// The spec is hashed once, for both its family and its memo key.
-func (c *Cache) Solve(chain *model.Chain, pl model.Platform, opt adapt.ResolveOptions) (core.Result, string, error) {
-	sig, key := adapt.CanonicalKeys(chain, pl, opt)
-	return c.family(sig).Resolve(chain, pl, opt, sig, key)
-}
-
-// SolveBudget maps a chain onto budget processors from the per-budget
-// frontier of the same chain solved at its allocation cap capPl, through
-// the family of the cap structure: every allocation of one spec shares one
-// DP solve, and a re-placement at another allocation is a memo lookup.
-// sig and key are adapt.CanonicalKeys of (chain, capPl, opt), computed
-// once by the caller; the instance must satisfy adapt.HasFrontier. The
-// result equals a fresh core.Map under Auto on budget processors, and its
-// mapping is a detached copy.
-func (c *Cache) SolveBudget(chain *model.Chain, capPl model.Platform, opt adapt.ResolveOptions, sig, key uint64, budget int) (core.Result, string, error) {
-	return c.family(sig).ResolveBudget(chain, capPl, opt, sig, key, budget)
+// Solve maps a chain onto budget processors through the family of its
+// cap capPl; sig and key are adapt.CanonicalKeys of (chain, capPl),
+// computed once by the caller. Every allocation of one spec shares the
+// family's solve at the cap, and a re-placement at another allocation is
+// a memo lookup. The result equals a fresh core.Map under Auto on budget
+// processors, its mapping is a detached copy, and the path is one of
+// adapt.PathMemo, PathIncremental, PathFullDP or PathGreedy (see
+// adapt.SolveCache.Solve).
+func (c *Cache) Solve(chain *model.Chain, capPl model.Platform, sig, key uint64, budget int) (core.Result, string, error) {
+	return c.family(sig).Solve(chain, capPl, sig, key, budget)
 }
 
 // PathGrid marks a placement solved under machine (grid) constraints.
@@ -162,13 +151,13 @@ const PathGridMemo = "grid-memo"
 
 // SolveGrid is the machine-constrained companion of Solve, used when a
 // pipeline's unconstrained optimum does not pack into its grid region: it
-// finds the best mapping feasible on the region (machine.FeasibleOptimal)
-// and memoizes it by (canonical spec key, region dims).
-func (c *Cache) SolveGrid(chain *model.Chain, pl model.Platform, opt adapt.ResolveOptions, g machine.Grid) (core.Result, string, error) {
-	_, spec := adapt.CanonicalKeys(chain, pl, opt)
-	key := gridKey{spec: spec, rows: g.Rows, cols: g.Cols}
+// finds the best mapping feasible on the region at the allocation pl
+// (machine.FeasibleOptimal) and memoizes it by (key, allocation, region
+// dims), where key is the spec's adapt.CanonicalKeys key at its cap.
+func (c *Cache) SolveGrid(chain *model.Chain, pl model.Platform, key uint64, g machine.Grid) (core.Result, string, error) {
+	gk := gridKey{key: key, procs: pl.Procs, rows: g.Rows, cols: g.Cols}
 	c.mu.Lock()
-	if ent, ok := c.gridMemo[key]; ok {
+	if ent, ok := c.gridMemo[gk]; ok {
 		c.gridHits++
 		c.mu.Unlock()
 		m := model.Mapping{Chain: chain, Modules: append([]model.Module(nil), ent.modules...)}
@@ -180,10 +169,7 @@ func (c *Cache) SolveGrid(chain *model.Chain, pl model.Platform, opt adapt.Resol
 	c.gridMiss++
 	c.mu.Unlock()
 
-	m, _, err := machine.FeasibleOptimal(chain, pl, machine.Constraints{Grid: g}, dp.Options{
-		DisableReplication: opt.DisableReplication,
-		DisableClustering:  opt.DisableClustering,
-	})
+	m, _, err := machine.FeasibleOptimal(chain, pl, machine.Constraints{Grid: g}, dp.Options{})
 	if err != nil {
 		return core.Result{}, PathGrid, err
 	}
@@ -191,17 +177,17 @@ func (c *Cache) SolveGrid(chain *model.Chain, pl model.Platform, opt adapt.Resol
 
 	c.mu.Lock()
 	c.gridSolve++
-	if _, ok := c.gridMemo[key]; !ok {
+	if _, ok := c.gridMemo[gk]; !ok {
 		if len(c.gridOrder) >= gridMemoCap {
 			delete(c.gridMemo, c.gridOrder[0])
 			c.gridOrder = c.gridOrder[:copy(c.gridOrder, c.gridOrder[1:])]
 		}
-		c.gridMemo[key] = gridEntry{
+		c.gridMemo[gk] = gridEntry{
 			modules:    append([]model.Module(nil), m.Modules...),
 			throughput: m.Throughput(),
 			latency:    m.Latency(),
 		}
-		c.gridOrder = append(c.gridOrder, key)
+		c.gridOrder = append(c.gridOrder, gk)
 	}
 	c.mu.Unlock()
 	return core.Result{

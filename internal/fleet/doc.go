@@ -14,13 +14,15 @@
 // allocation actually changed. Unchanged pipelines keep their mapping
 // without touching the cache. Admission hashes each spec once, at its
 // allocation cap: one adapt.CanonicalKeys pass names both its family and
-// its memo key, sampling each cost only where a solver reads it. Its
-// family's adapt.SolveCache solves it there once: that DP table holds the
-// optimum at every smaller budget too, so every re-placement reads the
-// new allocation's mapping from the memoized per-budget frontier, with no
-// hashing and no solve. That holds with clustering off too. Specs routed
-// to greedy at the cap have no frontier and solve per allocation through
-// the same caches, hashed once per solve.
+// its memo key, sampling each cost only where a solver reads it. Every
+// placement then asks its family's adapt.SolveCache for the allocation
+// through one call, Cache.Solve, with those keys. A spec routed to DP at
+// the cap is solved there once: that DP table holds the optimum at every
+// smaller budget too, so every re-placement reads the new allocation's
+// mapping from the memoized per-budget frontier, with no hashing and no
+// solve. A spec routed to greedy at the cap has no frontier: each
+// allocation is solved once as core.Map solves it and memoized under the
+// cap's key and the allocation, again with no rehash.
 //
 // # Packing policy (normative)
 //

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pipemap/internal/adapt"
-	"pipemap/internal/core"
 	"pipemap/internal/machine"
 	"pipemap/internal/model"
 	"pipemap/internal/obs/live"
@@ -38,10 +37,6 @@ type Config struct {
 	// machine-feasible inside its region. Pool.Procs is clamped to the
 	// grid size (and defaults to it when zero).
 	Grid machine.Grid
-	// Solve carries the solver knobs forwarded to every per-pipeline solve
-	// (replication/clustering switches); core.AutoAlgorithm picks DP or
-	// greedy.
-	Solve adapt.ResolveOptions
 	// MaxPipelines bounds concurrent admissions (0 = unbounded).
 	MaxPipelines int
 	// Registry receives fleet_* metrics; nil disables.
@@ -72,8 +67,9 @@ type Placement struct {
 	Throughput float64 `json:"throughput"`
 	Latency    float64 `json:"latency"`
 	// Path reports how the last placement was produced: memo (read from
-	// the cached per-budget frontier, or a memoized per-allocation solve),
-	// dp or incremental (a DP solve ran), greedy, grid, or grid-memo.
+	// the cached per-budget frontier, or a memoized solve at the
+	// allocation), dp or incremental (a DP solve ran), greedy, grid, or
+	// grid-memo.
 	Path string `json:"path"`
 	// Generation is the rebalance generation that last (re-)placed this
 	// pipeline.
@@ -91,11 +87,8 @@ type pipeline struct {
 	alloc    int
 
 	// sig and key are the canonical structural signature and spec key at
-	// the cap, hashed once at admission. frontier marks a spec whose every
-	// allocation is read from the per-budget frontier of its cap solve;
-	// the others solve per allocation.
+	// the cap, hashed once at admission.
 	sig, key uint64
-	frontier bool
 
 	placed      bool
 	placedAlloc int // allocation the current mapping was placed at
@@ -268,13 +261,12 @@ func (f *Fleet) Admit(s Spec) (Placement, error) {
 	}
 
 	capPl := model.Platform{Procs: capProcs, MemPerProc: f.cfg.Pool.MemPerProc}
-	sig, key := adapt.CanonicalKeys(s.Chain, capPl, f.cfg.Solve)
+	sig, key := adapt.CanonicalKeys(s.Chain, capPl)
 	f.nextID++
 	cand := &pipeline{
 		id: f.nextID, tenant: s.Tenant, chain: s.Chain,
 		priority: pri, min: min, cap: capProcs,
 		sig: sig, key: key,
-		frontier: adapt.HasFrontier(s.Chain, capPl),
 	}
 	// Mutation-free pre-check: run the partition with the candidate
 	// included (rank and partition only read min/priority); if the
@@ -501,33 +493,23 @@ func (f *Fleet) packGridLocked(survivors []*pipeline) (kept, victims []*pipeline
 }
 
 // placeLocked places one pipeline at its current allocation through the
-// cache, skipping it entirely when neither the allocation nor, in grid
-// mode, the region shape changed since its last placement. A frontier
-// spec reads its allocation from the per-budget frontier of its cap solve;
-// any other spec solves at the allocation.
+// cache, keyed at its cap, skipping it entirely when neither the
+// allocation nor, in grid mode, the region shape changed since its last
+// placement.
 func (f *Fleet) placeLocked(m *pipeline) error {
 	if m.placed && m.placedAlloc == m.alloc && (!f.grid || sameShape(m.region, m.placedDims)) {
 		return nil
 	}
-	pl := model.Platform{Procs: m.alloc, MemPerProc: f.cfg.Pool.MemPerProc}
-	var (
-		res  core.Result
-		path string
-		err  error
-	)
-	if m.frontier {
-		capPl := model.Platform{Procs: m.cap, MemPerProc: f.cfg.Pool.MemPerProc}
-		res, path, err = f.cache.SolveBudget(m.chain, capPl, f.cfg.Solve, m.sig, m.key, m.alloc)
-	} else {
-		res, path, err = f.cache.Solve(m.chain, pl, f.cfg.Solve)
-	}
+	capPl := model.Platform{Procs: m.cap, MemPerProc: f.cfg.Pool.MemPerProc}
+	res, path, err := f.cache.Solve(m.chain, capPl, m.sig, m.key, m.alloc)
 	if err != nil {
 		return err
 	}
 	if f.grid {
 		sub := machine.Grid{Rows: m.region.H, Cols: m.region.W}
 		if _, ok := machine.Feasible(res.Mapping, machine.Constraints{Grid: sub}); !ok {
-			res, path, err = f.cache.SolveGrid(m.chain, pl, f.cfg.Solve, sub)
+			pl := model.Platform{Procs: m.alloc, MemPerProc: f.cfg.Pool.MemPerProc}
+			res, path, err = f.cache.SolveGrid(m.chain, pl, m.key, sub)
 			if err != nil {
 				return err
 			}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pipemap/internal/adapt"
 	"pipemap/internal/core"
 	"pipemap/internal/model"
 )
@@ -66,7 +65,7 @@ func TestChurnScriptSolvesOncePerCostState(t *testing.T) {
 			t.Fatalf("%s: no pipelines placed", step)
 		}
 		for _, p := range ps {
-			want, err := freshSolve(chains[p.ID], model.Platform{Procs: p.Alloc, MemPerProc: pl.MemPerProc}, adapt.ResolveOptions{})
+			want, err := freshSolve(chains[p.ID], model.Platform{Procs: p.Alloc, MemPerProc: pl.MemPerProc})
 			if err != nil {
 				t.Fatalf("%s: fresh solve of pipeline %d at %d processors: %v", step, p.ID, p.Alloc, err)
 			}
@@ -112,22 +111,25 @@ func TestChurnScriptSolvesOncePerCostState(t *testing.T) {
 	}
 }
 
-// placeFourSpecs admits four 7-task specs, two per distinct chain, on a
-// pool under opt, then fails an eighth of the pool. After every step each
-// placement must equal a fresh core.Map at its allocation. frontier
-// is whether the specs are served by the frontier of their cap solve.
-func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier bool) *Fleet {
+// placeFourSpecs admits four uncapped 7-task specs, two per distinct
+// chain, on a pool, then fails an eighth of the pool. After every step
+// each placement must equal a fresh core.Map at its allocation. algo is
+// the algorithm core.AutoAlgorithm routes the specs to at their cap, the
+// pool.
+func placeFourSpecs(t *testing.T, pool int, algo core.Algorithm) *Fleet {
 	t.Helper()
-	f, err := New(Config{Pool: model.Platform{Procs: pool}, Solve: opt})
+	if got := core.AutoAlgorithm(7, pool); got != algo {
+		t.Fatalf("7 tasks on %d processors route to %v, want %v", pool, got, algo)
+	}
+	f, err := New(Config{Pool: model.Platform{Procs: pool}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	capPl := model.Platform{Procs: pool}
 	chains := map[int64]*model.Chain{}
 	check := func(step string) {
 		t.Helper()
 		for _, p := range f.Placements() {
-			want, err := freshSolve(chains[p.ID], model.Platform{Procs: p.Alloc}, opt)
+			want, err := freshSolve(chains[p.ID], model.Platform{Procs: p.Alloc})
 			if err != nil {
 				t.Fatalf("%s: fresh solve of pipeline %d: %v", step, p.ID, err)
 			}
@@ -139,9 +141,6 @@ func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier b
 	}
 	for i := 0; i < 4; i++ {
 		c := genChain(rand.New(rand.NewSource(int64(i%2))), 7)
-		if got := adapt.HasFrontier(c, capPl); got != frontier {
-			t.Fatalf("spec %d: HasFrontier = %v at cap %d, want %v", i, got, pool, frontier)
-		}
 		p, err := f.Admit(Spec{Tenant: "t", Chain: c})
 		if err != nil {
 			t.Fatal(err)
@@ -162,21 +161,15 @@ func placeFourSpecs(t *testing.T, pool int, opt adapt.ResolveOptions, frontier b
 // their smaller shared allocations.
 func TestSpecsWithoutFrontierSolvePerAllocation(t *testing.T) {
 	t.Run("greedy at the cap", func(t *testing.T) {
-		placeFourSpecs(t, 96, adapt.ResolveOptions{}, false)
+		placeFourSpecs(t, 96, core.Greedy)
 	})
 }
 
-// TestClusteringOffSpecsPlaceFromFrontier: with clustering off, a
-// DP-routed spec is placed from the frontier of its cap solve like any
-// other. Every placement keeps one module per task, and each distinct
+// TestDPCapSpecsSolveOncePerSpec: a spec routed to DP at its cap is placed
+// from the frontier of its cap solve at every allocation, so each distinct
 // spec solves once however often its allocation moves.
-func TestClusteringOffSpecsPlaceFromFrontier(t *testing.T) {
-	f := placeFourSpecs(t, 32, adapt.ResolveOptions{DisableClustering: true}, true)
-	for _, p := range f.Placements() {
-		if len(p.Mapping.Modules) != 7 {
-			t.Errorf("pipeline %d placed %v with clustering off", p.ID, &p.Mapping)
-		}
-	}
+func TestDPCapSpecsSolveOncePerSpec(t *testing.T) {
+	f := placeFourSpecs(t, 32, core.DP)
 	if cs := f.Cache().Stats(); cs.FullSolves+cs.IncrementalSolves != 2 {
 		t.Errorf("DP solves = %d full, %d incremental; want 2, one per distinct spec",
 			cs.FullSolves, cs.IncrementalSolves)

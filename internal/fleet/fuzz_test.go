@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"pipemap/internal/adapt"
+	"pipemap/internal/core"
 	"pipemap/internal/machine"
 	"pipemap/internal/model"
 )
@@ -21,24 +22,36 @@ import (
 // bit-identical to a fresh, uncached core.Map of the same spec on the
 // same slice — same modules, same predicted throughput and latency. The
 // slice doubles as an allocation cap: a placement at a random allocation
-// below it, read from the cap solve's per-budget frontier, must equal a
-// fresh core.Map at that allocation, on the first read and on the
-// memo hit after it. A divergence means the canonical key is collapsing
-// specs it must not, the memo is returning stale state, or the frontier
-// disagrees with a fresh solve.
+// below it, keyed by the cap, must equal a fresh core.Map at that
+// allocation, on the first read and on the memo hit after it. Half the
+// caps lie beyond the point where core.AutoAlgorithm routes the spec to
+// greedy, so both the per-budget frontier of a DP cap and the per-budget
+// solves of a greedy cap, DP or greedy at the allocation, are checked. A
+// divergence means the canonical key is collapsing specs it must not, the
+// memo is returning stale state, or a budget read disagrees with a fresh
+// solve.
 func FuzzFleetCacheMatchesFresh(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1995} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		chain := genChain(rng, 2+rng.Intn(5))
+		k := 2 + rng.Intn(5)
+		chain := genChain(rng, k)
 		pl := model.Platform{Procs: 4 + rng.Intn(29)}
-		var opt adapt.ResolveOptions
+		if rng.Intn(2) == 0 {
+			greedyFrom := 1
+			for core.AutoAlgorithm(k, greedyFrom) == core.DP {
+				greedyFrom++
+			}
+			pl.Procs = greedyFrom + rng.Intn(8)
+		}
+		dpCap := core.AutoAlgorithm(k, pl.Procs) == core.DP
+		sig, key := adapt.CanonicalKeys(chain, pl)
 
 		cache := NewCache()
-		first, firstPath, err := cache.Solve(chain, pl, opt)
-		fresh, freshErr := freshSolve(chain, pl, opt)
+		first, firstPath, err := cache.Solve(chain, pl, sig, key, pl.Procs)
+		fresh, freshErr := freshSolve(chain, pl)
 		if (err != nil) != (freshErr != nil) {
 			t.Fatalf("seed %d: cached error %v vs fresh error %v", seed, err, freshErr)
 		}
@@ -49,7 +62,7 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 			t.Fatalf("seed %d: first solve through an empty cache reported a memo hit", seed)
 		}
 
-		hit, hitPath, err := cache.Solve(chain, pl, opt)
+		hit, hitPath, err := cache.Solve(chain, pl, sig, key, pl.Procs)
 		if err != nil {
 			t.Fatalf("seed %d: cache-hit solve: %v", seed, err)
 		}
@@ -72,7 +85,7 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 		// poison the memo for the next tenant.
 		if len(hit.Mapping.Modules) > 0 {
 			hit.Mapping.Modules[0].Procs = -1
-			again, _, err := cache.Solve(chain, pl, opt)
+			again, _, err := cache.Solve(chain, pl, sig, key, pl.Procs)
 			if err != nil {
 				t.Fatalf("seed %d: post-mutation solve: %v", seed, err)
 			}
@@ -81,29 +94,31 @@ func FuzzFleetCacheMatchesFresh(f *testing.F) {
 			}
 		}
 
-		// The same spec placed below its cap, from the cap's frontier.
+		// The same spec placed below its cap, keyed by the cap.
 		alloc := 1 + rng.Intn(pl.Procs)
-		sig, key := adapt.CanonicalKeys(chain, pl, opt)
-		freshAt, freshAtErr := freshSolve(chain, model.Platform{Procs: alloc}, opt)
+		freshAt, freshAtErr := freshSolve(chain, model.Platform{Procs: alloc})
 		for i, wantPath := range []string{"", adapt.PathMemo} {
-			got, path, err := cache.SolveBudget(chain, pl, opt, sig, key, alloc)
+			got, path, err := cache.Solve(chain, pl, sig, key, alloc)
 			if (err != nil) != (freshAtErr != nil) {
-				t.Fatalf("seed %d: cap %d alloc %d: frontier error %v vs fresh error %v",
+				t.Fatalf("seed %d: cap %d alloc %d: budget read error %v vs fresh error %v",
 					seed, pl.Procs, alloc, err, freshAtErr)
 			}
-			if wantPath != "" && path != wantPath {
-				t.Fatalf("seed %d: frontier read %d took path %q, want %q", seed, i, path, wantPath)
+			// A budget no mapping fits is memoized as a gap in a DP cap's
+			// frontier; a greedy cap's failed solve is not memoized.
+			if wantPath != "" && path != wantPath && (err == nil || dpCap) {
+				t.Fatalf("seed %d: budget read %d took path %q, want %q", seed, i, path, wantPath)
 			}
 			if err != nil {
 				continue
 			}
 			if !reflect.DeepEqual(got.Mapping.Modules, freshAt.Mapping.Modules) ||
-				got.Throughput != freshAt.Throughput || got.Latency != freshAt.Latency {
-				t.Fatalf("seed %d: cap %d alloc %d: frontier placement diverges from fresh solve:\n frontier: %v\n fresh:    %v",
-					seed, pl.Procs, alloc, &got.Mapping, &freshAt.Mapping)
+				got.Throughput != freshAt.Throughput || got.Latency != freshAt.Latency ||
+				got.Algorithm != freshAt.Algorithm {
+				t.Fatalf("seed %d: cap %d alloc %d: budget read diverges from fresh solve:\n cached: %v (%v)\n fresh:  %v (%v)",
+					seed, pl.Procs, alloc, &got.Mapping, got.Algorithm, &freshAt.Mapping, freshAt.Algorithm)
 			}
 			if len(got.Mapping.Modules) > 0 {
-				got.Mapping.Modules[0].Procs = -1 // must not poison the frontier
+				got.Mapping.Modules[0].Procs = -1 // must not poison the memo
 			}
 		}
 	})

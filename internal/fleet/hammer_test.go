@@ -178,7 +178,7 @@ func TestHammerConcurrentCacheSolves(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					chain = genChain(rng, 2+rng.Intn(3))
 				}
-				res, _, err := cache.Solve(chain, pl, adaptOptions())
+				res, _, err := solveAtCap(cache, chain, pl)
 				atomic.AddInt64(&lookups, 1)
 				if err != nil {
 					continue
@@ -191,7 +191,7 @@ func TestHammerConcurrentCacheSolves(t *testing.T) {
 	}
 	wg.Wait()
 
-	res, _, err := cache.Solve(shared, pl, adaptOptions())
+	res, _, err := solveAtCap(cache, shared, pl)
 	if err != nil {
 		t.Fatal(err)
 	}

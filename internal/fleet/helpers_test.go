@@ -10,18 +10,17 @@ import (
 	"pipemap/internal/model"
 )
 
-// adaptOptions returns the default solver knobs used across the battery.
-func adaptOptions() adapt.ResolveOptions { return adapt.ResolveOptions{} }
-
 // freshSolve is the uncached reference every placement must equal:
-// core.Map under Auto with opt's solver options.
-func freshSolve(chain *model.Chain, pl model.Platform, opt adapt.ResolveOptions) (core.Result, error) {
-	return core.Map(core.Request{
-		Chain:              chain,
-		Platform:           pl,
-		DisableReplication: opt.DisableReplication,
-		DisableClustering:  opt.DisableClustering,
-	})
+// core.Map under Auto.
+func freshSolve(chain *model.Chain, pl model.Platform) (core.Result, error) {
+	return core.Map(core.Request{Chain: chain, Platform: pl})
+}
+
+// solveAtCap hashes (chain, pl) and solves it through cache with pl as
+// both the cap and the budget.
+func solveAtCap(cache *Cache, chain *model.Chain, pl model.Platform) (core.Result, string, error) {
+	sig, key := adapt.CanonicalKeys(chain, pl)
+	return cache.Solve(chain, pl, sig, key, pl.Procs)
 }
 
 // genChain builds a random but deterministic (per rng) chain of k tasks

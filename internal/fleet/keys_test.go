@@ -70,7 +70,6 @@ func withECom(c *model.Chain, e int, f model.CommFunc) *model.Chain {
 // grid point by one ulp changes both keys.
 func TestCanonicalKeysExactOnTheGrid(t *testing.T) {
 	const pool, maxProcs = 64, 32
-	opt := adaptOptions()
 	for _, name := range []string{"radar64", "ffthist256", "stereo128"} {
 		c, spl := loadSpec(t, name)
 		capPl := model.Platform{Procs: maxProcs, MemPerProc: spl.MemPerProc}
@@ -90,12 +89,12 @@ func TestCanonicalKeysExactOnTheGrid(t *testing.T) {
 			}
 			twin = withECom(twin, e, offGridComm{f: c.ECom[e], on: on})
 		}
-		sig, key := adapt.CanonicalKeys(c, capPl, opt)
-		if tsig, tkey := adapt.CanonicalKeys(twin, capPl, opt); tsig != sig || tkey != key {
+		sig, key := adapt.CanonicalKeys(c, capPl)
+		if tsig, tkey := adapt.CanonicalKeys(twin, capPl); tsig != sig || tkey != key {
 			t.Fatalf("%s: off-grid twin keys (%#x, %#x), spec (%#x, %#x)", name, tsig, tkey, sig, key)
 		}
 
-		f, err := New(Config{Pool: model.Platform{Procs: pool, MemPerProc: spl.MemPerProc}, Solve: opt})
+		f, err := New(Config{Pool: model.Platform{Procs: pool, MemPerProc: spl.MemPerProc}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +114,7 @@ func TestCanonicalKeysExactOnTheGrid(t *testing.T) {
 			}
 		}
 		tp := f.Placements()[1]
-		fresh, err := freshSolve(twin, model.Platform{Procs: tp.Alloc, MemPerProc: spl.MemPerProc}, opt)
+		fresh, err := freshSolve(twin, model.Platform{Procs: tp.Alloc, MemPerProc: spl.MemPerProc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +124,7 @@ func TestCanonicalKeysExactOnTheGrid(t *testing.T) {
 
 		for e, pts := range grid {
 			for _, p := range pts {
-				nsig, nkey := adapt.CanonicalKeys(withECom(c, e, nudgedComm{f: c.ECom[e], at: p}), capPl, opt)
+				nsig, nkey := adapt.CanonicalKeys(withECom(c, e, nudgedComm{f: c.ECom[e], at: p}), capPl)
 				if nsig == sig || nkey == key {
 					t.Fatalf("%s: edge %d moved by one ulp at %v keeps the keys", name, e, p)
 				}

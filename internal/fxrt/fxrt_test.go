@@ -420,11 +420,11 @@ func TestWindowThroughputReplicatedBursts(t *testing.T) {
 		t.Fatalf("burst-aligned window read %.1f/s by counting since its first completion, want it off r/T = %.1f/s", got, want)
 	}
 	for warmup := n/5 - r; warmup <= n/5+r; warmup++ {
-		if got := windowThroughput(done, warmup); math.Abs(got/want-1) > 0.002 {
+		if got := WindowThroughput(done, warmup); math.Abs(got/want-1) > 0.002 {
 			t.Errorf("warmup %d: throughput %.2f/s, want r/T = %.2f/s within 0.2%%", warmup, got, want)
 		}
 	}
-	if got := windowThroughput(done[:3], 2); got != 0 {
+	if got := WindowThroughput(done[:3], 2); got != 0 {
 		t.Errorf("one completion after warmup: throughput %g, want 0", got)
 	}
 }

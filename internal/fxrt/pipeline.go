@@ -54,7 +54,7 @@ type Stats struct {
 	Elapsed time.Duration
 	// Throughput is data sets per second over the post-warmup window: the
 	// least-squares slope of completion count over time (see
-	// windowThroughput).
+	// WindowThroughput).
 	Throughput float64
 	// Latency is the mean data set traversal time.
 	Latency time.Duration
@@ -248,20 +248,22 @@ func (p *Pipeline) runBatch(source func(i int) DataSet, n, warmup int, edges []E
 		stats.Elapsed = done[completed-1]
 		stats.Latency = latSum / time.Duration(completed)
 	}
-	stats.Throughput = windowThroughput(done, warmup)
+	stats.Throughput = WindowThroughput(done, warmup)
 	return stats, nil
 }
 
-// windowThroughput is the steady-state rate of a run whose data sets
-// completed at the times in done, ascending: the least-squares slope of
-// completion count over time, fitted to the completions after the first
-// warmup. A replicated last stage completes in bursts of its replica
-// count; counting the completions after the window's first over the time
-// since that one would count a whole burst without its period whenever
-// the window opens on a burst's first completion, and the fitted slope
-// does not depend on where the window opens. It is 0 when fewer than two
-// completions remain or they share one instant.
-func windowThroughput(done []time.Duration, warmup int) float64 {
+// WindowThroughput is the steady-state rate of a run whose data sets
+// completed at the times in done, ascending and measured from any fixed
+// origin: the least-squares slope of completion count over time, fitted
+// to the completions after the first warmup. A replicated last stage
+// completes in bursts of its replica count; counting the completions
+// after the window's first over the time since that one would count a
+// whole burst without its period whenever the window opens on a burst's
+// first completion, and the fitted slope does not depend on where the
+// window opens. It is 0 when fewer than two completions remain or they
+// share one instant. Pipeline.Run measures its Throughput with it, and so
+// does any caller that streams its own data sets.
+func WindowThroughput(done []time.Duration, warmup int) float64 {
 	if warmup < 0 || len(done)-warmup < 2 {
 		return 0
 	}

@@ -208,13 +208,6 @@ func (s *Stream) InFlight() int {
 	return s.inflight
 }
 
-// Closed reports whether Close has begun (the stream rejects pushes).
-func (s *Stream) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // doneOne retires one in-flight data set and completes the drain when the
 // stream is closed and empty.
 func (s *Stream) doneOne() {

@@ -3,21 +3,22 @@ package live
 import "sync"
 
 // Event is one fault-relevant runtime event: an instance death, a dropped
-// or retried data set, a timeout, or a remapping. Events are what a
+// or retried data set, a timeout, or a drain marker. Events are what a
 // dashboard tails to explain *why* throughput moved; the regular flow of
 // completed data sets is deliberately not an event stream (it is carried
 // by the windowed instruments at far lower cost).
 type Event struct {
 	// TS is seconds since the monitor started (virtual seconds in replays).
 	TS float64 `json:"ts"`
-	// Kind is "death", "drop", "retry", "timeout", "remap", "drain-start"
-	// or "drain-end".
+	// Kind is "death", "drop", "retry", "timeout", "drain-start" or
+	// "drain-end".
 	Kind string `json:"kind"`
 	// Stage names the stage involved, when any.
 	Stage string `json:"stage,omitempty"`
 	// Dataset is the stream index involved, or -1.
 	Dataset int `json:"dataset"`
-	// Detail carries free-form context (e.g. the new mapping on "remap").
+	// Detail carries free-form context (e.g. the live replica count on
+	// "death").
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -260,15 +260,6 @@ func (m *Monitor) InstanceDeath(i, dataset int) {
 		Detail: fmt.Sprintf("%d/%d replicas live", s.live.Load(), s.info.Replicas)})
 }
 
-// Remapped records a degraded remapping: the pipeline was rebuilt on a new
-// mapping (detail carries its summary).
-func (m *Monitor) Remapped(detail string) {
-	if m == nil {
-		return
-	}
-	m.events.Publish(Event{TS: m.now(), Kind: "remap", Dataset: -1, Detail: detail})
-}
-
 // Completed records one data set leaving the pipeline with its end-to-end
 // latency.
 func (m *Monitor) Completed(latencySeconds float64) {

@@ -185,7 +185,6 @@ func TestNilMonitor(t *testing.T) {
 	mon.StageTimeout(0, 1)
 	mon.StageDrop(0, 1)
 	mon.InstanceDeath(0, 1)
-	mon.Remapped("x")
 	mon.Completed(1)
 	mon.Finish()
 	if mon.Events() != nil {

@@ -6,6 +6,17 @@ import (
 	"pipemap/internal/obs/live"
 )
 
+// TraceDataSets returns the number of distinct data sets in the trace.
+func (r Result) TraceDataSets() int {
+	seen := map[int]bool{}
+	for _, s := range r.Trace {
+		if s.Kind != OpFail {
+			seen[s.DataSet] = true
+		}
+	}
+	return len(seen)
+}
+
 // Replay feeds a traced simulation through a live monitor in virtual time:
 // each simulated stage completion becomes a StageDone observation at its
 // virtual end time, fail-stop failure events become instance deaths, and
@@ -25,17 +36,6 @@ import (
 // each step; a caller can sleep some fraction of it to play the timeline
 // back at a chosen speed for a live dashboard. nil replays instantly.
 // Requires a trace: run the simulation with Options.Trace set.
-// TraceDataSets returns the number of distinct data sets in the trace.
-func (r Result) TraceDataSets() int {
-	seen := map[int]bool{}
-	for _, s := range r.Trace {
-		if s.Kind != OpFail {
-			seen[s.DataSet] = true
-		}
-	}
-	return len(seen)
-}
-
 func Replay(res Result, mon *live.Monitor, vc *live.VirtualClock, pace func(virtualDelta float64)) {
 	type key struct{ mod, ds int }
 	type agg struct{ busy, end float64 }

@@ -413,8 +413,9 @@ func NewSLOEngine(cfg SLOConfig) *SLOEngine { return slo.New(cfg) }
 type (
 	// Fleet is the multi-pipeline scheduler over one shared pool.
 	Fleet = fleet.Fleet
-	// FleetConfig configures the pool, optional grid, solver knobs, and
-	// metrics registry.
+	// FleetConfig configures the pool, optional grid, admission bound,
+	// and metrics registry; core.AutoAlgorithm picks each solver, as
+	// Map's Auto does.
 	FleetConfig = fleet.Config
 	// FleetSpec is one tenant's admission request (chain plus priority
 	// and allocation-cap hints).
@@ -428,8 +429,10 @@ type (
 	// FleetState is the /fleet JSON payload (stats plus placements).
 	FleetState = fleet.State
 	// FleetCache is the fleet-level solve cache grouping specs into
-	// structural families; a family solves a spec once at its allocation
-	// cap and serves every allocation up to the cap from that solve.
+	// structural families keyed at each spec's allocation cap. Its one
+	// Solve serves every allocation up to the cap: from the per-budget
+	// frontier of one DP solve at the cap, or, for a cap routed to
+	// greedy, from one memoized solve per allocation.
 	FleetCache = fleet.Cache
 	// FleetCacheStats aggregates hit/miss/solve counters across the
 	// cache's families.
