@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pipemap/internal/dp"
 	"pipemap/internal/model"
 )
 
@@ -27,8 +28,8 @@ func loadSpec(tb testing.TB, name string) (*model.Chain, model.Platform) {
 }
 
 // BenchmarkColdSolveSpecs times one cold DP mapping of each committed spec
-// through Map: tables, arena and every layer built from scratch, as a
-// planner pays on its first solve of a spec.
+// through Map: tables and every layer built from scratch, as a planner
+// pays on its first solve of a spec.
 func BenchmarkColdSolveSpecs(b *testing.B) {
 	for _, name := range specNames {
 		c, pl := loadSpec(b, name)
@@ -36,6 +37,38 @@ func BenchmarkColdSolveSpecs(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := Map(Request{Chain: c, Platform: pl, Algorithm: DP}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRetainedSolveSpecs times the solve a retained solver runs on
+// each committed spec: NewSolver and its uncapped Solve, then a Resolve
+// after every task's cost moved, which recomputes every layer. A fleet
+// admission and a controller's first solve of a spec pay this path.
+func BenchmarkRetainedSolveSpecs(b *testing.B) {
+	for _, name := range specNames {
+		c, pl := loadSpec(b, name)
+		tasks := make([]model.Task, c.Len())
+		changed := make([]int, c.Len())
+		for i, task := range c.Tasks {
+			task.Exec = model.ScaleCost{F: task.Exec, K: 1.25}
+			tasks[i], changed[i] = task, i
+		}
+		scaled := &model.Chain{Tasks: tasks, ICom: c.ICom, ECom: c.ECom}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				s, err := dp.NewSolver(c, pl, dp.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Solve(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Resolve(scaled, changed); err != nil {
 					b.Fatal(err)
 				}
 			}

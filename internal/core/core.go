@@ -27,10 +27,12 @@ type Algorithm int
 const (
 	// Auto uses dynamic programming when the instance is small enough for
 	// the O(P^4 k^2) cost to be negligible and the greedy heuristic
-	// otherwise. The estimate prices the whole table; a cold DP solve
-	// (dp.MapChain) skips the states above its incumbent and often fills
-	// far less of it, while the retained solvers of package adapt fill it
-	// all.
+	// otherwise. The estimate prices the whole table, from k and P alone.
+	// A solve stores and expands only the states it reaches: a cold DP
+	// solve (dp.MapChain) skips the states above its incumbent, and even
+	// the uncapped solves of package adapt reach a few percent of the
+	// table on some specs (stereo128: 2.9% at P=64). How much a solve
+	// reaches is known only after it runs.
 	Auto Algorithm = iota
 	// DP is the provably optimal dynamic programming algorithm.
 	DP

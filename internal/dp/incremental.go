@@ -60,18 +60,31 @@ var inf = math.Inf(1)
 // transfer table shares the classes: a state of class c reads its input
 // edge at row c.
 //
-// Nor does a layer store the (pt, pcur) square. A state of layer (b, l)
-// holds pcur >= min = minP[b-l, b) and q = pt - pcur >= lowQ[b-l], the
-// fewest processors any feasible cover of [0, b-l) holds; a seed layer
-// (b = l) has q = 0 only. So the layer is a triangle of rows q = lowQ ..
-// P-min, row q holding pcur in [min, P-q] times |E_{b-l}| classes (none
-// when span [b-l, b) or the prefix [0, b-l) is infeasible). Solver.at is
-// the one index function into it. A transition from a state with pt
-// processors writes a run of one target row, q = pt. Live lists hold each
-// state's (pt, pcur, class) packed in one word, in the ascending order a
-// dense (pt, pcur, peffPrev) table would be scanned in: class order
-// equals value order, so live lists, dominance and tie-breaking are those
-// of the dense tables.
+// A state of layer (b, l) holds pcur >= min = minP[b-l, b) and q = pt -
+// pcur >= lowQ[b-l], the fewest processors any feasible cover of [0, b-l)
+// holds; a seed layer (b = l) has q = 0 only. So the states a layer can
+// hold form rows q = lowQ .. P-min, row q holding pcur in [min, P-q] times
+// |E_{b-l}| classes. A transition from a state with pt processors writes
+// the whole of one such (row, class) run: row q = pt, at the class of the
+// source's per-instance count. A layer stores only the runs some
+// transition writes, so it stores exactly its finite cells (in the latency
+// mode, less the cells the period cap keeps at +Inf). Its run directory,
+// one entry per (row, class), holds each stored run's offset, or -1; the
+// cells of a run lie pcur after pcur. The layers sharing an open-module
+// start a are the targets of pass a (the seed layers for a = 0), and they
+// store their runs in one slab, val[a] and choice[a]. Before its parallel
+// targets, pass b walks its sources' live lists once, marks the runs their
+// transitions will write, and stores those runs, +Inf, in every target
+// (store). Solver.at is the one index function into the layers.
+//
+// Live lists hold each state's (pt, pcur, class) packed in one word, in
+// the ascending order a dense (pt, pcur, peffPrev) table would be scanned
+// in: class order equals value order, so live lists, dominance and
+// tie-breaking are those of the dense tables. buildLive visits only the
+// stored runs, in that order: a run (q, c) holds a cell at every pt from
+// q+min to P, so at each pt the runs holding one, ordered by q descending
+// and then c ascending, are a suffix of the pass's marked runs, in
+// ascending (pcur, class) order.
 //
 // # Dominance pruning
 //
@@ -98,25 +111,29 @@ var inf = math.Inf(1)
 // (solveOnce: MapChain and AssignClustered, which read one optimum and
 // drop the tables) keeps that incumbent I: the least close value of the
 // seed close layer (k, k) before pass 1, lowered by close layer (k, k-b)
-// after pass b. It changes only between passes, so the parallel targets
-// read a constant, and target skips, before counting it, every source
-// state above it. The skip is exact to the bit: I is the period of a real
-// mapping, so at least the optimum, and a strict > keeps every state at
-// or below the optimum, so each such state holds the value, choice and
-// dominance fate of the uncapped table, and scan picks the same winner
-// and follows the same choices. The states above I differ, so a capped
+// after pass b. It changes only between passes: store, the serial step
+// before pass b's parallel targets, drops every source state above it
+// from its live list (a capped solver's lists are thrown away with it),
+// so target neither counts such a state nor has a run stored for it. The
+// skip is exact to the bit: I is the period of a real mapping, so at
+// least the optimum, and a strict > keeps every state at or below the
+// optimum, so each such state holds the value, choice and dominance fate
+// of the uncapped table, and scan picks the same winner and follows the
+// same choices. The states above I differ, so a capped
 // solver's tables answer no other budget and no other costs: NewSolver's
 // solvers, which Frontier and Resolve read, and the latency mode, whose
 // sum the incumbent does not bound, stay uncapped.
 //
 // # Allocation discipline
 //
-// All tables, layer arenas and live-state lists are allocated at
-// construction (or grown during the first solves); a Resolve call on a
-// warmed solver performs zero heap allocations, so a fleet of pipelines
-// can re-solve on every adapt tick without GC churn. The arena is never
-// filled as a whole: seed writes every cell of the seed layers, and a
-// solve clears only the layers it recomputes. A live list grows in one
+// All tables and run directories are allocated at construction, and no
+// cell: seed stores the seed runs, and each pass stores its targets' runs
+// in its slab, reusing the capacity an earlier solve left it (a cold solve
+// makes each slab once, at its final size). Live lists and scratch grow
+// during the first solves the same way, so a Resolve call on a warmed
+// solver performs zero heap allocations, and a fleet of pipelines can
+// re-solve on every adapt tick without GC churn. A solve resets the run
+// directories of only the layers it recomputes. A live list grows in one
 // scratch slice and is copied out at its final length. Incremental
 // re-solves run single-threaded: the recomputed region is small and the
 // callers (many controllers sharing one process) provide the
@@ -132,22 +149,29 @@ type Solver struct {
 	// until a Resolve supplies a newer one); returned mappings carry it.
 	chain *model.Chain
 
-	// Layer arena: k(k+1)/2 layers stored back to back, ordinal
-	// b(b-1)/2 + (l-1) for layer (b, l), 1 <= l <= b <= k, placed by
-	// shape[ord]. See "Layer layout" above; at indexes it.
-	val    []float64
-	choice []uint64
+	// Layers: k(k+1)/2 of them, ordinal b(b-1)/2 + (l-1) for layer (b, l),
+	// 1 <= l <= b <= k, each placed by shape[ord]. See "Layer layout"
+	// above; at indexes them. dir holds every layer's run directory: the
+	// offset of run (q, c) of layer ord in its slab at
+	// dir[shape[ord].dir + (q-qlo)*nE + c], or -1 where the run is not
+	// stored. val[a] and choice[a] are the slab of the layers with
+	// open-module start a.
 	shape  []layerShape
+	dir    []int32
+	val    [][]float64
+	choice [][]uint64
 	// live[ord] lists the non-inf, non-dominated states of a layer, each
 	// (pt, pcur, class) packed by pack, in ascending (pt, pcur, peffPrev)
 	// order; rebuilt whenever the layer is recomputed, reused read-only
 	// otherwise.
 	live [][]uint64
 
-	liveBuf []uint64  // live-list scratch buildLive grows a list in
-	colMin  []float64 // dominance scratch, one entry per (pcur, class) column
-	changed []bool    // k-length scratch: which tasks moved this Resolve
-	tgts    []int     // per-pass feasible target spans scratch
+	liveBuf []uint64   // live-list scratch buildLive grows a list in
+	colMin  []float64  // dominance scratch, one entry per (pcur, class) column
+	marks   []bool     // store's (q-qlo)*nE + c scratch: the runs a pass writes
+	runs    []rowClass // store's scratch: the marked runs in buildLive's order
+	changed []bool     // k-length scratch: which tasks moved this Resolve
+	tgts    []int      // per-pass feasible target spans scratch
 
 	solved bool
 	solves int64          // completed Solve/Resolve runs (full or incremental)
@@ -162,9 +186,9 @@ type Solver struct {
 
 	// capped marks a solver that answers one Solve and is dropped
 	// (solveOnce): run keeps incumbent, the least close value of the close
-	// layers completed so far, and target skips every source state above
-	// it. Every other solver keeps incumbent at +Inf; see "Capped cold
-	// solves" above.
+	// layers completed so far, and store drops every source state above it.
+	// Every other solver keeps incumbent at +Inf; see "Capped cold solves"
+	// above.
 	capped    bool
 	incumbent float64
 }
@@ -175,22 +199,29 @@ type Solver struct {
 // count must stay at 1.
 func (s *Solver) SolveCount() int64 { return s.solves }
 
-// layerShape places one layer's triangle in the arena: rows q = qlo ..
-// qlo+rows-1, row qlo+j holding pcur in [min, min+w-j) times nE classes,
-// stored row after row from off.
+// layerShape places one layer: rows q = qlo .. qlo+rows-1, row qlo+j
+// holding pcur in [min, min+w-j) times nE classes, and its run directory
+// of rows*nE entries from dir.
 type layerShape struct {
-	off, size int
+	dir       int
 	qlo, rows int
 	min, w    int
 	nE        int
 }
 
-// at is the arena index of state (pt, pcur, class c) of layer ord: the
-// rows before row j = pt-pcur-qlo hold w, w-1, ..., w-j+1 counts.
+// entry is the index of run (q, c)'s offset in the run directory.
+func (g *layerShape) entry(q, c int) int { return g.dir + (q-g.qlo)*g.nE + c }
+
+// rowClass names run (q, c) of a layer: the cells of row q at class c.
+type rowClass struct{ q, c int32 }
+
+// at is the index of state (pt, pcur, class c) of layer ord in its slab:
+// the offset of run (q = pt-pcur, c) plus pcur's place in the run. The run
+// must be stored, as it is for every state a solve reads: those are
+// finite.
 func (s *Solver) at(ord, pt, pcur, c int) int {
 	g := &s.shape[ord]
-	j := pt - pcur - g.qlo
-	return g.off + (j*g.w-j*(j-1)/2+pcur-g.min)*g.nE + c
+	return int(s.dir[g.entry(pt-pcur, c)]) + pcur - g.min
 }
 
 // pack packs three coordinates into one word: a choice pointer's (prevL,
@@ -466,10 +497,11 @@ func (t *tables) tabulateExecAll(c *model.Chain) {
 	}
 }
 
-// NewSolver validates the instance and builds all tables and arenas. The
-// chain's execution costs are tabulated as given; later Resolve calls
-// retabulate only the spans whose tasks are reported changed. With
-// opt.DisableClustering every module is a single task.
+// NewSolver validates the instance, builds all tables and run directories
+// and stores the seed layers. The chain's execution costs are tabulated as
+// given; later Resolve calls retabulate only the spans whose tasks are
+// reported changed. With opt.DisableClustering every module is a single
+// task.
 func NewSolver(c *model.Chain, pl model.Platform, opt Options) (*Solver, error) {
 	return newSolver(c, pl, opt, nil)
 }
@@ -494,9 +526,9 @@ func newSolver(c *model.Chain, pl model.Platform, opt Options, spans []model.Spa
 	return s, nil
 }
 
-// layout lays out the arena: layer (b, l) gets its triangle of reachable
-// (q, pcur) cells times |E_{b-l}| classes. The arena is left zero: seed
-// writes every seed-layer cell and run(0) clears every other layer.
+// layout places every layer's (row, class) directory, and the scratch
+// that store and buildLive work in. It allocates no cell: seed stores the
+// seed runs, and each pass stores its targets' runs.
 func (s *Solver) layout() {
 	k, P, stride := s.k, s.P, s.stride
 	maxE := 0
@@ -514,88 +546,96 @@ func (s *Solver) layout() {
 		}
 	}
 	s.shape = make([]layerShape, k*(k+1)/2)
-	size := 0
+	size, maxDir := 0, 0
 	for b := 1; b <= k; b++ {
 		for l := 1; l <= b; l++ {
 			a := b - l
-			g := layerShape{off: size, qlo: lowQ[a], min: s.minP[a*(k+1)+b], nE: len(s.effVals[a])}
+			g := layerShape{dir: size, qlo: lowQ[a], min: s.minP[a*(k+1)+b], nE: len(s.effVals[a])}
 			// Row qlo holds pcur in [min, P-qlo]; the rows run to q = P-min.
 			if w := P - g.qlo - g.min + 1; w > 0 {
 				g.w, g.rows = w, w
 				if a == 0 {
 					g.rows = 1 // a seed state has pt = pcur
 				}
-				g.size = (g.rows*w - g.rows*(g.rows-1)/2) * g.nE
 			}
 			s.shape[s.ord(b, l)] = g
-			size += g.size
+			size += g.rows * g.nE
+			maxDir = max(maxDir, g.rows*g.nE)
 		}
 	}
-	s.val = make([]float64, size)
-	s.choice = make([]uint64, size)
+	s.dir = make([]int32, size)
+	s.val = make([][]float64, k)
+	s.choice = make([][]uint64, k)
 	s.live = make([][]uint64, len(s.shape))
 	s.colMin = make([]float64, stride*maxE)
+	s.marks = make([]bool, maxDir)
 }
 
-// ord is the arena ordinal of layer (b, l), 1 <= l <= b <= k.
+// ord is the ordinal of layer (b, l), 1 <= l <= b <= k.
 func (s *Solver) ord(b, l int) int { return b*(b-1)/2 + (l - 1) }
 
-// layer returns the value slab of layer (b, l).
-func (s *Solver) layer(b, l int) []float64 {
-	g := &s.shape[s.ord(b, l)]
-	return s.val[g.off : g.off+g.size]
-}
-
-// seed writes the first-module states: module [0, l) holding pcur
-// processors, value 0 (no closed modules yet). Seed layers have open
-// module start 0, so no execution-cost change ever invalidates them.
+// seed stores the first-module states: module [0, l) holding pcur
+// processors, value 0 (no closed modules yet), one run (0, 0) per seed
+// layer in slab 0. Seed layers have open module start 0, so no
+// execution-cost change ever invalidates them. A seed state has no
+// predecessor, so slab 0 has no choices.
 func (s *Solver) seed() {
+	n := 0
 	for l := 1; l <= s.k; l++ {
-		min := s.minP[0*(s.k+1)+l]
-		if min > s.P {
-			continue
+		if g := &s.shape[s.ord(l, l)]; g.rows > 0 {
+			s.dir[g.dir] = int32(n)
+			n += g.w
 		}
-		ord := s.ord(l, l)
-		for pcur := min; pcur <= s.P; pcur++ {
-			s.val[s.at(ord, pcur, pcur, 0)] = 0
-		}
-		s.buildLive(l, l)
+	}
+	s.val[0] = make([]float64, n)
+	for l := 1; l <= s.k; l++ {
+		s.buildLive(l, l, []rowClass{{0, 0}})
 	}
 }
 
 // buildLive rebuilds layer (b, l)'s live-state list: finite values, minus
-// the dominance-pruned ones, in (pt, pcur, peffPrev) ascending order. It
-// is a pure function of the layer's contents, so fresh and incremental
-// solves produce identical lists. Returns the number of dominated states
-// dropped.
-func (s *Solver) buildLive(b, l int) int64 {
+// the dominance-pruned ones, in (pt, pcur, peffPrev) ascending order. runs
+// are the runs the layer's pass marked, q descending and then c ascending;
+// the layer stores those with q <= P-min. It is a pure function of the
+// layer's contents, so fresh and incremental solves produce identical
+// lists. Returns the number of dominated states dropped.
+func (s *Solver) buildLive(b, l int, runs []rowClass) int64 {
+	P := s.P
 	ord := s.ord(b, l)
 	g := s.shape[ord]
+	vals := s.val[b-l]
 	// Column (pcur-min)*nE + c is the state's (pcur, c) dominance column.
 	colMin := s.colMin[:g.w*g.nE]
 	fill(colMin, inf)
 	list := s.liveBuf[:0]
 	pruned := int64(0)
-	qhi := g.qlo + g.rows - 1
-	for pt := g.qlo + g.min; pt <= s.P; pt++ {
-		// pt = q + pcur: one class run of each row q in [qlo, qhi], pcur
-		// ascending. Row j = q-qlo starts (w-j+1)*nE cells after row j-1.
-		pcur := max(g.min, pt-qhi)
-		j, at := pt-pcur-g.qlo, s.at(ord, pt, pcur, 0)
-		for ; pcur <= pt-g.qlo; pcur++ {
-			col := (pcur - g.min) * g.nE
-			for c, v := range s.val[at : at+g.nE] {
-				if v < inf {
-					if colMin[col+c] <= v {
-						pruned++ // dominated: smaller pt, no worse value
-					} else {
-						list = append(list, pack(pt, pcur, c))
-						colMin[col+c] = v
-					}
+	for len(runs) > 0 && int(runs[0].q) > P-g.min {
+		runs = runs[1:] // a row this layer does not hold
+	}
+	if len(runs) > 0 {
+		// Run (q, c) holds pcur = pt-q at every pt from q+min to P, so the
+		// runs holding a cell at pt are the suffix from first, in ascending
+		// (pcur, c) order.
+		first := len(runs)
+		for pt := int(runs[first-1].q) + g.min; pt <= P; pt++ {
+			for first > 0 && int(runs[first-1].q)+g.min <= pt {
+				first--
+			}
+			for _, r := range runs[first:] {
+				q, c := int(r.q), int(r.c)
+				pcur := pt - q
+				v := vals[int(s.dir[g.entry(q, c)])+pcur-g.min]
+				if v == inf {
+					continue
+				}
+				col := (pcur-g.min)*g.nE + c
+				if colMin[col] <= v {
+					pruned++ // dominated: smaller pt, no worse value
+				} else {
+					list = append(list, pack(pt, pcur, c))
+					colMin[col] = v
 				}
 			}
-			at -= (g.w - j) * g.nE
-			j--
 		}
 	}
 	// Grown in the scratch, the list is copied once at its final length.
@@ -604,25 +644,113 @@ func (s *Solver) buildLive(b, l int) int64 {
 	return pruned
 }
 
-// target applies every source layer (b, l) to target layer (b+l2, l2):
-// sources in ascending l, states in live-list order, which fixes the
-// tie-breaking deterministically. Returns state and
-// transition counts for instrumentation.
-func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
+// store prepares pass b's targets, the layers (b+l2, l2) for l2 in tgts:
+// it walks the sources' live lists once and marks run (pt, class of the
+// open module's per-instance count) for every state that expands, then
+// stores exactly the marked runs in every target that holds their row,
+// +Inf, in slab b. A capped solver first drops the states above its
+// incumbent from the lists. Returns the marked runs, q descending and
+// then class ascending, the order buildLive walks them in.
+func (s *Solver) store(b int) []rowClass {
 	k, P, stride := s.k, s.P, s.stride
-	min2 := s.minP[b*(k+1)+b+l2]
-	eff2 := s.eff[(b*(k+1)+b+l2)*stride:]
-	tOrd := s.ord(b+l2, l2)
-	nE2 := len(s.effVals[b])
+	nE := len(s.effVals[b])
 	cls2 := s.effCls[b*stride:]
-	outTab := s.ecom[b-1]
+	qlo := s.shape[s.ord(b+s.tgts[0], s.tgts[0])].qlo // every target's: lowQ[b]
+	qhi := -1                                         // the highest row a target holds
+	for _, l2 := range s.tgts {
+		qhi = max(qhi, P-s.minP[b*(k+1)+b+l2])
+	}
 	inc := s.incumbent
+	qmin, qmax := P+1, -1 // the band of marked rows
 	for l := 1; l <= b; l++ {
 		a := b - l
 		if s.minP[a*(k+1)+b] > P {
 			continue
 		}
 		ord := s.ord(b, l)
+		spanBase := (a*(k+1) + b) * stride
+		if s.capped {
+			vals := s.val[a]
+			var inTab []float64
+			if a > 0 {
+				inTab = s.ecom[a-1]
+			}
+			kept := s.live[ord][:0]
+			for _, st := range s.live[ord] {
+				pt, pcur, c := unpack(st)
+				if e := int(s.eff[spanBase+pcur]); e != 0 {
+					in := 0.0
+					if inTab != nil {
+						in = inTab[c*stride+e]
+					}
+					partial := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
+					if vals[s.at(ord, pt, pcur, c)] > inc || partial > inc {
+						continue // every target of this state is above the incumbent
+					}
+				}
+				kept = append(kept, st)
+			}
+			s.live[ord] = kept
+		}
+		for _, st := range s.live[ord] {
+			pt, pcur, _ := unpack(st)
+			e := int(s.eff[spanBase+pcur])
+			if e == 0 || pt > qhi {
+				continue // no transition
+			}
+			s.marks[(pt-qlo)*nE+int(cls2[e])] = true
+			qmin, qmax = min(qmin, pt), max(qmax, pt)
+		}
+	}
+	runs := s.runs[:0]
+	for q := qmax; q >= qmin; q-- {
+		row := s.marks[(q-qlo)*nE : (q-qlo+1)*nE]
+		for c, marked := range row {
+			if marked {
+				runs = append(runs, rowClass{int32(q), int32(c)})
+				row[c] = false
+			}
+		}
+	}
+	s.runs = runs
+	n := 0
+	for _, l2 := range s.tgts {
+		g := &s.shape[s.ord(b+l2, l2)]
+		for _, r := range runs {
+			if q := int(r.q); q <= P-g.min {
+				s.dir[g.entry(q, int(r.c))] = int32(n)
+				n += P - q - g.min + 1
+			}
+		}
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("dp: pass %d stores %d cells, beyond the run directory's int32 offsets", b, n))
+	}
+	s.val[b] = resize(s.val[b], n)
+	s.choice[b] = resize(s.choice[b], n)
+	fill(s.val[b], inf)
+	return runs
+}
+
+// target applies every source layer (b, l) to target layer (b+l2, l2):
+// sources in ascending l, states in live-list order, which fixes the
+// tie-breaking deterministically. store has stored every run it writes.
+// Returns state and transition counts for instrumentation.
+func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
+	k, P, stride := s.k, s.P, s.stride
+	min2 := s.minP[b*(k+1)+b+l2]
+	eff2 := s.eff[(b*(k+1)+b+l2)*stride:]
+	g2 := &s.shape[s.ord(b+l2, l2)]
+	tv, tc := s.val[b], s.choice[b]
+	cls2 := s.effCls[b*stride:]
+	outTab := s.ecom[b-1]
+	for l := 1; l <= b; l++ {
+		a := b - l
+		if s.minP[a*(k+1)+b] > P {
+			continue
+		}
+		ord := s.ord(b, l)
+		vals := s.val[a]
 		spanBase := (a*(k+1) + b) * stride
 		var inTab []float64
 		if a > 0 {
@@ -634,15 +762,11 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			if e == 0 {
 				continue
 			}
-			v := s.val[s.at(ord, pt, pcur, c)]
+			v := vals[s.at(ord, pt, pcur, c)]
 			r := float64(s.rep[spanBase+pcur])
 			in := 0.0
 			if inTab != nil {
 				in = inTab[c*stride+e]
-			}
-			partial := (in + s.execEff[spanBase+pcur]) / r
-			if v > inc || partial > inc {
-				continue // every target of this state is above the incumbent
 			}
 			nStates++
 			n := P - pt - min2 + 1
@@ -655,32 +779,33 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			c2 := int(cls2[e])
 			outRow := outTab[c2*stride:]
 			ch := pack(l, pcur, c)
-			// The targets (pt+p2, p2) all lie in row q = pt, nE2 apart.
-			ni := s.at(tOrd, pt+min2, min2, c2)
+			// The targets (pt+p2, p2), p2 = min2 .. P-pt, are run (pt, c2).
+			off := int(s.dir[g2.entry(pt, c2)])
+			run, chs := tv[off:off+n], tc[off:off+n]
+			effs := eff2[min2 : min2+n]
 			if s.latency {
 				// f adds in model.Mapping.ResponseTimes' order: exec, in, out.
 				execIn := s.execEff[spanBase+pcur] + in
-				for p2 := min2; p2 <= P-pt; p2++ {
-					f := execIn + outRow[int(eff2[p2])]
-					if nv := v + f; f/r <= s.periodCap && nv < s.val[ni] {
-						s.val[ni] = nv
-						s.choice[ni] = ch
+				for i, pe := range effs {
+					f := execIn + outRow[pe]
+					if nv := v + f; f/r <= s.periodCap && nv < run[i] {
+						run[i] = nv
+						chs[i] = ch
 					}
-					ni += nE2
 				}
 				continue
 			}
-			for p2 := min2; p2 <= P-pt; p2++ {
-				resp := partial + outRow[int(eff2[p2])]/r
+			partial := (in + s.execEff[spanBase+pcur]) / r
+			for i, pe := range effs {
+				resp := partial + outRow[pe]/r
 				nv := v
 				if resp > nv {
 					nv = resp
 				}
-				if nv < s.val[ni] {
-					s.val[ni] = nv
-					s.choice[ni] = ch
+				if nv < run[i] {
+					run[i] = nv
+					chs[i] = ch
 				}
-				ni += nE2
 			}
 		}
 	}
@@ -688,10 +813,10 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 }
 
 // pass expands every layer at open-module start b: transitions from
-// sources (b, l) into targets (b+l2, l2). Targets are disjoint slabs, so
-// the fresh solve computes them in parallel; the incremental path stays
-// serial (and allocation-free) because the recomputed region is small and
-// concurrent controllers provide the parallelism.
+// sources (b, l) into targets (b+l2, l2). Targets are disjoint runs of
+// slab b, so the fresh solve computes them in parallel; the incremental
+// path stays serial (and allocation-free) because the recomputed region
+// is small and concurrent controllers provide the parallelism.
 func (s *Solver) pass(b int, par bool, ins instrument) {
 	k, P := s.k, s.P
 	layerT0 := time.Time{}
@@ -705,26 +830,30 @@ func (s *Solver) pass(b int, par bool, ins instrument) {
 		}
 	}
 	var states, transitions, pruned int64
-	if par {
-		var aSt, aTr atomic.Int64
-		tgts := s.tgts
-		parallelFor(len(tgts), func(ti int) {
-			st, tr := s.target(b, tgts[ti])
-			aSt.Add(st)
-			aTr.Add(tr)
-		})
-		states, transitions = aSt.Load(), aTr.Load()
-	} else {
-		for _, l2 := range s.tgts {
-			st, tr := s.target(b, l2)
-			states += st
-			transitions += tr
+	if len(s.tgts) > 0 {
+		runs := s.store(b)
+		if par {
+			var aSt, aTr atomic.Int64
+			tgts := s.tgts
+			parallelFor(len(tgts), func(ti int) {
+				st, tr := s.target(b, tgts[ti])
+				aSt.Add(st)
+				aTr.Add(tr)
+			})
+			states, transitions = aSt.Load(), aTr.Load()
+		} else {
+			for _, l2 := range s.tgts {
+				st, tr := s.target(b, l2)
+				states += st
+				transitions += tr
+			}
 		}
-	}
-	// Targets are final once every source l has been applied: build their
-	// live lists now (dominance is a pure function of the completed slab).
-	for _, l2 := range s.tgts {
-		pruned += s.buildLive(b+l2, l2)
+		// Targets are final once every source l has been applied: build
+		// their live lists now (dominance is a pure function of the
+		// completed runs).
+		for _, l2 := range s.tgts {
+			pruned += s.buildLive(b+l2, l2, runs)
+		}
 	}
 	ins.layer(b, layerT0, states, transitions, pruned)
 }
@@ -748,6 +877,7 @@ func (s *Solver) closeLayer(l int, visit func(l, pt, pcur, c int, v float64)) {
 		return
 	}
 	ord := s.ord(k, l)
+	vals := s.val[a]
 	spanBase := (a*(k+1) + k) * stride
 	var inTab []float64
 	if a > 0 {
@@ -759,7 +889,7 @@ func (s *Solver) closeLayer(l int, visit func(l, pt, pcur, c int, v float64)) {
 		if e == 0 {
 			continue
 		}
-		v := s.val[s.at(ord, pt, pcur, c)]
+		v := vals[s.at(ord, pt, pcur, c)]
 		in := 0.0
 		if inTab != nil {
 			in = inTab[c*stride+e]
@@ -817,7 +947,7 @@ func (s *Solver) reconstruct(dst []model.Module, l, pt, pcur, c int) []model.Mod
 		if a == 0 {
 			break
 		}
-		pl, pp, pc := unpack(s.choice[s.at(s.ord(b, l), pt, pcur, c)])
+		pl, pp, pc := unpack(s.choice[a][s.at(s.ord(b, l), pt, pcur, c)])
 		b, l, pt, pcur, c = a, pl, pt-pcur, pp, pc
 	}
 	slices.Reverse(dst[n0:])
@@ -838,8 +968,13 @@ func (s *Solver) run(m int, par bool, ins instrument) (model.Mapping, error) {
 			if b-l <= m {
 				continue
 			}
-			fill(s.layer(b, l), inf)
-			s.live[s.ord(b, l)] = s.live[s.ord(b, l)][:0]
+			ord := s.ord(b, l)
+			g := &s.shape[ord]
+			dir := s.dir[g.dir : g.dir+g.rows*g.nE]
+			for i := range dir {
+				dir[i] = -1
+			}
+			s.live[ord] = s.live[ord][:0]
 			cleared++
 		}
 	}
@@ -941,6 +1076,15 @@ func (s *Solver) Resolve(chain *model.Chain, changed []int) (model.Mapping, erro
 		m = s.k - 1 // nothing changed: reuse every layer, re-scan only
 	}
 	return s.run(m, false, ins)
+}
+
+// resize returns buf at length n, in its own array while it has the
+// capacity.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 func fill(s []float64, v float64) {

@@ -142,3 +142,59 @@ func TestCappedSolveSkipsWork(t *testing.T) {
 		}
 	}
 }
+
+// TestStoredCellsAreReached checks that a solve stores only cells some
+// transition writes: on the four committed specs at P = 64 and 128, under
+// the three option sets, every cell the layers store is finite after a
+// capped cold solve, after NewSolver's Solve, and after a Resolve that
+// moved every task's cost. A run stored for a state that never expands,
+// as one above a capped solve's incumbent, stays +Inf and fails it. The
+// latency mode is not checked: its period cap keeps cells of stored runs
+// at +Inf.
+func TestStoredCellsAreReached(t *testing.T) {
+	check := func(what string, s *dp.Solver) {
+		t.Helper()
+		stored, finite := s.StoredCells()
+		if stored == 0 || stored != finite {
+			t.Errorf("%s: %d cells stored, %d finite", what, stored, finite)
+		}
+	}
+	for _, name := range specNames {
+		c, pl := loadSpec(t, name)
+		tasks := make([]model.Task, c.Len())
+		changed := make([]int, c.Len())
+		for i, task := range c.Tasks {
+			task.Exec = model.ScaleCost{F: task.Exec, K: 1.25}
+			tasks[i], changed[i] = task, i
+		}
+		scaled := &model.Chain{Tasks: tasks, ICom: c.ICom, ECom: c.ECom}
+		for _, P := range []int{64, 128} {
+			pl.Procs = P
+			for i, opt := range dp.ReferenceOptions {
+				what := fmt.Sprintf("%s P=%d options %d", name, P, i)
+				capped, err := dp.SolveCapped(c, pl, opt)
+				if err != nil {
+					t.Fatalf("%s: capped solve: %v", what, err)
+				}
+				check(what+" capped", capped)
+				s, err := dp.NewSolver(c, pl, opt)
+				if err != nil {
+					t.Fatalf("%s: NewSolver: %v", what, err)
+				}
+				if _, err := s.Solve(); err != nil {
+					t.Fatalf("%s: Solve: %v", what, err)
+				}
+				check(what+" solve", s)
+				if i == 0 && P == 64 {
+					cs, _ := capped.StoredCells()
+					us, _ := s.StoredCells()
+					t.Logf("%s: %d cells stored capped, %d uncapped", what, cs, us)
+				}
+				if _, err := s.Resolve(scaled, changed); err != nil {
+					t.Fatalf("%s: Resolve: %v", what, err)
+				}
+				check(what+" resolve", s)
+			}
+		}
+	}
+}
