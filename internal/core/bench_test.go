@@ -29,10 +29,10 @@ func loadSpec(tb testing.TB, name string) (*model.Chain, model.Platform) {
 
 // BenchmarkColdSolveSpecs times one cold DP mapping of each committed spec
 // through Map: tables and every layer built from scratch, as a planner
-// pays on its first solve of a spec.
+// pays on its first solve of a spec. Each spec runs at its own P, and
+// radar64, ffthist256 and stereo128 also at P=256.
 func BenchmarkColdSolveSpecs(b *testing.B) {
-	for _, name := range specNames {
-		c, pl := loadSpec(b, name)
+	cold := func(b *testing.B, name string, c *model.Chain, pl model.Platform) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
@@ -41,6 +41,15 @@ func BenchmarkColdSolveSpecs(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, name := range specNames {
+		c, pl := loadSpec(b, name)
+		cold(b, name, c, pl)
+	}
+	for _, name := range []string{"radar64", "ffthist256", "stereo128"} {
+		c, pl := loadSpec(b, name)
+		pl.Procs = 256
+		cold(b, name+"_P=256", c, pl)
 	}
 }
 

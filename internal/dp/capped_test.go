@@ -2,8 +2,10 @@ package dp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pipemap/internal/model"
@@ -69,6 +71,74 @@ func FuzzCappedSolveMatchesFull(f *testing.F) {
 			checkCappedMatchesFull(t, what, c, pl, opt, spans)
 		}
 	})
+}
+
+// bestClose is the least close value of a solved solver, the period its
+// scan picks, or +Inf when it holds no complete mapping.
+func bestClose(s *Solver) float64 {
+	best := inf
+	s.closeStates(func(_, _, _, _ int, v float64) { best = min(best, v) })
+	return best
+}
+
+// checkFirstIncumbent checks the incumbent a capped solve of (c, pl) under
+// opt starts pass 1 with, and returns it with the uncapped optimum. It
+// must equal, bit for bit, the least best close value of the capped
+// AssignClustered solves of the one- and two-module clusterings opt
+// allows, and it must be at least the optimum, or the cap is not exact.
+func checkFirstIncumbent(t *testing.T, what string, c *model.Chain, pl model.Platform, opt Options) (first, optimum float64) {
+	t.Helper()
+	s, err := newSolver(c, pl, opt, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	first = s.firstIncumbent()
+	k := c.Len()
+	clusterings := [][]model.Span{{{Lo: 0, Hi: k}}}
+	for a := 1; a < k; a++ {
+		clusterings = append(clusterings, []model.Span{{Lo: 0, Hi: a}, {Lo: a, Hi: k}})
+	}
+	want := inf
+	for _, spans := range clusterings {
+		if opt.DisableClustering && slices.ContainsFunc(spans, func(sp model.Span) bool { return sp.Hi-sp.Lo > 1 }) {
+			continue // not a clustering the singleton assignment holds
+		}
+		cs, err := newSolver(c, pl, opt, spans)
+		if err != nil {
+			t.Fatalf("%s clustering %v: %v", what, spans, err)
+		}
+		cs.capped = true
+		if _, err := cs.Solve(); err == nil {
+			want = min(want, bestClose(cs))
+		}
+	}
+	if math.Float64bits(first) != math.Float64bits(want) {
+		t.Fatalf("%s: first incumbent %v, best one- or two-module close value %v", what, first, want)
+	}
+	optimum = inf
+	if _, err := s.Solve(); err == nil {
+		optimum = bestClose(s)
+	}
+	if first < optimum {
+		t.Fatalf("%s: first incumbent %v below the optimum %v", what, first, optimum)
+	}
+	return first, optimum
+}
+
+// TestFirstIncumbent checks a capped solve's incumbent before pass 1 on
+// seeded random chains of 1–6 tasks on up to 64 processors, non-replicable
+// tasks allowed, under the three option sets (see checkFirstIncumbent).
+func TestFirstIncumbent(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := testutil.RandChainConfig{
+			MinTasks: 1, MaxTasks: 6, MaxMinProcs: 1 + rng.Intn(6), AllowNonReplicable: true,
+		}
+		c, pl := testutil.RandChain(rng, cfg, 1+rng.Intn(64))
+		for _, opt := range referenceOptions {
+			checkFirstIncumbent(t, fmt.Sprintf("seed %d %s", seed, optName(opt)), c, pl, opt)
+		}
+	}
 }
 
 // TestInstanceCountsAreOneRange pins maxInstance to model.SplitReplicas:

@@ -30,12 +30,14 @@ type Options struct {
 // O(P^4 k^2); the extra factor of k comes from carrying the span of the
 // open module explicitly, which keeps the recurrence direct). Practical
 // for k <= 8 on P <= 64; use the greedy heuristic beyond that. The solve
-// is capped by its incumbent (see Solver), which skips the states already
-// slower than a complete mapping it holds and returns exactly the
-// mapping an uncapped NewSolver's Solve returns. Memory follows the
-// states the solve reaches, not that bound: the layers store only the
-// cells its transitions write, so stereo128's solve at P=256 allocates
-// 5.5 MB where the whole table is 0.8 GB.
+// is capped by its incumbent (see Solver), the best one- or two-module
+// mapping from the start and then the best complete mapping it holds: it
+// skips the states already slower and the processor counts whose own
+// module is, and returns exactly the mapping an uncapped NewSolver's
+// Solve returns. Memory follows the states the solve reaches, not that
+// bound: the layers store only the cells its transitions write, so
+// stereo128's solve at P=256 allocates 4.7 MB where the whole table is
+// 0.8 GB.
 func MapChain(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, error) {
 	return solveOnce(c, pl, opt, nil)
 }
@@ -43,7 +45,9 @@ func MapChain(c *model.Chain, pl model.Platform, opt Options) (model.Mapping, er
 // solveOnce solves a fresh solver restricted to spans (nil: newSolver's
 // default) and detaches the mapping from the solver's scratch, so the
 // solver and its layers can be collected. Nothing reads the tables again,
-// so the solve is capped by its incumbent ("Capped cold solves" on
+// so the solve is capped by its incumbent, which starts at the best one-
+// or two-module mapping, and each pass stores its targets only over the
+// processor counts that can still beat it ("Capped cold solves" on
 // Solver).
 func solveOnce(c *model.Chain, pl model.Platform, opt Options, spans []model.Span) (model.Mapping, error) {
 	s, err := newSolver(c, pl, opt, spans)

@@ -32,13 +32,18 @@
 //
 // A solve whose Solver is dropped afterwards, MapChain's or
 // AssignClustered's, is capped by its incumbent: the least period of the
-// complete mappings its finished close layers hold. The period is a
-// bottleneck, so a state whose value or open-module partial response is
-// already above the incumbent cannot lead to a better mapping, and the
-// solve skips it and stores none of its cells. A strict comparison keeps
-// every tie, so the mapping is the uncapped solve's to the bit; on
-// ffthist256 the cap skips nine transitions in ten. NewSolver's solvers stay uncapped, because
-// Frontier and Resolve read states above any one solve's optimum.
+// one- and two-module mappings, which it reads off the tables before its
+// first pass, and of the complete mappings its finished close layers
+// hold. The period is a bottleneck, so a state whose value or open-module
+// partial response is already above the incumbent cannot lead to a better
+// mapping, and the solve skips it and stores none of its cells; each pass
+// also stores its targets only over the processor counts whose own
+// partial response can still be at most the incumbent. A strict
+// comparison keeps every tie, so the mapping is the uncapped solve's to
+// the bit. At the specs' own P the cap keeps 46,991 of radar64's 196,635
+// transitions and 305 of ffthist256's 21,862. NewSolver's solvers stay
+// uncapped, because Frontier and Resolve read states above any one
+// solve's optimum.
 //
 // The same Solver also minimizes latency, the sum of module response
 // times, under a period cap T: an unexported mode in which closing a
@@ -58,8 +63,8 @@
 // its target layer: every pcur of row pt-pcur = pt, at the class of the
 // open module's per-instance count. So each layer (b, l) stores only the
 // runs some transition writes, which are exactly its finite cells: a
-// capped cold solve of stereo128 at P=64 stores 6,349 of the 762,302
-// cells its layers can index, and allocates 0.5 MB where storing them all
+// capped cold solve of stereo128 at P=64 stores 3,871 of the 762,302
+// cells its layers can index, and allocates 0.4 MB where storing them all
 // took 12.5 MB. A run lies in the bounds the layers index: the open module
 // holds at least its minimum, the closed ones at least the fewest
 // processors that cover [0, b-l), and peffPrev takes one of the few counts

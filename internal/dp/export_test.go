@@ -8,6 +8,7 @@ import "pipemap/internal/model"
 var (
 	CheckAgainstReference  = checkAgainstReference
 	CheckCappedMatchesFull = checkCappedMatchesFull
+	CheckFirstIncumbent    = checkFirstIncumbent
 	ReferenceOptions       = referenceOptions
 )
 
@@ -50,7 +51,7 @@ func (s *Solver) StoredCells() (stored, finite int) {
 					continue
 				}
 				q := g.qlo + i/g.nE
-				for _, v := range s.val[b-l][int(off) : int(off)+s.P-q-g.min+1] {
+				for _, v := range s.val[b-l][int(off) : int(off)+min(g.hi, s.P-q)-g.lo+1] {
 					stored++
 					if v < inf {
 						finite++

@@ -66,25 +66,29 @@ var inf = math.Inf(1)
 // hold form rows q = lowQ .. P-min, row q holding pcur in [min, P-q] times
 // |E_{b-l}| classes. A transition from a state with pt processors writes
 // the whole of one such (row, class) run: row q = pt, at the class of the
-// source's per-instance count. A layer stores only the runs some
-// transition writes, so it stores exactly its finite cells (in the latency
-// mode, less the cells the period cap keeps at +Inf). Its run directory,
-// one entry per (row, class), holds each stored run's offset, or -1; the
-// cells of a run lie pcur after pcur. The layers sharing an open-module
-// start a are the targets of pass a (the seed layers for a = 0), and they
-// store their runs in one slab, val[a] and choice[a]. Before its parallel
-// targets, pass b walks its sources' live lists once, marks the runs their
-// transitions will write, and stores those runs, +Inf, in every target
-// (store). Solver.at is the one index function into the layers.
+// source's per-instance count. A capped solve narrows each layer to a
+// window of pcur (see "Capped cold solves"), and a run then holds, and a
+// transition writes, the part of its row inside the window. A layer
+// stores only the runs some transition writes, so it stores exactly its
+// finite cells (in the latency mode, less the cells the period cap keeps
+// at +Inf). Its run directory, one entry per (row, class), holds each
+// stored run's offset, or -1; the cells of a run lie pcur after pcur. The
+// layers sharing an open-module start a are the targets of pass a (the
+// seed layers for a = 0), and they store their runs in one slab, val[a]
+// and choice[a]. Before its parallel targets, pass b walks its sources'
+// live lists once, marks the runs their transitions will write, and
+// stores those runs, +Inf, in every target (store). Solver.at is the one
+// index function into the layers.
 //
 // Live lists hold each state's (pt, pcur, class) packed in one word, in
 // the ascending order a dense (pt, pcur, peffPrev) table would be scanned
 // in: class order equals value order, so live lists, dominance and
 // tie-breaking are those of the dense tables. buildLive visits only the
 // stored runs, in that order: a run (q, c) holds a cell at every pt from
-// q+min to P, so at each pt the runs holding one, ordered by q descending
-// and then c ascending, are a suffix of the pass's marked runs, in
-// ascending (pcur, class) order.
+// q+lo to min(P, q+hi), lo and hi the layer's window, so at each pt the
+// runs holding one, ordered by q descending and then c ascending, are a
+// contiguous slice of the pass's marked runs, in ascending (pcur, class)
+// order.
 //
 // # Dominance pruning
 //
@@ -109,20 +113,28 @@ var inf = math.Inf(1)
 // complete mapping of period I is known, no state whose value or partial
 // exceeds I lies on a path to a mapping better than I. A capped solver
 // (solveOnce: MapChain and AssignClustered, which read one optimum and
-// drop the tables) keeps that incumbent I: the least close value of the
-// seed close layer (k, k) before pass 1, lowered by close layer (k, k-b)
-// after pass b. It changes only between passes: store, the serial step
-// before pass b's parallel targets, drops every source state above it
-// from its live list (a capped solver's lists are thrown away with it),
-// so target neither counts such a state nor has a run stored for it. The
+// drop the tables) keeps that incumbent I. Before pass 1 it is the least
+// period of the one-module mapping and of every two-module mapping [0, a)
+// | [a, k) (firstIncumbent), each evaluated with the recurrence's own
+// arithmetic; close layer (k, k-b) lowers it after pass b. It changes only
+// between passes, in store, the serial step before pass b's parallel
+// targets, which uses it twice. It trims each target to a window of raw
+// counts [lo, hi] (window): a count whose partial is above I for every
+// class it can receive from lies outside, so no run stores it and no
+// transition writes it, and a state there would be dropped at its own pass
+// or close above I anyway. Then it drops every source state above I from
+// its live list (a capped solver's lists are thrown away with it), so
+// target neither counts such a state nor has a run stored for it. The
 // skip is exact to the bit: I is the period of a real mapping, so at
 // least the optimum, and a strict > keeps every state at or below the
 // optimum, so each such state holds the value, choice and dominance fate
-// of the uncapped table, and scan picks the same winner and follows the
-// same choices. The states above I differ, so a capped
+// of the uncapped table (a count outside a window takes whole (pcur,
+// class) dominance columns with it), and scan picks the same winner and
+// follows the same choices. The states above I differ, so a capped
 // solver's tables answer no other budget and no other costs: NewSolver's
 // solvers, which Frontier and Resolve read, and the latency mode, whose
-// sum the incumbent does not bound, stay uncapped.
+// sum the incumbent does not bound, stay uncapped, with an incumbent of
+// +Inf and every window whole.
 //
 // # Allocation discipline
 //
@@ -185,10 +197,11 @@ type Solver struct {
 	periodCap float64
 
 	// capped marks a solver that answers one Solve and is dropped
-	// (solveOnce): run keeps incumbent, the least close value of the close
-	// layers completed so far, and store drops every source state above it.
-	// Every other solver keeps incumbent at +Inf; see "Capped cold solves"
-	// above.
+	// (solveOnce): run keeps incumbent, the least period of the one- and
+	// two-module mappings and of the close layers completed so far, and
+	// store trims every target's window to it and drops every source state
+	// above it. Every other solver keeps incumbent at +Inf and its windows
+	// whole; see "Capped cold solves" above.
 	capped    bool
 	incumbent float64
 }
@@ -199,14 +212,17 @@ type Solver struct {
 // count must stay at 1.
 func (s *Solver) SolveCount() int64 { return s.solves }
 
-// layerShape places one layer: rows q = qlo .. qlo+rows-1, row qlo+j
-// holding pcur in [min, min+w-j) times nE classes, and its run directory
-// of rows*nE entries from dir.
+// layerShape places one layer: rows q = qlo .. qlo+rows-1, row q holding
+// pcur in [lo, min(hi, P-q)] times nE classes, and its run directory of
+// rows*nE entries from dir. The window [lo, hi] starts as every count the
+// rows hold, from the open module's minimum to P-qlo; a capped solve's
+// passes trim their targets' (see "Capped cold solves"). An empty window
+// has lo > hi and stores no run.
 type layerShape struct {
 	dir       int
 	qlo, rows int
-	min, w    int
 	nE        int
+	lo, hi    int
 }
 
 // entry is the index of run (q, c)'s offset in the run directory.
@@ -216,12 +232,21 @@ func (g *layerShape) entry(q, c int) int { return g.dir + (q-g.qlo)*g.nE + c }
 type rowClass struct{ q, c int32 }
 
 // at is the index of state (pt, pcur, class c) of layer ord in its slab:
-// the offset of run (q = pt-pcur, c) plus pcur's place in the run. The run
-// must be stored, as it is for every state a solve reads: those are
-// finite.
+// the offset of run (q = pt-pcur, c) plus pcur's place in the run's
+// window. The run must be stored, as it is for every state a solve reads:
+// those are finite.
 func (s *Solver) at(ord, pt, pcur, c int) int {
 	g := &s.shape[ord]
-	return int(s.dir[g.entry(pt-pcur, c)]) + pcur - g.min
+	return int(s.dir[g.entry(pt-pcur, c)]) + pcur - g.lo
+}
+
+// partial is the response (in+exec)/r of the open module of the span at
+// spanBase holding pcur raw processors, given its input transfer in: a
+// transition out of the state adds out/r to it, and the close takes it
+// whole. Every period the throughput recurrence computes goes through
+// it, so a capped solve's bounds are values of the same arithmetic.
+func (s *Solver) partial(spanBase, pcur int, in float64) float64 {
+	return (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
 }
 
 // pack packs three coordinates into one word: a choice pointer's (prevL,
@@ -550,10 +575,10 @@ func (s *Solver) layout() {
 	for b := 1; b <= k; b++ {
 		for l := 1; l <= b; l++ {
 			a := b - l
-			g := layerShape{dir: size, qlo: lowQ[a], min: s.minP[a*(k+1)+b], nE: len(s.effVals[a])}
-			// Row qlo holds pcur in [min, P-qlo]; the rows run to q = P-min.
-			if w := P - g.qlo - g.min + 1; w > 0 {
-				g.w, g.rows = w, w
+			g := layerShape{dir: size, qlo: lowQ[a], nE: len(s.effVals[a]), lo: s.minP[a*(k+1)+b], hi: P - lowQ[a]}
+			// Row qlo holds pcur in [lo, hi]; the rows run to q = P-lo.
+			if w := g.hi - g.lo + 1; w > 0 {
+				g.rows = w
 				if a == 0 {
 					g.rows = 1 // a seed state has pt = pcur
 				}
@@ -584,7 +609,7 @@ func (s *Solver) seed() {
 	for l := 1; l <= s.k; l++ {
 		if g := &s.shape[s.ord(l, l)]; g.rows > 0 {
 			s.dir[g.dir] = int32(n)
-			n += g.w
+			n += g.hi - g.lo + 1
 		}
 	}
 	s.val[0] = make([]float64, n)
@@ -596,7 +621,7 @@ func (s *Solver) seed() {
 // buildLive rebuilds layer (b, l)'s live-state list: finite values, minus
 // the dominance-pruned ones, in (pt, pcur, peffPrev) ascending order. runs
 // are the runs the layer's pass marked, q descending and then c ascending;
-// the layer stores those with q <= P-min. It is a pure function of the
+// the layer stores those with q <= P-lo. It is a pure function of the
 // layer's contents, so fresh and incremental solves produce identical
 // lists. Returns the number of dominated states dropped.
 func (s *Solver) buildLive(b, l int, runs []rowClass) int64 {
@@ -604,31 +629,34 @@ func (s *Solver) buildLive(b, l int, runs []rowClass) int64 {
 	ord := s.ord(b, l)
 	g := s.shape[ord]
 	vals := s.val[b-l]
-	// Column (pcur-min)*nE + c is the state's (pcur, c) dominance column.
-	colMin := s.colMin[:g.w*g.nE]
-	fill(colMin, inf)
 	list := s.liveBuf[:0]
 	pruned := int64(0)
-	for len(runs) > 0 && int(runs[0].q) > P-g.min {
+	for len(runs) > 0 && int(runs[0].q) > P-g.lo {
 		runs = runs[1:] // a row this layer does not hold
 	}
 	if len(runs) > 0 {
-		// Run (q, c) holds pcur = pt-q at every pt from q+min to P, so the
-		// runs holding a cell at pt are the suffix from first, in ascending
-		// (pcur, c) order.
-		first := len(runs)
-		for pt := int(runs[first-1].q) + g.min; pt <= P; pt++ {
-			for first > 0 && int(runs[first-1].q)+g.min <= pt {
+		// Column (pcur-lo)*nE + c is the state's (pcur, c) dominance column.
+		colMin := s.colMin[:(g.hi-g.lo+1)*g.nE]
+		fill(colMin, inf)
+		// Run (q, c) holds pcur = pt-q at every pt from q+lo to q+hi, so
+		// the runs holding a cell at pt are those from first to last, in
+		// ascending (pcur, c) order.
+		first, last := len(runs), len(runs)
+		for pt := int(runs[first-1].q) + g.lo; pt <= min(P, int(runs[0].q)+g.hi); pt++ {
+			for first > 0 && int(runs[first-1].q)+g.lo <= pt {
 				first--
 			}
-			for _, r := range runs[first:] {
+			for last > first && int(runs[last-1].q)+g.hi < pt {
+				last--
+			}
+			for _, r := range runs[first:last] {
 				q, c := int(r.q), int(r.c)
 				pcur := pt - q
-				v := vals[int(s.dir[g.entry(q, c)])+pcur-g.min]
+				v := vals[int(s.dir[g.entry(q, c)])+pcur-g.lo]
 				if v == inf {
 					continue
 				}
-				col := (pcur-g.min)*g.nE + c
+				col := (pcur-g.lo)*g.nE + c
 				if colMin[col] <= v {
 					pruned++ // dominated: smaller pt, no worse value
 				} else {
@@ -648,17 +676,21 @@ func (s *Solver) buildLive(b, l int, runs []rowClass) int64 {
 // it walks the sources' live lists once and marks run (pt, class of the
 // open module's per-instance count) for every state that expands, then
 // stores exactly the marked runs in every target that holds their row,
-// +Inf, in slab b. A capped solver first drops the states above its
-// incumbent from the lists. Returns the marked runs, q descending and
-// then class ascending, the order buildLive walks them in.
+// +Inf, in slab b. A capped solver first trims its targets' windows and
+// drops the states above its incumbent from the lists. Returns the marked
+// runs, q descending and then class ascending, the order buildLive walks
+// them in.
 func (s *Solver) store(b int) []rowClass {
 	k, P, stride := s.k, s.P, s.stride
 	nE := len(s.effVals[b])
 	cls2 := s.effCls[b*stride:]
 	qlo := s.shape[s.ord(b+s.tgts[0], s.tgts[0])].qlo // every target's: lowQ[b]
-	qhi := -1                                         // the highest row a target holds
+	if s.capped {
+		s.window(b)
+	}
+	qhi := -1 // the highest row a target holds
 	for _, l2 := range s.tgts {
-		qhi = max(qhi, P-s.minP[b*(k+1)+b+l2])
+		qhi = max(qhi, P-s.shape[s.ord(b+l2, l2)].lo)
 	}
 	inc := s.incumbent
 	qmin, qmax := P+1, -1 // the band of marked rows
@@ -683,8 +715,7 @@ func (s *Solver) store(b int) []rowClass {
 					if inTab != nil {
 						in = inTab[c*stride+e]
 					}
-					partial := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
-					if vals[s.at(ord, pt, pcur, c)] > inc || partial > inc {
+					if vals[s.at(ord, pt, pcur, c)] > inc || s.partial(spanBase, pcur, in) > inc {
 						continue // every target of this state is above the incumbent
 					}
 				}
@@ -717,9 +748,9 @@ func (s *Solver) store(b int) []rowClass {
 	for _, l2 := range s.tgts {
 		g := &s.shape[s.ord(b+l2, l2)]
 		for _, r := range runs {
-			if q := int(r.q); q <= P-g.min {
+			if q := int(r.q); q <= P-g.lo {
 				s.dir[g.entry(q, int(r.c))] = int32(n)
-				n += P - q - g.min + 1
+				n += min(g.hi, P-q) - g.lo + 1
 			}
 		}
 	}
@@ -732,15 +763,49 @@ func (s *Solver) store(b int) []rowClass {
 	return runs
 }
 
+// window trims each of capped pass b's targets to the raw counts [lo, hi]
+// between the least and the greatest count whose partial response, for
+// some class of E_b, is at most the incumbent. A state at a count outside
+// has a partial above the incumbent whatever its class, so a later pass
+// drops it from its sources, and a close layer's is above the optimum; it
+// fills a whole (pcur, class) dominance column, so dropping it changes no
+// kept state's fate. partial is monotone in its input transfer, so the
+// least input cost over E_b's classes decides a count.
+func (s *Solver) window(b int) {
+	k, stride := s.k, s.stride
+	inTab := s.ecom[b-1]
+	nE := len(s.effVals[b])
+	fits := func(spanBase, pcur int) bool {
+		e := int(s.eff[spanBase+pcur])
+		in := inf
+		for c := 0; c < nE; c++ {
+			in = min(in, inTab[c*stride+e])
+		}
+		return s.partial(spanBase, pcur, in) <= s.incumbent
+	}
+	for _, l2 := range s.tgts {
+		g := &s.shape[s.ord(b+l2, l2)]
+		spanBase := (b*(k+1) + b + l2) * stride
+		lo, hi := g.lo, g.hi // layout's: each layer is the target of one pass
+		for lo <= hi && !fits(spanBase, lo) {
+			lo++
+		}
+		for hi > lo && !fits(spanBase, hi) {
+			hi--
+		}
+		g.lo, g.hi = lo, hi
+	}
+}
+
 // target applies every source layer (b, l) to target layer (b+l2, l2):
 // sources in ascending l, states in live-list order, which fixes the
 // tie-breaking deterministically. store has stored every run it writes.
 // Returns state and transition counts for instrumentation.
 func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 	k, P, stride := s.k, s.P, s.stride
-	min2 := s.minP[b*(k+1)+b+l2]
 	eff2 := s.eff[(b*(k+1)+b+l2)*stride:]
 	g2 := &s.shape[s.ord(b+l2, l2)]
+	lo2, hi2 := g2.lo, g2.hi // the target's window, read once out of the source loop
 	tv, tc := s.val[b], s.choice[b]
 	cls2 := s.effCls[b*stride:]
 	outTab := s.ecom[b-1]
@@ -769,7 +834,7 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 				in = inTab[c*stride+e]
 			}
 			nStates++
-			n := P - pt - min2 + 1
+			n := min(hi2, P-pt) - lo2 + 1
 			if n <= 0 {
 				continue
 			}
@@ -779,10 +844,11 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 			c2 := int(cls2[e])
 			outRow := outTab[c2*stride:]
 			ch := pack(l, pcur, c)
-			// The targets (pt+p2, p2), p2 = min2 .. P-pt, are run (pt, c2).
+			// The targets (pt+p2, p2), p2 = lo2 .. min(hi2, P-pt), are run
+			// (pt, c2).
 			off := int(s.dir[g2.entry(pt, c2)])
 			run, chs := tv[off:off+n], tc[off:off+n]
-			effs := eff2[min2 : min2+n]
+			effs := eff2[lo2 : lo2+n]
 			if s.latency {
 				// f adds in model.Mapping.ResponseTimes' order: exec, in, out.
 				execIn := s.execEff[spanBase+pcur] + in
@@ -795,7 +861,7 @@ func (s *Solver) target(b, l2 int) (nStates, nTrans int64) {
 				}
 				continue
 			}
-			partial := (in + s.execEff[spanBase+pcur]) / r
+			partial := s.partial(spanBase, pcur, in)
 			for i, pe := range effs {
 				resp := partial + outRow[pe]/r
 				nv := v
@@ -900,8 +966,7 @@ func (s *Solver) closeLayer(l int, visit func(l, pt, pcur, c int, v float64)) {
 			}
 			continue
 		}
-		resp := (in + s.execEff[spanBase+pcur]) / float64(s.rep[spanBase+pcur])
-		if resp > v {
+		if resp := s.partial(spanBase, pcur, in); resp > v {
 			v = resp
 		}
 		visit(l, pt, pcur, c, v)
@@ -954,6 +1019,48 @@ func (s *Solver) reconstruct(dst []model.Module, l, pt, pcur, c int) []model.Mod
 	return dst
 }
 
+// firstIncumbent is a capped solve's incumbent before pass 1: the least
+// period of the one-module mapping, read from the seed close layer, and of
+// every two-module mapping [0, a) | [a, k). It evaluates each of those on
+// the path the recurrence takes: a seed of value 0 with no input transfer
+// writes max(0, partial + out/r1), and the last module closes at its own
+// partial, whose input is the same edge cost. So the result is the DP's
+// own value of a real mapping, at least the optimum. O(kP^2), reading the
+// tables only.
+func (s *Solver) firstIncumbent() float64 {
+	k, P, stride := s.k, s.P, s.stride
+	best := inf
+	s.closeLayer(k, func(_, _, _, _ int, v float64) { best = min(best, v) })
+	for a := 1; a < k; a++ {
+		m1, m2 := s.minP[a], s.minP[a*(k+1)+k] // spans [0, a) and [a, k)
+		if m1+m2 > P {
+			continue
+		}
+		base1, base2 := a*stride, (a*(k+1)+k)*stride
+		tab, cls := s.ecom[a-1], s.effCls[a*stride:]
+		for p1 := m1; p1 <= P-m2; p1++ {
+			partial1 := s.partial(base1, p1, 0.0)
+			if partial1 >= best {
+				continue // every period from here is at least partial1
+			}
+			r1 := float64(s.rep[base1+p1])
+			row := tab[int(cls[s.eff[base1+p1]])*stride:]
+			for p2 := m2; p2 <= P-p1; p2++ {
+				out := row[s.eff[base2+p2]]
+				v := 0.0
+				if resp := partial1 + out/r1; resp > v {
+					v = resp
+				}
+				if resp := s.partial(base2, p2, out); resp > v {
+					v = resp
+				}
+				best = min(best, v)
+			}
+		}
+	}
+	return best
+}
+
 // run recomputes every layer whose open-module start exceeds m and
 // re-scans the close states. m = 0 recomputes everything (a fresh solve);
 // m = k-1 recomputes nothing and only re-scans.
@@ -978,10 +1085,13 @@ func (s *Solver) run(m int, par bool, ins instrument) (model.Mapping, error) {
 			cleared++
 		}
 	}
+	if s.capped {
+		s.incumbent = s.firstIncumbent()
+	}
 	for b := m + 1; b < s.k; b++ {
-		if s.capped {
+		if s.capped && b > 1 {
 			// Close layer (k, k-b+1), whose last module starts at b-1, is
-			// complete: seed wrote it for b = 1, pass b-1 otherwise.
+			// complete: pass b-1 wrote it.
 			s.closeLayer(s.k-b+1, func(_, _, _, _ int, v float64) {
 				s.incumbent = min(s.incumbent, v)
 			})

@@ -27,8 +27,9 @@ func (o Options) instrument() instrument {
 
 // layer records one completed DP layer: a trace span plus aggregate
 // counters. states is the number of source states expanded, transitions
-// the number of target cells they were evaluated against (a capped solve
-// counts neither for the states it skips above its incumbent), and pruned
+// the number of target cells they were evaluated against, the cells of
+// each target's window (a capped solve counts neither for the states it
+// skips above its incumbent, nor the counts its windows trim), and pruned
 // the number of finite states dominance pruning removed from the
 // completed layer.
 func (in instrument) layer(layer int, start time.Time, states, transitions, pruned int64) {

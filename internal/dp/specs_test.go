@@ -105,11 +105,12 @@ func TestCappedSolveMatchesFullOnSpecs(t *testing.T) {
 // TestCappedSolveSkipsWork checks that the cap saves work, which no
 // identity test sees: an incumbent never lowered from +Inf returns the
 // same mappings. MapChain's solve counts the source states it expands and
-// their transitions, and skips the states above its incumbent before
-// counting them. On ffthist256 at P=64 the optimum closes in the first
-// pass, so the capped solve makes at most a quarter of the uncapped
-// solve's transitions; on radar64 few states lie above it, and the capped
-// solve still makes no more.
+// the cells of their targets' windows they write, and skips the states
+// above its incumbent before counting them. At each spec's own P the
+// incumbent starts at the best two-module mapping, which is radar64's,
+// ffthist256's and threestage's optimum, so radar64's capped solve makes
+// 46,991 of the uncapped 196,635 transitions, ffthist256's 305 of 21,862,
+// stereo128's 3,617 of 203,077 and threestage's 52 of 3,438.
 func TestCappedSolveSkipsWork(t *testing.T) {
 	work := func(reg *live.Registry) (states, transitions int64) {
 		return reg.Counter("dp.map_chain.states").Total(), reg.Counter("dp.map_chain.transitions").Total()
@@ -117,9 +118,8 @@ func TestCappedSolveSkipsWork(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		div  int64 // capped transitions * div <= uncapped transitions
-	}{{"ffthist256", 4}, {"radar64", 1}} {
+	}{{"radar64", 3}, {"ffthist256", 20}, {"stereo128", 40}, {"threestage", 40}} {
 		c, pl := loadSpec(t, tc.name)
-		pl.Procs = 64
 		capped, full := live.NewRegistry(live.Options{}), live.NewRegistry(live.Options{})
 		if _, err := dp.MapChain(c, pl, dp.Options{Metrics: capped}); err != nil {
 			t.Fatal(err)
@@ -139,6 +139,23 @@ func TestCappedSolveSkipsWork(t *testing.T) {
 		}
 		if cs > fs {
 			t.Errorf("%s: capped solve expanded %d states, uncapped %d", tc.name, cs, fs)
+		}
+	}
+}
+
+// TestFirstIncumbentOnSpecs checks the incumbent a capped solve starts
+// pass 1 with on the four committed specs at their own P, under the three
+// option sets (see CheckFirstIncumbent). With clustering and maximal
+// replication, the optimum of radar64, ffthist256 and threestage is a one-
+// or two-module mapping, so there the incumbent starts at the optimum.
+func TestFirstIncumbentOnSpecs(t *testing.T) {
+	for _, name := range specNames {
+		c, pl := loadSpec(t, name)
+		for i, opt := range dp.ReferenceOptions {
+			first, optimum := dp.CheckFirstIncumbent(t, fmt.Sprintf("%s options %d", name, i), c, pl, opt)
+			if i == 0 && name != "stereo128" && first != optimum {
+				t.Errorf("%s: first incumbent %v, optimum %v", name, first, optimum)
+			}
 		}
 	}
 }
